@@ -28,6 +28,7 @@ from .connection import (
 )
 from .expr import (
     Expr,
+    compile_numeric,
     differentiate,
     evaluate_numeric,
     free_vars,

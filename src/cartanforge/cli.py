@@ -21,7 +21,7 @@ from . import expr as ex
 from .canonical import is_holonomic
 from .chart import prolong_section
 from .connection import curvature, integral_residual, sopde_project
-from .errors import CartanforgeError, MissingArgument
+from .errors import CartanforgeError, InvalidArgument, MissingArgument
 from .harness import run_identity_catalog
 from .lagrangian import cartan_forms, derive_el, energy_density, jetfield_el, \
     legendre_difference
@@ -52,6 +52,14 @@ def _need(value, flag, cmd):
     if value is None:
         raise MissingArgument(f"{cmd} requires {flag}")
     return value
+
+
+def _samples(args, default):
+    if args.samples is None:
+        return default
+    if args.samples < 1:
+        raise InvalidArgument(f"--samples must be at least 1, got {args.samples}")
+    return args.samples
 
 
 def _named(mapping, name, what):
@@ -170,6 +178,7 @@ def cmd_symmetry(problem, args):
 def cmd_noether(problem, args):
     name = _need(args.vectorfield, "--vectorfield", "noether")
     decl = _named(problem.vectorfields, name, "vector field")
+    samples = _samples(args, problem.numeric.samples)
     cur = noether_current(problem.lagrangian, decl.vf)
     results = [_result("current", cur.J.describe(), kind="form")]
     inputs = {"vectorfield": name}
@@ -177,8 +186,9 @@ def cmd_noether(problem, args):
         sdecl = _named(problem.sections, args.along, "section")
         rep = check_conservation(cur, sdecl.section)
         nrep = check_conservation(cur, sdecl.section, mode="numeric",
-                                  samples=args.samples or problem.numeric.samples,
-                                  tol=args.tol or problem.numeric.tol,
+                                  samples=samples,
+                                  tol=args.tol if args.tol is not None
+                                  else problem.numeric.tol,
                                   seed=args.seed if args.seed is not None
                                   else problem.numeric.seed)
         results.append(_result("conserved-symbolic", str(rep.conserved).lower()))
@@ -190,7 +200,7 @@ def cmd_noether(problem, args):
 
 def cmd_verify(problem, args):
     report = run_identity_catalog(problem, seed=args.seed,
-                                  samples=args.samples, tol=args.tol)
+                                  samples=_samples(args, None), tol=args.tol)
     code = 0 if report.passed else 1
     if args.format == "json":
         return report.to_json(), code

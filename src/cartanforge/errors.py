@@ -92,3 +92,7 @@ class UnknownCommand(CartanforgeError):
 
 class MissingArgument(CartanforgeError):
     pass
+
+
+class InvalidArgument(CartanforgeError):
+    """A command-line option has a value the command cannot use."""

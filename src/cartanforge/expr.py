@@ -45,7 +45,7 @@ RESERVED_NAMES = frozenset(FUNCTIONS) | {"sqrt", "d", "dd", "a", "b"}
 class Expr:
     """Base class; concrete nodes are Rat, Var, Add, Mul, Pow, Func."""
 
-    __slots__ = ("_skey", "_fvs", "_h")
+    __slots__ = ("_skey", "_fvs", "_h", "_fn")
 
     def key(self):
         # (rank, payload, children) nested tuples: a total structural order.
@@ -328,13 +328,15 @@ def mul(*factors):
 def _nth_root_exact(fr, n):
     """Exact n-th root of a nonnegative Fraction, or None."""
     def iroot(m):
+        # integer Newton iteration down from a power of two above the root
         if m in (0, 1):
             return m
-        r = round(m ** (1.0 / n))
-        for cand in (r - 1, r, r + 1):
-            if cand >= 0 and cand ** n == m:
-                return cand
-        return None
+        r = 1 << -(-m.bit_length() // n)
+        while True:
+            s = ((n - 1) * r + m // r ** (n - 1)) // n
+            if s >= r:
+                return r if r ** n == m else None
+            r = s
 
     p = iroot(fr.numerator)
     q = iroot(fr.denominator)
@@ -585,6 +587,111 @@ def _eval(e, p):
     raise TypeError(f"not an Expr: {e!r}")
 
 
+def compile_numeric(e):
+    """``evaluate_numeric`` for one expression as a generated function.
+
+    The function performs the tree walk's IEEE operations in the same order
+    on the same values, so results agree bit for bit: one local per distinct
+    subtree (shared subtrees are computed once), rationals converted to
+    floats once, ``math.fsum`` over terms in term order, products left to
+    right from 1.0.  When any operation fails, the tree walk runs again to
+    raise exactly the exception ``evaluate_numeric`` raises, so domain
+    errors, unbound variables and oversized rationals surface at call time
+    with the same class and message.  The function is cached on the node.
+    """
+    fn = getattr(e, "_fn", None)
+    if fn is None:
+        fn = _compile(e)
+        object.__setattr__(e, "_fn", fn)
+    return fn
+
+
+class _Escape(ArithmeticError):
+    """Raised inside compiled code where the tree walk raises NumericDomain
+    without Python raising first (an even root of a negative value)."""
+
+
+_COMPILE_NS = {"_fsum": math.fsum, "_float": float, "_sin": math.sin,
+               "_cos": math.cos, "_exp": math.exp, "_log": math.log,
+               "_Escape": _Escape,
+               # every class a compiled operation can raise; the tree walk
+               # then raises its own error for the same operation
+               "_Rerun": (ArithmeticError, LookupError, TypeError, ValueError)}
+
+
+def _compile(e):
+    consts = {}     # name -> value bound in the function's namespace
+    names = {}      # subtree -> local or literal standing for its value
+    lines = []
+
+    def const(value):
+        try:
+            return f"({float(value)!r})"
+        except OverflowError:   # keep the failure at call time
+            c = f"_c{len(consts)}"
+            consts[c] = value
+            local = f"v{len(lines)}"
+            lines.append(f"{local} = _float({c})")
+            return local
+
+    # post-order walk, children left to right as the tree walk visits them
+    stack = [(e, False)]
+    while stack:
+        node, ready = stack.pop()
+        if node in names:
+            continue
+        if isinstance(node, Rat):
+            names[node] = const(node.value)
+            continue
+        if not ready:
+            stack.append((node, True))
+            if isinstance(node, Add):
+                kids = node.terms
+            elif isinstance(node, Mul):
+                kids = node.factors
+            elif isinstance(node, Pow):
+                kids = (node.base,)
+            elif isinstance(node, Func):
+                kids = (node.arg,)
+            elif isinstance(node, Var):
+                kids = ()
+            else:
+                raise TypeError(f"not an Expr: {node!r}")
+            stack.extend((k, False) for k in reversed(kids))
+            continue
+        if isinstance(node, Var):
+            rhs = f"_float(p[{node.name!r}])"
+        elif isinstance(node, Add):
+            rhs = f"_fsum(({''.join(names[t] + ', ' for t in node.terms)}))"
+        elif isinstance(node, Mul):
+            rhs = " * ".join(["1.0"] + [names[f] for f in node.factors])
+        elif isinstance(node, Pow):
+            b, n = names[node.base], node.exponent
+            if n.denominator == 1:
+                rhs = f"{b} ** ({n.numerator})"
+            else:
+                # Python raises for 0.0 to a negative power and on overflow,
+                # but returns a complex for a negative base: escape first
+                lines.append(f"if {b} < 0.0: raise _Escape")
+                rhs = f"{b} ** {n.numerator / n.denominator!r}"
+        elif node.fname == "abs":
+            rhs = f"abs({names[node.arg]})"
+        elif node.fname == "sign":
+            u = names[node.arg]
+            rhs = f"1.0 if {u} > 0.0 else (-1.0 if {u} < 0.0 else 0.0)"
+        else:   # sin, cos, exp, log: math raises where the tree walk does
+            rhs = f"_{node.fname}({names[node.arg]})"
+        names[node] = f"v{len(lines)}"
+        lines.append(f"{names[node]} = {rhs}")
+
+    body = "".join(f"        {line}\n" for line in lines)
+    src = (f"def _numeric(p):\n    try:\n{body}        return {names[e]}\n"
+           f"    except _Rerun:\n        return evaluate_numeric(_e, p)\n")
+    ns = dict(_COMPILE_NS, evaluate_numeric=evaluate_numeric, _e=e, **consts)
+    exec(compile(src, "<compile_numeric>", "exec"), ns)
+    return ns["_numeric"]
+
+
 # ---------------------------------------------------------------------------
 # text form
 # ---------------------------------------------------------------------------
@@ -750,7 +857,10 @@ def parse(text, validate=None):
     (used by charts to symmetrize second-jet index order).
     """
     toks = _Tokens(text)
-    e = _parse_expr(toks, validate)
+    try:
+        e = _parse_expr(toks, validate)
+    except RecursionError:
+        toks.error("expression nested too deeply", toks.peek())
     tail = toks.peek()
     if tail[0] != "end":
         toks.error(f"unexpected trailing input {tail[1]!r}", tail)

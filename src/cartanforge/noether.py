@@ -94,10 +94,11 @@ def check_conservation(current, phi: SectionE, mode="symbolic",
     names = sorted(lag.chart.base_names)
     worst = 0.0
     witness = {}
+    coeffs = [ex.compile_numeric(c) for c in residual.coeffs.values()]
     for _ in range(samples):
         pt = {n: rng.uniform(*box) for n in names}
-        for c in residual.coeffs.values():
-            dev = abs(ex.evaluate_numeric(c, pt))
+        for c in coeffs:
+            dev = abs(c(pt))
             if dev > worst:
                 worst, witness = dev, dict(pt)
     return ConservationReport(worst <= tol, "numeric", residual, worst, witness)

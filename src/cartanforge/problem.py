@@ -176,7 +176,7 @@ class Guard:
     threshold: float
 
     def holds(self, point):
-        v = ex.evaluate_numeric(self.expr, point)
+        v = ex.compile_numeric(self.expr)(point)
         return v > self.threshold if self.op == ">" else v < self.threshold
 
 

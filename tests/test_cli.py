@@ -174,3 +174,53 @@ L = "1/2*d(q,t)^2"
     assert code == 0
     assert "[skip] energy-intrinsic-vs-display" in out
     assert "[skip] symmetry" in out
+
+
+def test_deep_nesting_exits_2(tmp_path, capsys):
+    f = tmp_path / "deep.toml"
+    f.write_text(f"""
+[bundle]
+base = ["t"]
+fiber = ["q"]
+
+[lagrangian]
+L = "{'(' * 5000}d(q,t){')' * 5000}"
+""")
+    code, _, err = run(capsys, "verify", str(f))
+    assert code == 2
+    assert "nested too deeply" in err and "line" in err and "col" in err
+
+
+@pytest.mark.parametrize("cmd, extra", [
+    ("verify", []),
+    ("noether", ["--vectorfield", "translation_q", "--along", "parabola"]),
+    ("noether", ["--vectorfield", "translation_q"]),
+])
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_samples_below_one_exit_2(capsys, cmd, extra, samples):
+    code, out, err = run(capsys, cmd, prob("free_particle.toml"), *extra,
+                         "--samples", samples)
+    assert code == 2 and out == ""
+    assert "--samples must be at least 1" in err
+
+
+def test_noether_honours_tol_zero(tmp_path, capsys):
+    # the problem's own tol admits the parabola's residual (max_dev 2.0);
+    # an explicit --tol 0 must not fall back to it
+    text = open(prob("free_particle.toml")).read().replace(
+        "tol = 1e-9", "tol = 10.0")
+    f = tmp_path / "loose.toml"
+    f.write_text(text)
+    argv = ["noether", str(f), "--vectorfield", "translation_q",
+            "--along", "parabola"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and "conserved-numeric = true" in out
+    code, out, _ = run(capsys, *argv, "--tol", "0")
+    assert code == 0 and "conserved-numeric = false" in out
+
+
+def test_noether_honours_samples_one(capsys):
+    code, out, _ = run(capsys, "noether", prob("free_particle.toml"),
+                       "--vectorfield", "translation_q", "--along", "line",
+                       "--samples", "1")
+    assert code == 0 and "conserved-numeric = true" in out

@@ -202,6 +202,15 @@ def test_parse_errors():
         ex.parse("d(q)")
 
 
+def test_deep_nesting_is_a_parse_error():
+    text = "x +\n  " + "(" * 5000 + "x" + ")" * 5000
+    with pytest.raises(ParseError) as err:
+        ex.parse(text)
+    assert err.value.line == 2 and err.value.col > 2
+    with pytest.raises(ParseError):
+        ex.parse("sin(" * 5000 + "x" + ")" * 5000)
+
+
 def test_text_round_trip_corpus():
     r = randgen.rng(99)
     for _ in range(40):
@@ -218,6 +227,18 @@ def test_exact_sqrt_of_rationals():
     assert ex.func("sqrt", ex.rat(4)) == ex.rat(2)
     assert ex.func("sqrt", ex.rat(1, 4)) == ex.rat(1, 2)
     assert ex.func("sqrt", ex.rat(2)) == ex.pow_(ex.rat(2), ex.Fraction(1, 2))
+
+
+def test_exact_roots_of_huge_rationals():
+    assert ex.func("sqrt", ex.Rat(10 ** 400)) == ex.Rat(10 ** 200)
+    assert ex.func("sqrt", ex.Rat(ex.Fraction(1, 10 ** 400))) == \
+        ex.Rat(ex.Fraction(1, 10 ** 200))
+    nines = ex.Rat(int("9" * 400))
+    assert ex.func("sqrt", nines) == ex.Pow(nines, ex.Fraction(1, 2))
+    big = 3 ** 500 + 1
+    assert ex.pow_(ex.Rat(big ** 4), ex.Fraction(1, 4)) == ex.Rat(big)
+    assert ex.pow_(ex.Rat(big ** 4 + 1), ex.Fraction(3, 4)).__class__ is ex.Pow
+    assert ex.pow_(ex.rat(27, 8), ex.Fraction(1, 3)) == ex.rat(3, 2)
 
 
 def test_immutability():
