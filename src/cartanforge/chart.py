@@ -68,9 +68,6 @@ class JetChart:
                     out.append(w_name(y, x1, x2))
         return tuple(out)
 
-    def a_names(self):
-        return tuple(a_name(y, x) for y in self.fiber_names for x in self.base_names)
-
     def b_names(self):
         return tuple(b_name(y, xr, xm)
                      for y in self.fiber_names
@@ -86,9 +83,6 @@ class JetChart:
     def extended_coords(self):
         """Jet coordinates plus the symmetric second-jet symbols."""
         return self.jet_coords() + self.w_names()
-
-    def repeated_coords(self):
-        return self.jet_coords() + self.a_names() + self.b_names()
 
     def w(self, y, x1, x2):
         """Symmetric accessor: dd(y, x1, x2) with indices put in chart order."""

@@ -20,7 +20,7 @@ import sys
 from . import expr as ex
 from .canonical import is_holonomic
 from .chart import prolong_section
-from .connection import curvature, integral_residual, sopde_project
+from .connection import curvature, integral_residual
 from .errors import CartanforgeError, InvalidArgument, MissingArgument
 from .harness import run_identity_catalog
 from .lagrangian import cartan_forms, derive_el, energy_density, jetfield_el, \
@@ -190,7 +190,8 @@ def cmd_noether(problem, args):
                                   tol=args.tol if args.tol is not None
                                   else problem.numeric.tol,
                                   seed=args.seed if args.seed is not None
-                                  else problem.numeric.seed)
+                                  else problem.numeric.seed,
+                                  box=problem.numeric.box)
         results.append(_result("conserved-symbolic", str(rep.conserved).lower()))
         results.append(_result("conserved-numeric", str(nrep.conserved).lower(),
                                metadata={"max_dev": nrep.max_dev}))

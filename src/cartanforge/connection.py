@@ -232,13 +232,12 @@ class JetField2:
 
 
 def sopde_project(yf: JetField2):
-    """The jet-exchange projection keeps the F-slots; the field is a
-    second-order equation iff F^A_rho == v^A_rho identically."""
+    """True iff the field is a second-order equation: the jet-exchange
+    projection keeps the F-slots, so this holds iff F^A_rho == v^A_rho
+    identically."""
     ch = yf.chart
-    projected = dict(yf.F)
-    ok = all(ex.sub(yf.F[(y, x)], ex.var(v_name(y, x))).is_zero()
-             for y in ch.fiber_names for x in ch.base_names)
-    return projected, ok
+    return all(ex.sub(yf.F[(y, x)], ex.var(v_name(y, x))).is_zero()
+               for y in ch.fiber_names for x in ch.base_names)
 
 
 def integral_residual2(yf: JetField2, psi: SectionJ1):
@@ -294,8 +293,3 @@ def jetfield_curvature_residuals(yf: JetField2):
                 out[(xm, ch.base_names[j], name)] = c
     return out
 
-
-def connection_jetfield(conn):
-    """View a connection as the 1-jet field Psi = (x, y, Gamma(x, y))."""
-    return {(y, x): conn.gamma[(y, x)]
-            for y in conn.chart.fiber_names for x in conn.chart.base_names}

@@ -86,10 +86,6 @@ class DuplicateDefinition(CartanforgeError):
     """The same block or key was defined twice in a problem file."""
 
 
-class UnknownCommand(CartanforgeError):
-    pass
-
-
 class MissingArgument(CartanforgeError):
     pass
 

@@ -1,20 +1,22 @@
 """Numeric verification layer and the executable identity catalog.
 
-Checks are deterministic: every sample stream comes from ``random.Random``
-seeded from the problem's numeric settings, variables are drawn in sorted
-order, and reports render with sorted keys, so two runs with the same seed
-produce byte-identical output.
+Every sampled check (``numeric_check``, the finite-difference check of each
+dL/dz, numeric ``noether.check_conservation``) draws its points through one
+sampler, ``sample_worst``:
 
-Points violating a declared guard (for example a determinant kept away from
-zero) are redrawn; domain errors outside the guards propagate with the
-offending point attached.
+- the stream is a ``random.Random`` seeded from the problem's numeric
+  settings, so two runs with the same seed produce byte-identical reports;
+- variables are drawn in sorted order, each uniform on its ``box`` interval
+  (name -> (lo, hi)), or on [-1, 1] where the box declares none;
+- a point violating a declared guard (for example a determinant kept away
+  from zero) is redrawn; a domain error outside the guards is raised with
+  the offending point attached;
+- the result is the worst deviation and its witness, the first point that
+  reached it, rounded to 12 decimals ({} when no deviation is positive).
 
-Every loop that evaluates one expression at many points (the
-finite-difference check of each dL/dz, ``numeric_check``, numeric
-``check_conservation`` and the guards tested on every draw) evaluates through
-``expr.compile_numeric``: each expression is compiled once to a Python
-function whose values equal ``evaluate_numeric``'s bit for bit, so the
-reports do not depend on which evaluator ran.
+Each check compiles its expressions once with ``expr.compile_numeric``,
+whose values equal ``evaluate_numeric``'s bit for bit, so the reports do
+not depend on which evaluator ran.
 """
 
 from __future__ import annotations
@@ -37,7 +39,14 @@ from .forms import (
     pullback_by_section,
     volume_form,
 )
-from .lagrangian import cartan_forms, energy_density, legendre_difference, jetfield_el
+from .lagrangian import (
+    cartan_forms,
+    energy_density,
+    energy_intrinsic,
+    jetfield_el,
+    legendre_difference,
+    vartheta_intrinsic,
+)
 from .noether import check_conservation, noether_current, total_variation
 
 
@@ -66,66 +75,63 @@ class CheckResult:
                 "max_dev": self.max_dev, "witness": self.witness}
 
 
-def draw_point(rng, names, box, guards=(), max_tries=1000):
+def intervals(names, box):
+    """(name, lo, hi) for each name in sorted order; [-1, 1] where `box`
+    declares no interval."""
+    return tuple((n, *box.get(n, (-1.0, 1.0))) for n in sorted(names))
+
+
+def draw_point(rng, cells, guards=(), max_tries=1000):
+    """One point from the (name, lo, hi) `cells`, redrawn until every guard
+    holds."""
     for _ in range(max_tries):
-        pt = {n: rng.uniform(*box.get(n, (-1.0, 1.0))) for n in sorted(names)}
+        pt = {n: rng.uniform(lo, hi) for n, lo, hi in cells}
         if all(g.holds(pt) for g in guards):
             return pt
     raise NumericDomain("could not draw a sample point satisfying the guards")
 
 
-def _free_names(obj):
-    if isinstance(obj, Form):
-        out = set()
-        for c in obj.coeffs.values():
-            out |= ex.free_vars(c)
-        return out
-    return set(ex.free_vars(obj))
-
-
-def _deviation(lhs, rhs, pt):
-    if isinstance(lhs, Form) or isinstance(rhs, Form):
-        keys = set(lhs.coeffs) | set(rhs.coeffs)
-        dev = 0.0
-        for k in keys:
-            a = ex.compile_numeric(lhs.coeffs.get(k, ex.ZERO))(pt)
-            b = ex.compile_numeric(rhs.coeffs.get(k, ex.ZERO))(pt)
-            dev = max(dev, abs(a - b))
-        return dev
-    return abs(ex.compile_numeric(lhs)(pt) - ex.compile_numeric(rhs)(pt))
-
-
-def numeric_check(check: IdentityCheck):
-    """Sample both sides; pass iff the worst deviation stays within tol."""
-    names = _free_names(check.lhs) | _free_names(check.rhs)
-    for g in check.guards:
+def sample_worst(deviation, rng, names, box, guards, samples):
+    """The largest `deviation(pt)` over `samples` seeded points and its
+    witness, the point rounded by `_round_point` ({} if no deviation is
+    positive).  Guard variables join `names`; a domain error names its
+    point."""
+    names = set(names)
+    for g in guards:
         names |= ex.free_vars(g.expr)
-    rng = random.Random(check.seed)
-    worst = 0.0
-    witness = {}
-    for _ in range(check.samples):
-        pt = draw_point(rng, names, check.box, check.guards)
+    cells = intervals(names, box)
+    worst, witness = 0.0, {}
+    for _ in range(samples):
+        pt = draw_point(rng, cells, guards)
         try:
-            dev = _deviation(check.lhs, check.rhs, pt)
+            dev = deviation(pt)
         except NumericDomain as err:
             raise NumericDomain(f"{err} at point {_round_point(pt)}") from err
         if dev > worst:
             worst, witness = dev, pt
+    return worst, _round_point(witness)
+
+
+def numeric_check(check: IdentityCheck):
+    """Sample both sides; pass iff the worst deviation stays within tol."""
+    lhs, rhs = check.lhs, check.rhs
+    if isinstance(lhs, Form) or isinstance(rhs, Form):
+        pairs = [(lhs.coeffs.get(k, ex.ZERO), rhs.coeffs.get(k, ex.ZERO))
+                 for k in set(lhs.coeffs) | set(rhs.coeffs)]
+    else:
+        pairs = [(lhs, rhs)]
+    names = set().union(*(ex.free_vars(e) for pair in pairs for e in pair))
+    fns = [(ex.compile_numeric(a), ex.compile_numeric(b)) for a, b in pairs]
+    worst, witness = sample_worst(
+        lambda pt: max([0.0, *(abs(a(pt) - b(pt)) for a, b in fns)]),
+        random.Random(check.seed), names, check.box, check.guards,
+        check.samples)
     status = "pass" if worst <= check.tol else "fail"
-    return CheckResult(check.name, status, worst, _round_point(witness))
+    return CheckResult(check.name, status, worst, witness)
 
 
 def _round_point(pt):
     return {k: round(v, 12) for k, v in sorted(pt.items())}
-
-
-def numeric_zero(e, settings, samples=None, tol=None, extra_names=()):
-    """Seeded |e| <= tol sampling used as the fallback symmetry test."""
-    chk = IdentityCheck("zero", e, ex.ZERO, box=settings.box,
-                        samples=samples or settings.symmetry_samples,
-                        tol=tol if tol is not None else settings.tol,
-                        seed=settings.seed, guards=settings.guards)
-    return numeric_check(chk)
 
 
 # ---------------------------------------------------------------------------
@@ -141,13 +147,17 @@ def _skip(name, why):
     return CheckResult(name, "skip", None, {}, why)
 
 
-def _central_difference(f, coord, pt, h=1e-5):
-    """Central difference of the compiled function `f` along `coord`."""
-    hi = dict(pt)
-    lo = dict(pt)
-    hi[coord] += h
-    lo[coord] -= h
-    return (f(hi) - f(lo)) / (2 * h)
+def _fd_deviation(L, dL, coord, h=1e-5):
+    """Relative gap between the compiled dL/d`coord` and a central
+    difference of the compiled L."""
+    def dev(pt):
+        got = dL(pt)
+        hi, lo = dict(pt), dict(pt)
+        hi[coord] += h
+        lo[coord] -= h
+        want = (L(hi) - L(lo)) / (2 * h)
+        return abs(got - want) / (1.0 + abs(want))
+    return dev
 
 
 def _seeded_gamma_tables(problem, rng, count):
@@ -185,31 +195,21 @@ def run_identity_catalog(problem, seed=None, samples=None, tol=None):
     rng = random.Random(seed)
     L = ex.compile_numeric(lag.L)
     for coord in ch.jet_coords():
-        name = f"finite-difference[dL/d{coord}]"
-        sym = ex.compile_numeric(
+        dL = ex.compile_numeric(
             ex.differentiate(lag.L, coord, declared=ch.jet_coords()))
-        vars_needed = ex.free_vars(lag.L) | {coord}
-        for g in num.guards:
-            vars_needed |= ex.free_vars(g.expr)
-        worst, witness = 0.0, {}
-        for _ in range(samples):
-            pt = draw_point(rng, vars_needed, num.box, num.guards)
-            got = sym(pt)
-            want = _central_difference(L, coord, pt)
-            dev = abs(got - want) / (1.0 + abs(want))
-            if dev > worst:
-                worst, witness = dev, pt
-        status = "pass" if worst <= num.tol_fd else "fail"
-        entries.append(CheckResult(name, status, worst, _round_point(witness)))
+        worst, witness = sample_worst(
+            _fd_deviation(L, dL, coord), rng, ex.free_vars(lag.L) | {coord},
+            num.box, num.guards, samples)
+        entries.append(CheckResult(f"finite-difference[dL/d{coord}]",
+                                   "pass" if worst <= num.tol_fd else "fail",
+                                   worst, witness))
 
     # canonical forms: both construction paths and closedness of the
     # Poincare-Cartan sequence
-    try:
-        cf = cartan_forms(lag)
-        entries.append(_sym("cartan-intrinsic-vs-display", True))
-    except AssertionError as err:
-        entries.append(_sym("cartan-intrinsic-vs-display", False, str(err)))
-        return SuiteReport(tuple(entries))
+    cf = cartan_forms(lag)
+    ok = (cf.vartheta - vartheta_intrinsic(lag)).is_zero()
+    entries.append(_sym("cartan-intrinsic-vs-display", ok,
+                        "" if ok else "vartheta construction paths disagree"))
     entries.append(_sym("cartan-domega-closed",
                         exterior_d(cf.omega).is_zero()))
 
@@ -222,23 +222,19 @@ def run_identity_catalog(problem, seed=None, samples=None, tol=None):
 
     # energy and Legendre identities need at least one connection
     if problem.connections:
-        rng_g = random.Random(seed + 1)
-        gammas = _seeded_gamma_tables(problem, rng_g, 3)
+        gammas = _seeded_gamma_tables(problem, random.Random(seed + 1), 3)
         for cname, conn in sorted(problem.connections.items()):
-            try:
-                e0 = energy_density(lag, conn)  # asserts intrinsic == display
-                entries.append(_sym(f"energy-intrinsic-vs-display[{cname}]", True))
-            except AssertionError as err:
-                entries.append(_sym(f"energy-intrinsic-vs-display[{cname}]",
-                                    False, str(err)))
-                e0 = None
-            ok = True
-            for table in gammas:
-                if e0 is None:  # raises again, as the failed check did
-                    e0 = energy_density(lag, conn)
-                e1 = energy_density(lag, conn.shift(table))
-                shift = volume_form(jet_space(ch)).scale(ex.sub(e1.E, e0.E))
-                ok = ok and (shift - legendre_difference(lag, table)).is_zero()
+            # the declared connection, then its three seeded shifts
+            energies = [energy_density(lag, c) for c in
+                        (conn, *(conn.shift(t) for t in gammas))]
+            ok = all((energy_intrinsic(lag, e.connection) - e.density()).is_zero()
+                     for e in energies)
+            entries.append(_sym(f"energy-intrinsic-vs-display[{cname}]", ok,
+                                "" if ok else "energy construction paths disagree"))
+            e0 = energies[0]
+            ok = all((volume_form(jet_space(ch)).scale(ex.sub(e1.E, e0.E))
+                      - legendre_difference(lag, table)).is_zero()
+                     for e1, table in zip(energies[1:], gammas))
             entries.append(_sym(f"legendre-linearity[{cname}]", ok))
 
             frame = conn.horizontal_frame()
@@ -254,9 +250,9 @@ def run_identity_catalog(problem, seed=None, samples=None, tol=None):
                             br.component(y)).is_zero()
             entries.append(_sym(f"curvature-bracket[{cname}]", okc))
     else:
-        entries.append(_skip("energy-intrinsic-vs-display", "no connections declared"))
-        entries.append(_skip("legendre-linearity", "no connections declared"))
-        entries.append(_skip("curvature-bracket", "no connections declared"))
+        for name in ("energy-intrinsic-vs-display", "legendre-linearity",
+                     "curvature-bracket"):
+            entries.append(_skip(name, "no connections declared"))
 
     # sections marked as solutions (or explicitly not)
     from .lagrangian import derive_el
@@ -285,7 +281,10 @@ def run_identity_catalog(problem, seed=None, samples=None, tol=None):
         rep = total_variation(lag, decl.vf)
         name = f"symmetry[{vname_}]"
         if decl.check == "numeric" and not rep.is_symmetry:
-            nres = numeric_zero(rep.variation, num)
+            nres = numeric_check(IdentityCheck(
+                name, rep.variation, ex.ZERO, box=num.box,
+                samples=num.symmetry_samples, tol=num.tol, seed=num.seed,
+                guards=num.guards))
             got = nres.status == "pass"
             entries.append(CheckResult(name,
                                        "pass" if got == bool(decl.symmetry) else "fail",
@@ -307,19 +306,15 @@ def run_identity_catalog(problem, seed=None, samples=None, tol=None):
         for sname, sdecl in solutions:
             name = f"noether-conservation[{vname_},{sname}]"
             symrep = check_conservation(cur, sdecl.section)
+            numrep = check_conservation(cur, sdecl.section, mode="numeric",
+                                        samples=samples, tol=tol, seed=seed,
+                                        box=num.box)
             if not symrep.conserved and decl.check == "numeric":
-                numrep = check_conservation(
-                    cur, sdecl.section, mode="numeric",
-                    samples=samples, tol=tol, seed=seed)
-                entries.append(CheckResult(name, "pass" if numrep.conserved
-                                           else "fail", numrep.max_dev,
-                                           numrep.witness, "numeric fallback"))
+                ok, detail = numrep.conserved, "numeric fallback"
             else:
-                numrep = check_conservation(cur, sdecl.section, mode="numeric",
-                                            samples=samples, tol=tol, seed=seed)
-                ok = symrep.conserved and numrep.conserved
-                entries.append(CheckResult(name, "pass" if ok else "fail",
-                                           numrep.max_dev, numrep.witness))
+                ok, detail = symrep.conserved and numrep.conserved, ""
+            entries.append(CheckResult(name, "pass" if ok else "fail",
+                                       numrep.max_dev, numrep.witness, detail))
 
     # declared jet fields
     prob_el = jetfield_el(lag)
@@ -335,8 +330,7 @@ def run_identity_catalog(problem, seed=None, samples=None, tol=None):
             sdecl = problem.sections[sname]
             psi = prolong_section(sdecl.section)
             fr, gr = integral_residual2(decl.jf, psi)
-            okk = all(v.is_zero() for v in fr.values()) and \
-                all(v.is_zero() for v in gr.values())
+            okk = all(v.is_zero() for v in (*fr.values(), *gr.values()))
             entries.append(_sym(f"jetfield-integral[{jname},{sname}]", okk))
 
     # declared diffeomorphisms preserve the contact module

@@ -7,9 +7,12 @@ The three canonical forms are built from the local expressions
     Theta    = vartheta + L omega
     Omega    = -d Theta
 
-and every construction with an independent intrinsic route (the contraction
-through the vertical endomorphisms) is computed both ways and required to
-agree, which pins the orientation conventions down mechanically.
+The constructors only build: `cartan_forms` and `energy_density` follow
+these display formulas.  The independent intrinsic routes, contractions
+through the vertical endomorphisms, are `vartheta_intrinsic` and
+`energy_intrinsic`; the identity catalog (`harness.run_identity_catalog`)
+compares each pair, which pins the orientation conventions down
+mechanically.
 
 Second-order jet symbols dd(y,x,x') are symmetric by construction, so the
 Euler-Lagrange output is canonical in them and affine (quasi-linear) by
@@ -69,8 +72,8 @@ def vartheta_intrinsic(lag):
 
 @lru_cache(maxsize=64)
 def cartan_forms(lag):
-    """All three canonical forms; the display and intrinsic constructions of
-    the first one are both evaluated and must agree."""
+    """All three canonical forms, built from the display formula for
+    vartheta; the catalog compares it with `vartheta_intrinsic`."""
     ch = lag.chart
     js = jet_space(ch)
     om = volume_form(js)
@@ -82,8 +85,6 @@ def cartan_forms(lag):
             if p.is_zero():
                 continue
             vt = vt + wedge(th, interior(coordinate_field(js, x), om)).scale(p)
-    if not (vt - vartheta_intrinsic(lag)).is_zero():
-        raise AssertionError("vartheta construction paths disagree")
     big_theta = vt + om.scale(lag.L)
     big_omega = exterior_d(big_theta).scale(ex.MINUS_ONE)
     return CartanForms(vt, big_theta, big_omega)
@@ -160,8 +161,8 @@ class EnergyDensity:
 
 
 def energy_density(lag, conn):
-    """E = p^A_mu (v^A_mu - Gamma^A_mu) - L, checked against the contraction
-    i(S - V) d(L omega) - L omega."""
+    """E = p^A_mu (v^A_mu - Gamma^A_mu) - L, built from the display formula;
+    the catalog compares it with `energy_intrinsic`."""
     ch = lag.chart
     if conn.chart != ch:
         raise ChartMismatch("connection lives on a different chart")
@@ -171,11 +172,15 @@ def energy_density(lag, conn):
             e = ex.add(e, ex.mul(lag.momentum(y, x),
                                  ex.sub(ex.var(v_name(y, x)),
                                         conn.gamma[(y, x)])))
-    diff = vertical_endo_S(ch, conn) - vertical_endo_V(ch)
-    intrinsic = diff.contract_with_dL(lag.L) - volume_form(jet_space(ch)).scale(lag.L)
-    if not (intrinsic - volume_form(jet_space(ch)).scale(e)).is_zero():
-        raise AssertionError("energy construction paths disagree")
     return EnergyDensity(ch, conn, e)
+
+
+def energy_intrinsic(lag, conn):
+    """i(S - V) d(L omega) - L omega through honest contractions; the
+    independent route to E omega."""
+    ch = lag.chart
+    diff = vertical_endo_S(ch, conn) - vertical_endo_V(ch)
+    return diff.contract_with_dL(lag.L) - volume_form(jet_space(ch)).scale(lag.L)
 
 
 def legendre_difference(lag, gamma_table):
@@ -295,7 +300,7 @@ class ELJetProblem:
         from .connection import jetfield_curvature_residuals
         lag = self.lagrangian
         ch = lag.chart
-        _, is_sopde = sopde_project(yf)
+        is_sopde = sopde_project(yf)
         omega_l = cartan_forms(lag).omega
         contracted = jetfield_contract(yf, omega_l)
         coeffs = {tuple(contracted.space.coords[i] for i in key): c

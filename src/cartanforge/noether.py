@@ -81,8 +81,11 @@ class ConservationReport:
 
 
 def check_conservation(current, phi: SectionE, mode="symbolic",
-                       samples=100, tol=1e-9, seed=0, box=(-1.0, 1.0)):
-    """d[(j1 phi)^* J] along the section; zero iff the current is conserved."""
+                       samples=100, tol=1e-9, seed=0, box=None):
+    """d[(j1 phi)^* J] along the section; zero iff the current is conserved.
+    The numeric mode samples the base coordinates in `box` (name ->
+    (lo, hi), [-1, 1] where it declares none)."""
+    from .harness import sample_worst  # harness imports this module
     lag = current.lagrangian
     if phi.chart != lag.chart:
         raise ChartMismatch("section lives on a different chart")
@@ -90,17 +93,10 @@ def check_conservation(current, phi: SectionE, mode="symbolic",
     residual = exterior_d(pullback_by_section(psi, current.J))
     if mode == "symbolic":
         return ConservationReport(residual.is_zero(), mode, residual)
-    rng = random.Random(seed)
-    names = sorted(lag.chart.base_names)
-    worst = 0.0
-    witness = {}
     coeffs = [ex.compile_numeric(c) for c in residual.coeffs.values()]
-    for _ in range(samples):
-        pt = {n: rng.uniform(*box) for n in names}
-        for c in coeffs:
-            dev = abs(c(pt))
-            if dev > worst:
-                worst, witness = dev, dict(pt)
+    worst, witness = sample_worst(
+        lambda pt: max([0.0, *(abs(c(pt)) for c in coeffs)]),
+        random.Random(seed), lag.chart.base_names, box or {}, (), samples)
     return ConservationReport(worst <= tol, "numeric", residual, worst, witness)
 
 

@@ -202,9 +202,6 @@ class NumericSettings:
     box: dict = field(default_factory=dict, compare=False)   # var -> (lo, hi)
     guards: tuple = ()
 
-    def interval(self, name):
-        return self.box.get(name, (-1.0, 1.0))
-
 
 @dataclass(frozen=True)
 class VectorFieldDecl:
@@ -324,12 +321,11 @@ def _build_jetfield(chart, body, name):
 
 
 def _build_diffeo(chart, body, name):
-    base = body.get("base", [x for x in chart.base_names])
-    base = [b if isinstance(b, str) else b for b in base]
+    base = body.get("base", list(chart.base_names))
     fiber = body.get("fiber")
     if fiber is None:
         raise MissingArgument(f"[diffeo.{name}] needs fiber components")
-    base_exprs = _expr_rows(chart, list(base), f"diffeo {name} base",
+    base_exprs = _expr_rows(chart, base, f"diffeo {name} base",
                             (chart.n_plus_1,))
     fiber_exprs = _expr_rows(chart, fiber, f"diffeo {name} fiber",
                              (chart.n_fields,))

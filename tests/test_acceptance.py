@@ -321,8 +321,9 @@ def test_criterion_11_finite_difference_validation():
             vars_needed = ex.free_vars(lag.L) | {coord}
             for g in num.guards:
                 vars_needed |= ex.free_vars(g.expr)
+            cells = hz.intervals(vars_needed, num.box)
             for _ in range(100):
-                pt = hz.draw_point(rng, vars_needed, num.box, num.guards)
+                pt = hz.draw_point(rng, cells, num.guards)
                 got = ex.evaluate_numeric(sym, pt)
                 hi, lo = dict(pt), dict(pt)
                 hi[coord] += 1e-5

@@ -191,6 +191,21 @@ L = "{'(' * 5000}d(q,t){')' * 5000}"
     assert "nested too deeply" in err and "line" in err and "col" in err
 
 
+def test_sampled_domain_error_names_point(tmp_path, capsys):
+    f = tmp_path / "log.toml"
+    f.write_text("""
+[bundle]
+base = ["t"]
+fiber = ["q"]
+
+[lagrangian]
+L = "log(q) + 1/2*d(q,t)^2"
+""")
+    code, out, err = run(capsys, "verify", str(f))
+    assert code == 2 and out == ""
+    assert "log of non-positive value" in err and "at point {" in err
+
+
 @pytest.mark.parametrize("cmd, extra", [
     ("verify", []),
     ("noether", ["--vectorfield", "translation_q", "--along", "parabola"]),

@@ -106,3 +106,22 @@ def test_symbolic_pass_implies_numeric_pass():
     cons = [e for e in rep.entries if e.name.startswith("noether-conservation")]
     assert cons and all(e.status == "pass" for e in cons)
     assert all(e.max_dev <= 1e-9 for e in cons)
+
+
+@pytest.mark.parametrize("route, entries", [
+    ("vartheta_intrinsic", ["cartan-intrinsic-vs-display"]),
+    ("energy_intrinsic", ["energy-intrinsic-vs-display[drift]",
+                          "energy-intrinsic-vs-display[flat]"]),
+])
+def test_construction_path_disagreement_is_reported(monkeypatch, route,
+                                                    entries):
+    # a wrong intrinsic route fails its own entry and stops nothing else
+    p = prob("free_particle")
+    want = [e.name for e in hz.run_identity_catalog(p).entries]
+    real = getattr(hz, route)
+    monkeypatch.setattr(hz, route,
+                        lambda *args: real(*args).scale(ex.rat(2)))
+    rep = hz.run_identity_catalog(p)
+    assert [e.name for e in rep.entries] == want
+    failing = [e.name for e in rep.entries if e.status == "fail"]
+    assert failing == entries

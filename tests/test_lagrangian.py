@@ -50,7 +50,7 @@ def test_vartheta_intrinsic_matches_display_random():
     names = list(WJS.coords)
     for _ in range(5):
         lag = lg.Lagrangian(WAVE, randgen.poly(r, names, 2, 4))
-        disp = lg.cartan_forms(lag).vartheta  # internal assert cross-checks
+        disp = lg.cartan_forms(lag).vartheta  # the display route
         assert (disp - lg.vartheta_intrinsic(lag)).is_zero()
 
 

@@ -84,6 +84,15 @@ def test_conservation_fails_off_shell():
     assert not num.conserved and num.max_dev > 1.0
 
 
+def test_conservation_samples_the_box():
+    cur = no.noether_current(FREE, E_field(MECH, q="1"))
+    parab = ch.SectionE(MECH, (MECH.parse("t^2"),))
+    num = no.check_conservation(cur, parab, mode="numeric", samples=20, seed=7,
+                                box={"t": (2.0, 3.0)})
+    assert not num.conserved and num.max_dev > 1.0
+    assert 2.0 <= num.witness["t"] <= 3.0
+
+
 def test_conservation_zero_current():
     cur = no.noether_current(lg.Lagrangian(MECH, ex.ZERO), E_field(MECH, q="1"))
     rep = no.check_conservation(cur, ch.SectionE(MECH, (MECH.parse("t^2"),)))
