@@ -21,6 +21,17 @@ even roots: d sqrt(abs(u)) = u' * sign(u) / (2*sqrt(abs(u))), with ``sign``
 kept as an opaque factor that numeric evaluation resolves.  ``sign`` itself
 differentiates to 0 (its jump at 0 is ignored; numeric checks sample away
 from it with guards).
+
+``differentiate`` and ``substitute`` each keep a memo for the length of one
+call: a plain dict from ``Pow`` and ``Func`` nodes to their result, so an
+atom repeated across terms (the powers of ``abs(G)`` and ``sign(G)`` in the
+Nambu string's Poincare-Cartan form) is worked out once.  ``Add`` and
+``Mul`` nodes are rarely repeated and are not memoized; an exception, such
+as ``DomainFunction`` for ``abs``, is never stored.  The memo dies with the
+call because the expressions outlive it: ``cartan_forms`` is cached, so a
+memo kept on the nodes or for the process would keep every derivative
+alive (a process-wide memo over all node kinds raised the peak RSS of the
+Nambu ``verify`` from 22 MB to 47 MB).
 """
 
 from __future__ import annotations
@@ -94,7 +105,9 @@ class Rat(Expr):
     __slots__ = ("value",)
 
     def __init__(self, value):
-        object.__setattr__(self, "value", Fraction(value))
+        if type(value) is not Fraction:
+            value = Fraction(value)
+        object.__setattr__(self, "value", value)
 
     def __setattr__(self, name, value):
         raise AttributeError("Expr nodes are immutable")
@@ -136,8 +149,10 @@ class Pow(Expr):
     __slots__ = ("base", "exponent")
 
     def __init__(self, base, exponent):
+        if type(exponent) is not Fraction:
+            exponent = Fraction(exponent)
         object.__setattr__(self, "base", base)
-        object.__setattr__(self, "exponent", Fraction(exponent))
+        object.__setattr__(self, "exponent", exponent)
 
     def __setattr__(self, name, value):
         raise AttributeError("Expr nodes are immutable")
@@ -172,6 +187,9 @@ class Add(Expr):
         return (5, "", tuple(t.key() for t in self.terms))
 
 
+# the constructors share this instead of building a Fraction(1) per factor
+_F1 = Fraction(1)
+
 ZERO = Rat(0)
 ONE = Rat(1)
 MINUS_ONE = Rat(-1)
@@ -198,7 +216,7 @@ def _split_coeff(e):
         rest = e.factors[1:]
         monic = rest[0] if len(rest) == 1 else Mul(rest)
         return e.factors[0].value, monic
-    return Fraction(1), e
+    return _F1, e
 
 
 def add(*terms):
@@ -218,11 +236,13 @@ def add(*terms):
         if c == 0:
             continue
         k = m.key()
-        coeffs[k] = coeffs.get(k, Fraction(0)) + c
+        if k in coeffs:
+            coeffs[k] += c
+        else:
+            coeffs[k] = c
         monics[k] = m
     out = []
-    for k in sorted(coeffs):
-        c = coeffs[k]
+    for k, c in coeffs.items():   # the sort by term key below fixes the order
         if c == 0:
             continue
         m = monics[k]
@@ -250,13 +270,13 @@ def _base_exp(f):
     """View a canonical factor as (base, exponent)."""
     if isinstance(f, Pow):
         return f.base, f.exponent
-    return f, Fraction(1)
+    return f, _F1
 
 
 def mul(*factors):
     """Canonical product: flatten, distribute over sums, merge powers."""
     flat = []
-    coeff = Fraction(1)
+    coeff = _F1
     stack = list(factors)
     while stack:
         f = stack.pop()
@@ -269,6 +289,8 @@ def mul(*factors):
     if coeff == 0:
         return ZERO
 
+    if len(flat) == 1 and isinstance(flat[0], Add):
+        return _scale_sum(coeff, flat[0])
     sums = [f for f in flat if isinstance(f, Add)]
     if sums:
         # expand pass: distribute the whole product over every sum factor
@@ -280,7 +302,6 @@ def mul(*factors):
 
     # merge same-base powers
     by_base = {}
-    order = []
     for f in flat:
         b, e = _base_exp(f)
         k = b.key()
@@ -288,32 +309,33 @@ def mul(*factors):
             by_base[k] = (b, by_base[k][1] + e, None)
         else:
             by_base[k] = (b, e, f)
-            order.append(k)
-    out = []
-    for k in order:
-        b, e, orig = by_base[k]
-        if orig is not None:  # untouched canonical factor
-            out.append(orig)
-            continue
-        if e == 0:
-            continue
-        p = pow_(b, e)
-        c, m = _split_coeff(p)
-        coeff *= c
-        if isinstance(m, Mul):
-            out.extend(m.factors)
-        elif not isinstance(m, Rat) or m.value != 1:
-            out.append(m)
-    if coeff == 0:
-        return ZERO
-    # pow_ folding can reintroduce merged bases; settle by one more pass
-    seen = {}
-    for f in out:
-        b, e = _base_exp(f)
-        k = b.key()
-        seen[k] = (b, seen[k][1] + e) if k in seen else (b, e)
-    if len(seen) != len(out):
-        return mul(Rat(coeff), *[pow_(b, e) for b, e in seen.values()])
+    if len(by_base) == len(flat):   # distinct bases: already canonical
+        out = flat
+    else:
+        out = []
+        for b, e, orig in by_base.values():
+            if orig is not None:  # untouched canonical factor
+                out.append(orig)
+                continue
+            if e == 0:
+                continue
+            p = pow_(b, e)
+            c, m = _split_coeff(p)
+            coeff *= c
+            if isinstance(m, Mul):
+                out.extend(m.factors)
+            elif not isinstance(m, Rat) or m.value != 1:
+                out.append(m)
+        if coeff == 0:
+            return ZERO
+        # pow_ folding can reintroduce merged bases; settle by one more pass
+        seen = {}
+        for f in out:
+            b, e = _base_exp(f)
+            k = b.key()
+            seen[k] = (b, seen[k][1] + e) if k in seen else (b, e)
+        if len(seen) != len(out):
+            return mul(Rat(coeff), *[pow_(b, e) for b, e in seen.values()])
 
     out.sort(key=lambda e: e.key())
     if not out:
@@ -323,6 +345,25 @@ def mul(*factors):
     if coeff == 1:
         return Mul(out)
     return Mul([Rat(coeff)] + out)
+
+
+def _scale_sum(c, s):
+    """``mul(Rat(c), s)`` for a canonical sum: rescale each term's
+    coefficient; the sum's like terms are already merged, so only the sort
+    by term key, which the new coefficients change, is left to ``add``."""
+    if c == 1:
+        return s
+    terms = []
+    for t in s.terms:
+        tc, m = _split_coeff(t)
+        tc *= c
+        if isinstance(m, Rat):   # the pure-number term
+            terms.append(Rat(tc))
+        elif tc == 1:
+            terms.append(m)
+        else:
+            terms.append(_attach_coeff(tc, m))
+    return add(*terms)
 
 
 def _nth_root_exact(fr, n):
@@ -460,38 +501,48 @@ def differentiate(e, name, declared=None):
     """
     if declared is not None and name not in declared:
         raise UnknownVariable(f"{name!r} is not a declared variable")
-    return _diff(e, name)
+    return _diff(e, name, {})
 
 
-def _diff(e, x):
+def _diff(e, x, memo):
+    # memo: Pow/Func node -> derivative, for this call's variable only
     if x not in e.fvs():
         return ZERO
     if isinstance(e, Var):
         return ONE
     if isinstance(e, Add):
-        return add(*(_diff(t, x) for t in e.terms))
+        return add(*(_diff(t, x, memo) for t in e.terms))
     if isinstance(e, Mul):
         pieces = []
         for i, f in enumerate(e.factors):
-            df = _diff(f, x)
+            df = _diff(f, x, memo)
             if df.is_zero():
                 continue
             others = e.factors[:i] + e.factors[i + 1:]
             pieces.append(mul(df, *others))
         return add(*pieces) if pieces else ZERO
+    d = memo.get(e)
+    if d is None:
+        # an exception (abs) propagates before anything is stored
+        d = memo[e] = _diff_atom(e, x, memo)
+    return d
+
+
+def _diff_atom(e, x, memo):
+    """Derivative of a Pow or Func node that depends on `x`."""
     if isinstance(e, Pow):
         b, n = e.base, e.exponent
         if isinstance(b, Func) and b.fname == "abs":
-            du = _diff(b.arg, x)
+            du = _diff(b.arg, x, memo)
             if du.is_zero():
                 return ZERO
             return mul(Rat(n), pow_(b, n - 1), func("sign", b.arg), du)
-        db = _diff(b, x)
+        db = _diff(b, x, memo)
         if db.is_zero():
             return ZERO
         return mul(Rat(n), pow_(b, n - 1), db)
     if isinstance(e, Func):
-        du = _diff(e.arg, x)
+        du = _diff(e.arg, x, memo)
         if e.fname == "sign":
             return ZERO
         if du.is_zero():
@@ -514,23 +565,29 @@ def substitute(e, bindings):
     """Simultaneous substitution of variables by expressions, normalized."""
     if not bindings:
         return normalize(e)
-    return _subst(e, bindings)
+    return _subst(e, bindings, {})
 
 
-def _subst(e, b):
+def _subst(e, b, memo):
+    # memo: Pow/Func node -> its substituted form, for this call only
     if isinstance(e, Rat):
         return e
     if isinstance(e, Var):
         return b.get(e.name, e)
     if isinstance(e, Add):
-        return add(*(_subst(t, b) for t in e.terms))
+        return add(*(_subst(t, b, memo) for t in e.terms))
     if isinstance(e, Mul):
-        return mul(*(_subst(f, b) for f in e.factors))
-    if isinstance(e, Pow):
-        return pow_(_subst(e.base, b), e.exponent)
-    if isinstance(e, Func):
-        return func(e.fname, _subst(e.arg, b))
-    raise TypeError(f"not an Expr: {e!r}")
+        return mul(*(_subst(f, b, memo) for f in e.factors))
+    r = memo.get(e)
+    if r is None:
+        if isinstance(e, Pow):
+            r = pow_(_subst(e.base, b, memo), e.exponent)
+        elif isinstance(e, Func):
+            r = func(e.fname, _subst(e.arg, b, memo))
+        else:
+            raise TypeError(f"not an Expr: {e!r}")
+        memo[e] = r
+    return r
 
 
 def evaluate_numeric(e, point):

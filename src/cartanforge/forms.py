@@ -193,7 +193,9 @@ def exterior_d(a):
             if dc.is_zero():
                 continue
             sign, merged = _merge_keys((i,), key)
-            out[merged] = ex.add(out.get(merged, ex.ZERO), ex.mul(ex.rat(sign), dc))
+            if sign < 0:
+                dc = ex.mul(ex.MINUS_ONE, dc)
+            out[merged] = ex.add(out.get(merged, ex.ZERO), dc)
     return Form(sp, a.degree + 1, out)
 
 

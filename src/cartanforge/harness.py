@@ -305,14 +305,15 @@ def run_identity_catalog(problem, seed=None, samples=None, tol=None):
         cur = noether_current(lag, decl.vf)
         for sname, sdecl in solutions:
             name = f"noether-conservation[{vname_},{sname}]"
-            symrep = check_conservation(cur, sdecl.section)
+            # one residual serves both verdicts
             numrep = check_conservation(cur, sdecl.section, mode="numeric",
                                         samples=samples, tol=tol, seed=seed,
                                         box=num.box)
-            if not symrep.conserved and decl.check == "numeric":
+            exact = numrep.residual.is_zero()
+            if not exact and decl.check == "numeric":
                 ok, detail = numrep.conserved, "numeric fallback"
             else:
-                ok, detail = symrep.conserved and numrep.conserved, ""
+                ok, detail = exact and numrep.conserved, ""
             entries.append(CheckResult(name, "pass" if ok else "fail",
                                        numrep.max_dev, numrep.witness, detail))
 

@@ -243,6 +243,9 @@ class Problem:
 
 def _expr_rows(chart, rows, what, shape):
     """Parse a nested array of expression strings, checking its shape."""
+    if not isinstance(rows, list):
+        raise ParseError(
+            f"{what}: expected an array, found {type(rows).__name__}")
     if len(rows) != shape[0]:
         raise ParseError(f"{what}: expected {shape[0]} rows, found {len(rows)}")
     out = []
@@ -252,8 +255,6 @@ def _expr_rows(chart, rows, what, shape):
                 raise ParseError(f"{what}: expected expression strings")
             out.append(chart.parse(row))
         else:
-            if not isinstance(row, list):
-                raise ParseError(f"{what}: expected nested arrays")
             out.append(_expr_rows(chart, row, what, shape[1:]))
     return out
 

@@ -206,6 +206,29 @@ L = "log(q) + 1/2*d(q,t)^2"
     assert "log of non-positive value" in err and "at point {" in err
 
 
+@pytest.mark.parametrize("table, body, what", [
+    ("vectorfield.v", "fiber = 5", "vectorfield v fiber"),
+    ("section.s", 'components = "t"', "section s"),
+])
+def test_table_value_not_an_array_exits_2(tmp_path, capsys, table, body,
+                                          what):
+    f = tmp_path / "scalar.toml"
+    f.write_text(f"""
+[bundle]
+base = ["t"]
+fiber = ["q"]
+
+[lagrangian]
+L = "1/2*d(q,t)^2"
+
+[{table}]
+{body}
+""")
+    code, out, err = run(capsys, "verify", str(f))
+    assert code == 2 and out == ""
+    assert f"{what}: expected an array" in err
+
+
 @pytest.mark.parametrize("cmd, extra", [
     ("verify", []),
     ("noether", ["--vectorfield", "translation_q", "--along", "parabola"]),

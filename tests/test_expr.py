@@ -87,7 +87,86 @@ def test_finite_difference_oracle_random_corpus():
     assert checked == 200
 
 
+def _shared_root_sum(r, names, root_exps):
+    """A sum of polynomial multiples of powers of sqrt(abs(G)), one random
+    polynomial G: every term carries the same Pow subtree."""
+    g = randgen.nonzero_poly(r, names, max_degree=2, terms=4)
+    root = ex.func("sqrt", ex.func("abs", g))
+    terms = [ex.mul(randgen.nonzero_poly(r, names, max_degree=2, terms=2),
+                    ex.pow_(root, k)) for k in root_exps]
+    return g, ex.add(*terms)
+
+
+def test_differentiate_shared_root_matches_per_term():
+    # the per-call memo must give what differentiating term by term gives
+    r = randgen.rng(4401)
+    names = ["x", "y"]
+    checked = 0
+    for _ in range(12):
+        g, e = _shared_root_sum(r, names, (1, 1, -1, 3))
+        if not isinstance(e, ex.Add):
+            continue
+        for n in names:
+            d = ex.differentiate(e, n)
+            assert d == ex.add(*(ex.differentiate(t, n) for t in e.terms))
+            for _ in range(3):
+                pt = randgen.sample_point(r, names)
+                if abs(ex.evaluate_numeric(g, pt)) < 0.1:
+                    continue    # keep the step away from the kink of abs
+                got = ex.evaluate_numeric(d, pt)
+                want = central_diff(e, n, pt)
+                assert abs(got - want) <= 1e-5 * (1.0 + abs(want)), \
+                    ex.to_text(e)
+                checked += 1
+    assert checked > 20
+
+
+def test_repeated_abs_raises_on_every_call():
+    # a raising subtree is never cached, so no call returns a stale value
+    g = ex.add(x, ex.mul(ex.rat(2), y))
+    a = ex.func("abs", g)
+    e = ex.add(ex.mul(x, ex.func("sqrt", a)), ex.mul(y, a), ex.mul(x, y, a))
+    for n in ("x", "y", "x"):
+        with pytest.raises(DomainFunction):
+            ex.differentiate(e, n)
+    assert ex.differentiate(e, "v").is_zero()
+
+
+@pytest.mark.parametrize("c", [1, -1, ex.Fraction(1, 2), -3])
+def test_rational_times_sum_matches_termwise(c):
+    r = randgen.rng(4402)
+    k = ex.Rat(c)
+    sums = [ex.add(x, ex.mul(ex.rat(2), y), ex.rat(3)),     # order changes
+            ex.add(x, y, ex.mul(x, y), ex.rat(-1, 2)),
+            ex.add(ex.mul(ex.rat(-1), x), ex.func("sin", y))]
+    sums += [randgen.poly(r, ["x", "y", "v"]) for _ in range(30)]
+    sums += [randgen.smooth_expr(r, ["x", "y"]) for _ in range(30)]
+    checked = 0
+    for s in sums:
+        if not isinstance(s, ex.Add):
+            continue
+        want = ex.add(*(ex.mul(k, t) for t in s.terms))
+        assert ex.mul(k, s) == want, ex.to_text(s)
+        assert ex.mul(s, k) == want
+        checked += 1
+    assert checked > 20
+
+
 # -- substitute ---------------------------------------------------------------
+
+def test_substitute_shared_root_matches_per_term():
+    # an invertible linear change of variables keeps G nonzero
+    b = {"x": ex.add(x, ex.mul(ex.rat(1, 2), y)), "y": ex.add(y, v)}
+    r = randgen.rng(4403)
+    checked = 0
+    for _ in range(12):
+        _, e = _shared_root_sum(r, ["x", "y"], (1, -1, 2, 3))
+        if not isinstance(e, ex.Add):
+            continue
+        assert ex.substitute(e, b) == \
+            ex.add(*(ex.substitute(t, b) for t in e.terms))
+        checked += 1
+    assert checked > 8
 
 def test_substitute_expands():
     assert ex.substitute(ex.pow_(v, 2), {"v": ex.mul(ex.rat(2), x)}) \

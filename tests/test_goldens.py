@@ -1,7 +1,8 @@
 """Frozen command-line outputs, compared byte for byte across processes.
 
-make_goldens.py runs each (problem, command) pair in one fresh interpreter
-per PYTHONHASHSEED; every output must equal its tests/data/*.golden file.
+make_goldens.py runs every (problem, command) pair it lists in one fresh
+interpreter per PYTHONHASHSEED; every output must equal its
+tests/data/*.golden file.
 """
 
 import json
@@ -34,8 +35,8 @@ def runs():
 
 
 @pytest.mark.parametrize("seed", HASH_SEEDS)
-@pytest.mark.parametrize("problem", make_goldens.PROBLEMS)
-@pytest.mark.parametrize("command", make_goldens.COMMANDS)
+@pytest.mark.parametrize(("problem", "command"), make_goldens.PAIRS,
+                         ids=[f"{c}-{p}" for p, c in make_goldens.PAIRS])
 def test_golden_output(runs, seed, problem, command):
     name = make_goldens.golden_name(problem, command)
     with open(os.path.join(make_goldens.DATA, name), encoding="utf-8",
