@@ -2,7 +2,11 @@
 
 Contact forms theta^A = dy^A - v^A_mu dx^mu, the structure form, contact
 reduction, the holonomy test, the two vertical endomorphisms, and canonical
-prolongation of vector fields and fiber-preserving maps.
+prolongation of vector fields and fiber-preserving maps.  Both
+prolongations are written with the one total derivative D_mu
+(`chart.total_derivative`, the same operator as in the Euler-Lagrange
+equations); contact reduction and `forms.pullback` share one loop that
+replaces basis covectors by 1-forms (`forms.replace_covectors`).
 
 The S endomorphism is always embedded through a connection: its covector
 slots are dy^A - Gamma^A_mu dx^mu.  The connection-free version exists only
@@ -16,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import expr as ex
-from .chart import SectionE, SectionJ1, v_name
+from .chart import SectionE, SectionJ1, total_derivative, v_name
 from .errors import ChartMismatch, NotOnEChart
 from .forms import (
     CoordMap,
@@ -30,7 +34,9 @@ from .forms import (
     jet_space,
     pullback,
     pullback_by_section,
+    replace_covectors,
     scalar_form,
+    total_space,
     volume_form,
     wedge,
     zero_form,
@@ -78,22 +84,6 @@ def vertical_differential(phi: SectionE, at=None):
     return m
 
 
-def _replace_differentials(a, repl):
-    """Rewrite each basis covector index through `repl` (index -> 1-form)."""
-    out = zero_form(a.space, a.degree)
-    for key, c in a.coeffs.items():
-        piece = scalar_form(a.space, c)
-        for idx in key:
-            one = repl.get(idx)
-            if one is None:
-                one = Form(a.space, 1, {(idx,): ex.ONE})
-            piece = wedge(piece, one)
-            if piece.is_zero():
-                break
-        out = out + piece
-    return out
-
-
 @dataclass(frozen=True)
 class ContactReduction:
     reduced: Form
@@ -118,19 +108,13 @@ def contact_reduce(a):
         return ContactReduction(a, {y: zero_form(sp, 0) for y in ch.fiber_names})
 
     fiber_idx = {sp.index(y): y for y in ch.fiber_names}
-
-    # dy^A -> [theta-marker at the same slot] + v^A_mu dx^mu
-    to_contact = {}
-    from_contact = {}
+    # dy^A -> [theta-marker at the same slot] + v^A_mu dx^mu, and back
+    to_contact = {i: d_coord(sp, name) for i, name in enumerate(sp.coords)}
+    from_contact = dict(to_contact)
     for i, y in fiber_idx.items():
-        vdx = zero_form(sp, 1)
-        for x in ch.base_names:
-            vdx = vdx + d_coord(sp, x).scale(ex.var(v_name(y, x)))
-        marker = Form(sp, 1, {(i,): ex.ONE})
-        to_contact[i] = marker + vdx
-        from_contact[i] = marker - vdx
-
-    rewritten = _replace_differentials(a, to_contact)
+        from_contact[i] = contact_form(ch, y)
+        to_contact[i] = to_contact[i] + (to_contact[i] - from_contact[i])
+    rewritten = replace_covectors(a, sp, to_contact.get)
 
     reduced = {}
     combo = {y: zero_form(sp, a.degree - 1) for y in ch.fiber_names}
@@ -144,7 +128,8 @@ def contact_reduce(a):
         sign = ex.rat((-1) ** pos)
         piece = Form(sp, a.degree - 1, {rest: ex.mul(sign, c)})
         combo[y] = combo[y] + piece
-    combo = {y: _replace_differentials(f, from_contact) for y, f in combo.items()}
+    combo = {y: replace_covectors(f, sp, from_contact.get)
+             for y, f in combo.items()}
     return ContactReduction(Form(sp, a.degree, reduced), combo)
 
 
@@ -223,34 +208,24 @@ def vertical_endo_S(chart, connection):
 def prolong_vectorfield(Z: VectorField):
     """Canonical prolongation of a vector field on the total space.
 
-    v-components:  d(beta^A)/dx^mu
-                 - v^A_rho (d(alpha^rho)/dx^mu + v^B_mu d(alpha^rho)/dy^B)
-                 + v^B_mu d(beta^A)/dy^B
+    v-components:  D_mu beta^A - v^A_rho D_mu alpha^rho
     which covers non-projectable fields; when alpha does not depend on y the
     projectable formula is recovered.
     """
     ch = Z.space.chart
-    from .forms import total_space
     if Z.space != total_space(ch):
         raise NotOnEChart("prolongation expects a vector field on the total space")
-    declared = set(ch.e_coords())
-    alpha = {x: Z.component(x) for x in ch.base_names}
-    beta = {y: Z.component(y) for y in ch.fiber_names}
+    d_alpha = {(rho, mu): total_derivative(ch, Z.component(rho), mu)
+               for rho in ch.base_names for mu in ch.base_names}
     comps = dict(Z.comps)
     for y in ch.fiber_names:
         for mu in ch.base_names:
-            g = ex.differentiate(beta[y], mu, declared=declared)
+            terms = [total_derivative(ch, Z.component(y), mu)]
             for rho in ch.base_names:
-                inner = ex.differentiate(alpha[rho], mu, declared=declared)
-                for b in ch.fiber_names:
-                    inner = ex.add(inner, ex.mul(
-                        ex.var(v_name(b, mu)),
-                        ex.differentiate(alpha[rho], b, declared=declared)))
-                g = ex.sub(g, ex.mul(ex.var(v_name(y, rho)), inner))
-            for b in ch.fiber_names:
-                g = ex.add(g, ex.mul(ex.var(v_name(b, mu)),
-                                     ex.differentiate(beta[y], b, declared=declared)))
-            comps[v_name(y, mu)] = g
+                if not d_alpha[(rho, mu)].is_zero():
+                    terms.append(ex.mul(ex.MINUS_ONE, ex.var(v_name(y, rho)),
+                                        d_alpha[(rho, mu)]))
+            comps[v_name(y, mu)] = ex.add(*terms)
     return VectorField(jet_space(ch), comps)
 
 
@@ -260,7 +235,6 @@ def pullback_by_map(phi_map, a):
     Total-space forms use the map itself; jet-space forms use its canonical
     prolongation (which may require the declared base inverse).
     """
-    from .forms import total_space
     ch = phi_map.chart
     if a.space == total_space(ch):
         return pullback(phi_map.total_map(), a)
@@ -272,25 +246,19 @@ def pullback_by_map(phi_map, a):
 def prolong_diffeo(phi_map):
     """Jet-space coordinate map of a fiber-preserving diffeomorphism.
 
-    v'^A_mu = (dPhi^A/dx^nu + dPhi^A/dy^B v^B_nu) * (J^-1)^nu_mu with J the
-    Jacobian of the base part; strong maps need no declared inverse.
+    v'^A_mu = D_nu(Phi^A) (J^-1)^nu_mu with J the Jacobian of the base part;
+    strong maps need no declared inverse.
     """
     ch = phi_map.chart
     js = jet_space(ch)
     jinv = phi_map.inverse_base_jacobian()
-    declared = set(ch.e_coords())
     comps = dict(phi_map.base_components)
     comps.update(phi_map.fiber_components)
     for y in ch.fiber_names:
-        fy = phi_map.fiber_components[y]
+        slope = {nu: total_derivative(ch, phi_map.fiber_components[y], nu)
+                 for nu in ch.base_names}
         for mu in ch.base_names:
-            total = ex.ZERO
-            for nu in ch.base_names:
-                slope = ex.differentiate(fy, nu, declared=declared)
-                for b in ch.fiber_names:
-                    slope = ex.add(slope, ex.mul(
-                        ex.differentiate(fy, b, declared=declared),
-                        ex.var(v_name(b, nu))))
-                total = ex.add(total, ex.mul(slope, jinv[(nu, mu)]))
-            comps[v_name(y, mu)] = total
+            comps[v_name(y, mu)] = ex.add(*(
+                ex.mul(slope[nu], jinv[(nu, mu)]) for nu in ch.base_names
+                if not jinv[(nu, mu)].is_zero()))
     return CoordMap(js, js, comps)

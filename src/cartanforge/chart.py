@@ -199,6 +199,28 @@ class SectionJ1:
         return SectionE(self.chart, self.f)
 
 
+def total_derivative(chart, e, x, second=None):
+    """D_mu e = de/dx^mu + v^B_mu de/dy^B + s^B_{nu,mu} de/dv^B_nu, mu = x.
+
+    `second(b, nu, mu)` names the second-order slot s: by default `chart.w`,
+    the symmetric second-jet symbols of sections; the jet-field equations
+    pass their unknowns G(y,x_rho,x_mu).  Absent and zero partials are skipped.
+    """
+    second = second or chart.w
+    declared = set(chart.jet_coords())
+    free = ex.free_vars(e)
+    slots = [(v_name(b, x), b) for b in chart.fiber_names]
+    slots += [(second(b, nu, x), v_name(b, nu))
+              for b in chart.fiber_names for nu in chart.base_names]
+    terms = [ex.differentiate(e, x, declared=declared)]
+    for coefficient, name in slots:
+        if name in free:
+            d = ex.differentiate(e, name, declared=declared)
+            if not d.is_zero():
+                terms.append(ex.mul(ex.var(coefficient), d))
+    return ex.add(*terms)
+
+
 def prolong_section(phi: SectionE) -> SectionJ1:
     """First prolongation: g^A_mu = d(phi^A)/d(x^mu)."""
     ch = phi.chart

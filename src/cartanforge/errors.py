@@ -19,6 +19,10 @@ class UnboundVariable(CartanforgeError):
     """Numeric evaluation hit a variable with no binding."""
 
 
+class ExpressionTooLarge(CartanforgeError):
+    """Expanding a product of sums would build more terms than the limit."""
+
+
 class NumericDomain(CartanforgeError):
     """Numeric evaluation left the real domain (log <= 0, sqrt < 0, 1/0)."""
 

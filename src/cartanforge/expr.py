@@ -5,8 +5,9 @@ deliberately small and predictable:
 
 * exact rational arithmetic (arbitrary-precision ``Fraction``),
 * sums flattened, like terms merged, terms sorted by a total structural order,
-* products flattened, distributed over sums (an explicit expand pass),
-  same-base powers merged by adding exponents,
+* products flattened, distributed over sums (an explicit expand pass that
+  raises ExpressionTooLarge beyond MAX_EXPANSION products), same-base
+  powers merged by adding exponents,
 * powers carry rational exponents with denominator a power of two
   (``sqrt`` is represented as exponent 1/2),
 * function applications at rational arguments fold when exact
@@ -19,8 +20,8 @@ the engine's notion of symbolic equality.
 Differentiation of ``abs`` has no symbolic rule and raises, except through
 even roots: d sqrt(abs(u)) = u' * sign(u) / (2*sqrt(abs(u))), with ``sign``
 kept as an opaque factor that numeric evaluation resolves.  ``sign`` itself
-differentiates to 0 (its jump at 0 is ignored; numeric checks sample away
-from it with guards).
+differentiates to 0 whatever its argument, which is not differentiated (its
+jump at 0 is ignored; numeric checks sample away from it with guards).
 
 ``differentiate`` and ``substitute`` each keep a memo for the length of one
 call: a plain dict from ``Pow`` and ``Func`` nodes to their result, so an
@@ -41,6 +42,7 @@ from fractions import Fraction
 
 from .errors import (
     DomainFunction,
+    ExpressionTooLarge,
     NumericDomain,
     ParseError,
     UnboundVariable,
@@ -48,6 +50,10 @@ from .errors import (
 )
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "abs", "sign")
+
+# Most terms the expand pass of `mul` may build from one product of sums;
+# an integer power of a sum counts all of its expansions together.
+MAX_EXPANSION = 10_000
 
 # Names the parser treats as syntax rather than ordinary identifiers.
 RESERVED_NAMES = frozenset(FUNCTIONS) | {"sqrt", "d", "dd", "a", "b"}
@@ -294,6 +300,7 @@ def mul(*factors):
     sums = [f for f in flat if isinstance(f, Add)]
     if sums:
         # expand pass: distribute the whole product over every sum factor
+        _check_expansion(math.prod(len(s.terms) for s in sums))
         rest = [f for f in flat if not isinstance(f, Add)]
         products = [[Rat(coeff)] + rest]
         for s in sums:
@@ -345,6 +352,13 @@ def mul(*factors):
     if coeff == 1:
         return Mul(out)
     return Mul([Rat(coeff)] + out)
+
+
+def _check_expansion(products):
+    if products > MAX_EXPANSION:
+        raise ExpressionTooLarge(
+            f"expansion would build {products} terms "
+            f"(limit {MAX_EXPANSION})")
 
 
 def _scale_sum(c, s):
@@ -420,8 +434,13 @@ def pow_(base, exponent):
 
     if isinstance(base, Add):
         if e.denominator == 1 and e > 0:
-            result = ONE
-            for _ in range(e.numerator):
+            # one expansion per factor; a binomial's power gains only one
+            # term per factor, so the bound counts the products of them all
+            result, built = base, 0
+            for _ in range(e.numerator - 1):
+                built += len(base.terms) * (
+                    len(result.terms) if isinstance(result, Add) else 1)
+                _check_expansion(built)
                 result = mul(result, base)
             return result
         return Pow(base, e)
@@ -542,9 +561,9 @@ def _diff_atom(e, x, memo):
             return ZERO
         return mul(Rat(n), pow_(b, n - 1), db)
     if isinstance(e, Func):
-        du = _diff(e.arg, x, memo)
         if e.fname == "sign":
             return ZERO
+        du = _diff(e.arg, x, memo)
         if du.is_zero():
             return ZERO
         if e.fname == "sin":

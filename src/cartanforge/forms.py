@@ -173,14 +173,6 @@ def wedge(a, b):
     return Form(a.space, a.degree + b.degree, out)
 
 
-def wedge_all(forms):
-    it = iter(forms)
-    out = next(it)
-    for f in it:
-        out = wedge(out, f)
-    return out
-
-
 def exterior_d(a):
     sp = a.space
     declared = set(sp.coords)
@@ -357,27 +349,39 @@ def compose_maps(outer, inner):
     return CoordMap(inner.source, outer.target, comps)
 
 
+def replace_covectors(a, space, covector, coefficient=None):
+    """Replace each basis covector dz^i of `a` by the 1-form covector(i) on
+    `space`, and each coefficient c by coefficient(c), then expand.  Per
+    term the 1-forms are wedged first, so the coefficient, usually the
+    largest expression, is multiplied in once, and not at all when the
+    wedge vanishes.  covector(i) is called once per index."""
+    ones = {}
+    out = {}
+    for key, c in a.coeffs.items():
+        factor = None
+        for idx in key:
+            if idx not in ones:
+                ones[idx] = covector(idx)
+            factor = ones[idx] if factor is None else wedge(factor, ones[idx])
+            if factor.is_zero():
+                break
+        else:
+            c = coefficient(c) if coefficient else c
+            if factor is None:
+                out[()] = [c]
+                continue
+            for k, f in factor.coeffs.items():
+                out.setdefault(k, []).append(ex.mul(c, f))
+    return Form(space, a.degree, {k: ex.add(*ts) for k, ts in out.items()})
+
+
 def pullback(cm, a):
     """Pull a form on cm.target back to cm.source."""
     if a.space != cm.target:
         raise ChartMismatch("form does not live on the map's target space")
-    out = zero_form(cm.source, a.degree)
-    for key, c in a.coeffs.items():
-        piece = scalar_form(cm.source, cm.compose_subst(c))
-        factor = None
-        for idx in key:
-            one = cm.differential(cm.target.coords[idx])
-            factor = one if factor is None else wedge(factor, one)
-            if factor.is_zero():
-                break
-        if factor is not None:
-            if factor.is_zero():
-                continue
-            piece = wedge(piece, factor)
-        if piece.degree != a.degree:
-            raise AssertionError("pullback degree bookkeeping broke")
-        out = out + piece
-    return out
+    return replace_covectors(
+        a, cm.source, lambda i: cm.differential(cm.target.coords[i]),
+        cm.compose_subst)
 
 
 def section_map(section):

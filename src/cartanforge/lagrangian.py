@@ -14,9 +14,13 @@ through the vertical endomorphisms, are `vartheta_intrinsic` and
 compares each pair, which pins the orientation conventions down
 mechanically.
 
-Second-order jet symbols dd(y,x,x') are symmetric by construction, so the
-Euler-Lagrange output is canonical in them and affine (quasi-linear) by
-first-orderedness of the Lagrangian.
+The Euler-Lagrange equations come by two routes, along sections
+(`derive_el`) and for second-order jet fields (`jetfield_el`).  Both are
+dL/dy^A - D_mu(dL/dv^A_mu) with the one total derivative
+`chart.total_derivative`; they differ only in what fills its second-order
+slot: the second-jet symbols dd(y,x,x'), symmetric by construction, or the
+jet field's unknowns G(y,x_rho,x_mu).  Either output is affine
+(quasi-linear) in that slot by first-orderedness of the Lagrangian.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from functools import lru_cache
 
 from . import expr as ex
 from .canonical import contact_form, vertical_endo_S, vertical_endo_V
-from .chart import SectionE, v_name
+from .chart import SectionE, total_derivative, v_name
 from .connection import JetField2, jetfield_contract, sopde_project
 from .errors import ChartMismatch, UnknownCoordinate
 from .forms import (
@@ -34,7 +38,6 @@ from .forms import (
     exterior_d,
     interior,
     jet_space,
-    scalar_form,
     volume_form,
     wedge,
     zero_form,
@@ -94,21 +97,6 @@ def cartan_forms(lag):
 # Euler-Lagrange system for sections
 # ---------------------------------------------------------------------------
 
-def total_derivative(chart, e, x):
-    """Formal total derivative D_mu on the extended chart:
-    d/dx^mu + v^B_mu d/dy^B + w^B_{nu,mu} d/dv^B_nu (symmetric w)."""
-    declared = set(chart.extended_coords())
-    out = ex.differentiate(e, x, declared=declared)
-    for b in chart.fiber_names:
-        out = ex.add(out, ex.mul(ex.var(v_name(b, x)),
-                                 ex.differentiate(e, b, declared=declared)))
-        for nu in chart.base_names:
-            out = ex.add(out, ex.mul(ex.var(chart.w(b, nu, x)),
-                                     ex.differentiate(e, v_name(b, nu),
-                                                      declared=declared)))
-    return out
-
-
 @dataclass(frozen=True)
 class ELSystem:
     chart: object
@@ -133,17 +121,25 @@ class ELSystem:
         return {y: ex.substitute(c, sub) for y, c in self.components.items()}
 
 
-def derive_el(lag):
-    """EL_A = dL/dy^A - D_mu(dL/dv^A_mu) over the extended chart."""
+def _el_equations(lag, second):
+    """EL_A = dL/dy^A - D_mu(dL/dv^A_mu), with `second` naming the
+    second-order slot of D_mu (see `chart.total_derivative`)."""
     ch = lag.chart
     declared = set(ch.jet_coords())
-    comps = {}
+    out = {}
     for y in ch.fiber_names:
-        e = ex.differentiate(lag.L, y, declared=declared)
+        terms = [ex.differentiate(lag.L, y, declared=declared)]
         for x in ch.base_names:
-            e = ex.sub(e, total_derivative(ch, lag.momentum(y, x), x))
-        comps[y] = e
-    return ELSystem(ch, comps)
+            d = total_derivative(ch, lag.momentum(y, x), x, second)
+            terms.append(ex.mul(ex.MINUS_ONE, d))
+        out[y] = ex.add(*terms)
+    return out
+
+
+def derive_el(lag):
+    """EL_A over the extended chart: the second-order slot of D_mu holds the
+    symmetric symbols dd(y,x,x')."""
+    return ELSystem(lag.chart, _el_equations(lag, lag.chart.w))
 
 
 # ---------------------------------------------------------------------------
@@ -314,26 +310,10 @@ class ELJetProblem:
 
 
 def jetfield_el(lag):
-    """Equations dL/dy^A - D^Y_mu(dL/dv^A_mu) = 0 for a second-order field,
-    with D^Y_mu = d/dx^mu + v^B_mu d/dy^B + G^B_{rho,mu} d/dv^B_rho."""
+    """Equations dL/dy^A - D^Y_mu(dL/dv^A_mu) = 0 for a second-order field:
+    the second-order slot of D^Y_mu holds the unknowns G^B_{rho,mu}."""
     ch = lag.chart
-    declared = set(ch.jet_coords())
     unknowns = tuple(g_unknown(y, xr, xm)
                      for y in ch.fiber_names
                      for xr in ch.base_names for xm in ch.base_names)
-    eqs = {}
-    for y in ch.fiber_names:
-        e = ex.differentiate(lag.L, y, declared=declared)
-        for xm in ch.base_names:
-            p = lag.momentum(y, xm)
-            dp = ex.differentiate(p, xm, declared=declared)
-            for b in ch.fiber_names:
-                dp = ex.add(dp, ex.mul(ex.var(v_name(b, xm)),
-                                       ex.differentiate(p, b, declared=declared)))
-                for xr in ch.base_names:
-                    dp = ex.add(dp, ex.mul(ex.var(g_unknown(b, xr, xm)),
-                                           ex.differentiate(p, v_name(b, xr),
-                                                            declared=declared)))
-            e = ex.sub(e, dp)
-        eqs[y] = e
-    return ELJetProblem(lag, unknowns, eqs)
+    return ELJetProblem(lag, unknowns, _el_equations(lag, g_unknown))

@@ -5,7 +5,10 @@ Each golden file holds the exact stdout of
     cartanforge <command> problems/<problem>.toml --format json
 
 for each problem in PROBLEMS and each command listed for it, so a rewrite
-cannot change an answer unnoticed.  nambu_string gets `verify` only: its
+cannot change an answer unnoticed.  `symmetry`, `noether` and
+`check-section` run once per declared vector field, (vector field,
+section) pair and section, in name order; their golden file is the
+concatenation of those runs, each preceded by a line `$ <options>`.  nambu_string gets `verify` only: its
 `jetfield-el` without `--jetfield` does not finish in minutes, and its
 `derive-el` and `cartan-forms` outputs total 730 KB.  Its `verify` is the
 slowest golden (about 12 s before `differentiate` memoized repeated
@@ -33,8 +36,10 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(HERE, "..", "src"))
 
 from cartanforge import cli  # noqa: E402
+from cartanforge.problem import parse_problem  # noqa: E402
 
-COMMANDS = ["verify", "derive-el", "cartan-forms", "jetfield-el"]
+COMMANDS = ["verify", "derive-el", "cartan-forms", "jetfield-el",
+            "symmetry", "noether", "check-section"]
 PROBLEMS = {
     "free_particle": COMMANDS,
     "harmonic_oscillator": COMMANDS,
@@ -52,17 +57,36 @@ def golden_name(problem, command):
     return f"{problem}.{command}.golden"
 
 
+def invocations(path, command):
+    """The option lists one (problem, command) pair runs with."""
+    if command not in ("symmetry", "noether", "check-section"):
+        return [[]]
+    problem = parse_problem(path)
+    fields = sorted(problem.vectorfields)
+    sections = sorted(problem.sections)
+    if command == "symmetry":
+        return [["--vectorfield", v] for v in fields]
+    if command == "check-section":
+        return [["--section", s] for s in sections]
+    return [["--vectorfield", v, "--along", s] for v in fields for s in sections]
+
+
 def outputs():
     """Run every (problem, command) pair; file name -> stdout text."""
     out = {}
     for problem, command in PAIRS:
         path = os.path.join(HERE, "..", "problems", problem + ".toml")
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            code = cli.main([command, path, "--format", "json"])
-        if code != 0:
-            raise SystemExit(f"{command} {problem} exited {code}")
-        out[golden_name(problem, command)] = buf.getvalue()
+        text = []
+        for options in invocations(path, command):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                code = cli.main([command, path, *options, "--format", "json"])
+            if code != 0:
+                raise SystemExit(f"{command} {problem} {options} exited {code}")
+            if options:
+                text.append("$ " + " ".join(options) + "\n")
+            text.append(buf.getvalue())
+        out[golden_name(problem, command)] = "".join(text)
     return out
 
 

@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -262,3 +265,25 @@ def test_noether_honours_samples_one(capsys):
                        "--vectorfield", "translation_q", "--along", "line",
                        "--samples", "1")
     assert code == 0 and "conserved-numeric = true" in out
+
+
+def test_large_power_of_a_sum_exits_2_quickly(tmp_path):
+    f = tmp_path / "power.toml"
+    f.write_text("""
+[bundle]
+base = ["t"]
+fiber = ["q"]
+
+[lagrangian]
+L = "(d(q,t) + q + t)^1000"
+""")
+    env = dict(os.environ, PYTHONPATH=os.path.join(
+        os.path.dirname(__file__), "..", "src"))
+    start = time.monotonic()
+    proc = subprocess.run([sys.executable, "-m", "cartanforge.cli", "verify",
+                           str(f)], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert time.monotonic() - start < 5
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: expansion would build")
+    assert "Traceback" not in proc.stderr

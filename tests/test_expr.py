@@ -5,6 +5,7 @@ import pytest
 from cartanforge import expr as ex
 from cartanforge.errors import (
     DomainFunction,
+    ExpressionTooLarge,
     NumericDomain,
     ParseError,
     UnboundVariable,
@@ -50,6 +51,14 @@ def test_unknown_variable():
 def test_abs_has_no_rule():
     with pytest.raises(DomainFunction):
         ex.differentiate(ex.func("abs", x), "x")
+
+
+def test_sign_differentiates_to_zero_whatever_its_argument():
+    # d sign(u) = 0 is decided before u is differentiated, so an argument
+    # with no rule of its own (abs) does not raise
+    assert ex.differentiate(ex.func("sign", ex.func("abs", x)), "x") == ex.ZERO
+    e = ex.mul(x, ex.func("sign", ex.func("abs", x)))
+    assert ex.differentiate(e, "x") == ex.func("sign", ex.func("abs", x))
 
 
 def test_abs_of_constant_arg_differentiates_to_zero():
@@ -150,6 +159,34 @@ def test_rational_times_sum_matches_termwise(c):
         assert ex.mul(s, k) == want
         checked += 1
     assert checked > 20
+
+
+# -- expansion bound -----------------------------------------------------------
+
+def _sum_of(prefix, n):
+    return ex.add(*(ex.var(f"{prefix}{i}") for i in range(n)))
+
+
+def test_product_of_large_sums_raises():
+    sums = [_sum_of(p, 30) for p in "abc"]
+    with pytest.raises(ExpressionTooLarge, match="27000 terms"):
+        ex.mul(*sums)
+
+
+def test_expansion_bound_is_inclusive():
+    assert len(ex.mul(_sum_of("a", 100), _sum_of("b", 100)).terms) == 10_000
+    with pytest.raises(ExpressionTooLarge):
+        ex.mul(_sum_of("a", 100), _sum_of("b", 101))
+
+
+def test_power_of_sum_counts_every_expansion():
+    # a binomial gains one term per factor, so no single expansion is large;
+    # the bound counts the products of all of them
+    assert len(ex.pow_(ex.add(x, y), 99).terms) == 100
+    with pytest.raises(ExpressionTooLarge):
+        ex.pow_(ex.add(x, y), 100_000)
+    with pytest.raises(ExpressionTooLarge):
+        ex.parse("(p+q+r+s)^30")
 
 
 # -- substitute ---------------------------------------------------------------

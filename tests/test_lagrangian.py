@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from cartanforge import chart as ch
@@ -5,6 +7,7 @@ from cartanforge import connection as cn
 from cartanforge import expr as ex
 from cartanforge import forms as fm
 from cartanforge import lagrangian as lg
+from cartanforge.problem import parse_problem
 
 import randgen
 
@@ -132,6 +135,35 @@ def test_total_derivative_chain_rule_oracle():
             lhs = ex.differentiate(composed, x, declared=WAVE.base_names)
             rhs = ex.substitute(lg.total_derivative(WAVE, p, x), sub)
             assert ex.sub(lhs, rhs).is_zero()
+
+
+def assert_el_routes_agree(lag):
+    # The jet-field route with G(b,rho,mu) -> dd(b,rho,mu) is the section
+    # route exactly: the two differ only in D_mu's second-order slot.
+    chart = lag.chart
+    to_w = {lg.g_unknown(y, xr, xm): ex.var(chart.w(y, xr, xm))
+            for y in chart.fiber_names
+            for xr in chart.base_names for xm in chart.base_names}
+    jet = lg.jetfield_el(lag).equations
+    sections = lg.derive_el(lag).components
+    assert {y: ex.substitute(e, to_w) for y, e in jet.items()} == sections
+
+
+CORPUS = os.path.join(os.path.dirname(__file__), "..", "problems")
+
+
+@pytest.mark.parametrize("name", sorted(
+    f[:-5] for f in os.listdir(CORPUS) if f.endswith(".toml")))
+def test_el_routes_agree_on_corpus(name):
+    assert_el_routes_agree(
+        parse_problem(os.path.join(CORPUS, name + ".toml")).lagrangian)
+
+
+def test_el_routes_agree_on_random_wave_lagrangians():
+    r = randgen.rng(811)
+    for _ in range(6):
+        assert_el_routes_agree(
+            lg.Lagrangian(WAVE, randgen.poly(r, list(WJS.coords), 3, 5)))
 
 
 # -- energy and Legendre difference --------------------------------------------
