@@ -89,9 +89,6 @@ class ContactReduction:
     reduced: Form
     combination: dict = field(compare=False)  # fiber name -> Form
 
-    def in_ideal(self):
-        return self.reduced.is_zero()
-
 
 def contact_reduce(a):
     """Split a jet-space form as  a = sum_A theta^A ^ combination[A] + reduced.

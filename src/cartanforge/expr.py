@@ -90,6 +90,9 @@ class Expr:
             object.__setattr__(self, "_fvs", s)
         return s
 
+    def __setattr__(self, name, value):
+        raise AttributeError("Expr nodes are immutable")
+
     def __eq__(self, other):
         return isinstance(other, Expr) and self.key() == other.key()
 
@@ -115,9 +118,6 @@ class Rat(Expr):
             value = Fraction(value)
         object.__setattr__(self, "value", value)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Expr nodes are immutable")
-
     def _make_key(self):
         return (0, str(self.value), ())
 
@@ -130,9 +130,6 @@ class Var(Expr):
             raise UnknownVariable(f"invalid variable name: {name!r}")
         object.__setattr__(self, "name", name)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Expr nodes are immutable")
-
     def _make_key(self):
         return (1, self.name, ())
 
@@ -143,9 +140,6 @@ class Func(Expr):
     def __init__(self, fname, arg):
         object.__setattr__(self, "fname", fname)
         object.__setattr__(self, "arg", arg)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Expr nodes are immutable")
 
     def _make_key(self):
         return (2, self.fname, (self.arg.key(),))
@@ -160,9 +154,6 @@ class Pow(Expr):
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "exponent", exponent)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Expr nodes are immutable")
-
     def _make_key(self):
         return (3, str(self.exponent), (self.base.key(),))
 
@@ -173,9 +164,6 @@ class Mul(Expr):
     def __init__(self, factors):
         object.__setattr__(self, "factors", tuple(factors))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Expr nodes are immutable")
-
     def _make_key(self):
         return (4, "", tuple(f.key() for f in self.factors))
 
@@ -185,9 +173,6 @@ class Add(Expr):
 
     def __init__(self, terms):
         object.__setattr__(self, "terms", tuple(terms))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Expr nodes are immutable")
 
     def _make_key(self):
         return (5, "", tuple(t.key() for t in self.terms))

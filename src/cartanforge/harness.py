@@ -24,9 +24,15 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from . import expr as ex
-from .canonical import contact_basis, contact_reduce, prolong_diffeo
+from .canonical import (
+    contact_basis,
+    contact_reduce,
+    is_holonomic,
+    prolong_diffeo,
+)
 from .chart import prolong_section
 from .connection import integral_residual2
 from .errors import NumericDomain
@@ -36,7 +42,6 @@ from .forms import (
     exterior_d,
     jet_space,
     pullback,
-    pullback_by_section,
     volume_form,
 )
 from .lagrangian import (
@@ -75,16 +80,20 @@ class CheckResult:
                 "max_dev": self.max_dev, "witness": self.witness}
 
 
+_MAX_DRAWS = 1000  # draws per point before the guards count as unsatisfiable
+_FD_STEP = 1e-5    # central-difference step of the dL/dz check
+
+
 def intervals(names, box):
     """(name, lo, hi) for each name in sorted order; [-1, 1] where `box`
     declares no interval."""
     return tuple((n, *box.get(n, (-1.0, 1.0))) for n in sorted(names))
 
 
-def draw_point(rng, cells, guards=(), max_tries=1000):
+def draw_point(rng, cells, guards=()):
     """One point from the (name, lo, hi) `cells`, redrawn until every guard
-    holds."""
-    for _ in range(max_tries):
+    holds, at most _MAX_DRAWS times."""
+    for _ in range(_MAX_DRAWS):
         pt = {n: rng.uniform(lo, hi) for n, lo, hi in cells}
         if all(g.holds(pt) for g in guards):
             return pt
@@ -147,38 +156,30 @@ def _skip(name, why):
     return CheckResult(name, "skip", None, {}, why)
 
 
-def _fd_deviation(L, dL, coord, h=1e-5):
+def _fd_deviation(L, dL, coord):
     """Relative gap between the compiled dL/d`coord` and a central
     difference of the compiled L."""
     def dev(pt):
         got = dL(pt)
         hi, lo = dict(pt), dict(pt)
-        hi[coord] += h
-        lo[coord] -= h
-        want = (L(hi) - L(lo)) / (2 * h)
+        hi[coord] += _FD_STEP
+        lo[coord] -= _FD_STEP
+        want = (L(hi) - L(lo)) / (2 * _FD_STEP)
         return abs(got - want) / (1.0 + abs(want))
     return dev
 
 
 def _seeded_gamma_tables(problem, rng, count):
+    """`count` tables gamma^A_mu, each affine in the total-space coordinates
+    with coefficients drawn from {-2, ..., 2} / {1, 2}."""
     ch = problem.chart
-    names = list(ch.e_coords())
-    tables = []
-    for _ in range(count):
-        table = {}
-        for y in ch.fiber_names:
-            for x in ch.base_names:
-                terms = [ex.Rat(random_rational(rng))]
-                for n in names:
-                    terms.append(ex.mul(ex.Rat(random_rational(rng)), ex.var(n)))
-                table[(y, x)] = ex.add(*terms)
-        tables.append(table)
-    return tables
 
-
-def random_rational(rng, lo=-2, hi=2, dens=(1, 2)):
-    from fractions import Fraction
-    return Fraction(rng.randint(lo, hi), rng.choice(dens))
+    def coeff():
+        return ex.Rat(Fraction(rng.randint(-2, 2), rng.choice((1, 2))))
+    return [{(y, x): ex.add(coeff(), *(ex.mul(coeff(), ex.var(n))
+                                       for n in ch.e_coords()))
+             for y in ch.fiber_names for x in ch.base_names}
+            for _ in range(count)]
 
 
 def run_identity_catalog(problem, seed=None, samples=None, tol=None):
@@ -191,12 +192,12 @@ def run_identity_catalog(problem, seed=None, samples=None, tol=None):
     lag = problem.lagrangian
     entries = []
 
-    # finite-difference validation of dL/dz for every jet coordinate
+    # finite-difference validation of the table of dL/dz that every
+    # construction reads
     rng = random.Random(seed)
     L = ex.compile_numeric(lag.L)
-    for coord in ch.jet_coords():
-        dL = ex.compile_numeric(
-            ex.differentiate(lag.L, coord, declared=ch.jet_coords()))
+    for coord, partial in lag.partials.items():
+        dL = ex.compile_numeric(partial)
         worst, witness = sample_worst(
             _fd_deviation(L, dL, coord), rng, ex.free_vars(lag.L) | {coord},
             num.box, num.guards, samples)
@@ -215,9 +216,7 @@ def run_identity_catalog(problem, seed=None, samples=None, tol=None):
 
     # contact annihilation for every declared section
     for sname, decl in sorted(problem.sections.items()):
-        psi = prolong_section(decl.section)
-        ok = all(pullback_by_section(psi, th).is_zero()
-                 for th in contact_basis(ch))
+        ok = is_holonomic(prolong_section(decl.section)).holonomic
         entries.append(_sym(f"contact-annihilation[{sname}]", ok))
 
     # energy and Legendre identities need at least one connection

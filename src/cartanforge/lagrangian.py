@@ -7,6 +7,15 @@ The three canonical forms are built from the local expressions
     Theta    = vartheta + L omega
     Omega    = -d Theta
 
+`Lagrangian.partials` maps every jet coordinate z to dL/dz, built whole on
+first use and kept on the instance (not a field: equality, hashing and the
+`cartan_forms` cache key see only `chart` and `L`).  The momenta, both
+Euler-Lagrange routes, `energy_density`, `legendre_difference`,
+`noether.total_variation` and the catalog's finite-difference check all
+read it.  The routes the catalog compares the constructions against take
+their own d(L omega) and never read it: `vartheta_intrinsic`,
+`energy_intrinsic` and hypothesis (b) of `noether.jetfield_noether_check`.
+
 The constructors only build: `cartan_forms` and `energy_density` follow
 these display formulas.  The independent intrinsic routes, contractions
 through the vertical endomorphisms, are `vartheta_intrinsic` and
@@ -26,7 +35,7 @@ jet field's unknowns G(y,x_rho,x_mu).  Either output is affine
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import expr as ex
 from .canonical import contact_form, vertical_endo_S, vertical_endo_V
@@ -55,10 +64,15 @@ class Lagrangian:
             raise UnknownCoordinate(
                 f"Lagrangian references non-jet names {sorted(extra)}")
 
+    @cached_property
+    def partials(self):
+        """dL/dz for every jet coordinate z, taken once on first use; a
+        partial with no symbolic rule (`abs`) raises on that first use."""
+        return {z: ex.differentiate(self.L, z) for z in self.chart.jet_coords()}
+
     def momentum(self, y, x):
         """p^A_mu = dL/dv^A_mu."""
-        return ex.differentiate(self.L, v_name(y, x),
-                                declared=self.chart.jet_coords())
+        return self.partials[v_name(y, x)]
 
 
 @dataclass(frozen=True)
@@ -125,10 +139,9 @@ def _el_equations(lag, second):
     """EL_A = dL/dy^A - D_mu(dL/dv^A_mu), with `second` naming the
     second-order slot of D_mu (see `chart.total_derivative`)."""
     ch = lag.chart
-    declared = set(ch.jet_coords())
     out = {}
     for y in ch.fiber_names:
-        terms = [ex.differentiate(lag.L, y, declared=declared)]
+        terms = [lag.partials[y]]
         for x in ch.base_names:
             d = total_derivative(ch, lag.momentum(y, x), x, second)
             terms.append(ex.mul(ex.MINUS_ONE, d))
@@ -207,7 +220,6 @@ def g_unknown(y, x_rho, x_mu):
 class JetFieldReport:
     is_sopde: bool
     omega_residual: object          # the contracted Poincare-Cartan form
-    omega_coefficients: dict = field(compare=False)
     reduced_residuals: dict = field(compare=False)
     curvature_residuals: dict = field(compare=False)
 
@@ -299,13 +311,11 @@ class ELJetProblem:
         is_sopde = sopde_project(yf)
         omega_l = cartan_forms(lag).omega
         contracted = jetfield_contract(yf, omega_l)
-        coeffs = {tuple(contracted.space.coords[i] for i in key): c
-                  for key, c in contracted.coeffs.items()}
         gsub = {g_unknown(y, xr, xm): yf.G[(y, xr, xm)]
                 for y in ch.fiber_names
                 for xr in ch.base_names for xm in ch.base_names}
         reduced = {y: ex.substitute(eq, gsub) for y, eq in self.equations.items()}
-        return JetFieldReport(is_sopde, contracted, coeffs, reduced,
+        return JetFieldReport(is_sopde, contracted, reduced,
                               jetfield_curvature_residuals(yf))
 
 

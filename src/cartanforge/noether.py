@@ -7,6 +7,8 @@ The total variation of a Lagrangian under a vector field Z = alpha^mu d/dx^mu
 
 and Z generates a symmetry exactly when this normalizes to zero (for
 vertical Z the divergence term drops and the test is just (j1 Z) L = 0).
+(j1 Z) L is j1 Z contracted with the Lagrangian's table of partials,
+`Lagrangian.partials`.
 The conserved current is the n-form i(j1 Z) Theta_L; along a solution
 section its pullback is closed, which is checked either symbolically or by
 seeded sampling.
@@ -47,7 +49,7 @@ def total_variation(lag, Z):
     if Z.space != total_space(ch):
         raise NotOnEChart("symmetry generators live on the total space")
     j1 = prolong_vectorfield(Z)
-    delta = j1.apply(lag.L)
+    delta = ex.add(*(ex.mul(c, lag.partials[n]) for n, c in j1.comps.items()))
     declared = set(ch.e_coords())
     for x in ch.base_names:
         delta = ex.add(delta, ex.mul(

@@ -241,6 +241,45 @@ class Problem:
     numeric: NumericSettings = NumericSettings()
 
 
+_KINDS = {bool: "a boolean", int: "an integer", float: "a number",
+          str: "a string", list: "an array", dict: "a table"}
+
+
+def _is_a(value, kind):
+    """TOML typing: a number is an int or a float, never a boolean."""
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _value(body, table, key, kind, default=None):
+    """body[key], checked to be of `kind`; `default` when it is absent."""
+    if key not in body:
+        return default
+    value = body[key]
+    if not _is_a(value, kind):
+        where = f"{table}.{key}" if table else key
+        raise ParseError(f"{where}: expected {_KINDS[kind]}, "
+                         f"found {type(value).__name__}")
+    return value
+
+
+def _strings(body, table, key, default=()):
+    """An array of strings under `key`."""
+    value = _value(body, table, key, list, default)
+    for item in value:
+        if not isinstance(item, str):
+            raise ParseError(f"{table}.{key}: expected an array of strings, "
+                             f"found {type(item).__name__} in it")
+    return value
+
+
+def _tables(tree, group):
+    """name -> body of the [group.name] tables, in name order."""
+    named = _value(tree, "", group, dict, {})
+    return {n: _value(named, group, n, dict) for n in sorted(named)}
+
+
 def _expr_rows(chart, rows, what, shape):
     """Parse a nested array of expression strings, checking its shape."""
     if not isinstance(rows, list):
@@ -288,8 +327,12 @@ def _build_vectorfield(chart, body, name):
             raise UnknownCoordinate(
                 f"vectorfield {name} components must live on the total space")
     vf = VectorField(total_space(chart), comps)
-    return VectorFieldDecl(vf, body.get("symmetry"),
-                           body.get("check", "symbolic"))
+    table = f"vectorfield.{name}"
+    check = _value(body, table, "check", str, "symbolic")
+    if check not in ("symbolic", "numeric"):
+        raise ParseError(f'{table}.check: expected "symbolic" or "numeric", '
+                         f"found {check!r}")
+    return VectorFieldDecl(vf, _value(body, table, "symmetry", bool), check)
 
 
 def _build_section(chart, body, name):
@@ -297,7 +340,8 @@ def _build_section(chart, body, name):
     if comps is None:
         raise MissingArgument(f"[section.{name}] needs components")
     parsed = _expr_rows(chart, comps, f"section {name}", (chart.n_fields,))
-    return SectionDecl(SectionE(chart, tuple(parsed)), body.get("solution"))
+    return SectionDecl(SectionE(chart, tuple(parsed)),
+                       _value(body, f"section.{name}", "solution", bool))
 
 
 def _build_jetfield(chart, body, name):
@@ -317,8 +361,10 @@ def _build_jetfield(chart, body, name):
             for ri, xr in enumerate(chart.base_names):
                 for mi, xm in enumerate(chart.base_names):
                     G[(y, xr, xm)] = gtab[yi][ri][mi]
-    return JetFieldDecl(JetField2(chart, F, G), body.get("el_solution"),
-                        tuple(body.get("integral_sections", [])))
+    table = f"jetfield.{name}"
+    return JetFieldDecl(JetField2(chart, F, G),
+                        _value(body, table, "el_solution", bool),
+                        tuple(_strings(body, table, "integral_sections")))
 
 
 def _build_diffeo(chart, body, name):
@@ -339,51 +385,58 @@ def _build_diffeo(chart, body, name):
                       dict(zip(chart.base_names, base_exprs)),
                       dict(zip(chart.fiber_names, fiber_exprs)),
                       base_inverse=inverse)
-    return DiffeoDecl(fmap, body.get("symmetry"))
+    return DiffeoDecl(fmap, _value(body, f"diffeo.{name}", "symmetry", bool))
 
 
 def build_problem(tree):
-    bundle = tree.get("bundle")
-    if not bundle or "base" not in bundle or "fiber" not in bundle:
+    """The Problem a parsed file declares; a value of the wrong type is a
+    ParseError naming its table and key."""
+    bundle = _value(tree, "", "bundle", dict, {})
+    if "base" not in bundle or "fiber" not in bundle:
         raise ParseError("a [bundle] block with base and fiber is required")
-    chart = make_chart(bundle["base"], bundle["fiber"])
+    chart = make_chart(_strings(bundle, "bundle", "base"),
+                       _strings(bundle, "bundle", "fiber"))
 
-    lag_block = tree.get("lagrangian")
-    if not lag_block or "L" not in lag_block:
+    lag_text = _value(_value(tree, "", "lagrangian", dict, {}),
+                      "lagrangian", "L", str)
+    if lag_text is None:
         raise ParseError("a [lagrangian] block with L is required")
-    lag = Lagrangian(chart, chart.parse(lag_block["L"]))
+    lag = Lagrangian(chart, chart.parse(lag_text))
 
     connections = {n: _build_connection(chart, body, n)
-                   for n, body in sorted(tree.get("connection", {}).items())}
+                   for n, body in _tables(tree, "connection").items()}
     vectorfields = {n: _build_vectorfield(chart, body, n)
-                    for n, body in sorted(tree.get("vectorfield", {}).items())}
+                    for n, body in _tables(tree, "vectorfield").items()}
     sections = {n: _build_section(chart, body, n)
-                for n, body in sorted(tree.get("section", {}).items())}
+                for n, body in _tables(tree, "section").items()}
     jetfields = {n: _build_jetfield(chart, body, n)
-                 for n, body in sorted(tree.get("jetfield", {}).items())}
+                 for n, body in _tables(tree, "jetfield").items()}
     diffeos = {n: _build_diffeo(chart, body, n)
-               for n, body in sorted(tree.get("diffeo", {}).items())}
+               for n, body in _tables(tree, "diffeo").items()}
     for jname, decl in jetfields.items():
         for sname in decl.integral_sections:
             if sname not in sections:
                 raise MissingArgument(
                     f"jetfield {jname} references unknown section {sname!r}")
 
-    num = tree.get("numeric", {})
+    num = _value(tree, "", "numeric", dict, {})
     box = {}
-    for entry in num.get("box", []):
+    for entry in _value(num, "numeric", "box", list, ()):
         if (not isinstance(entry, list) or len(entry) != 3
-                or not isinstance(entry[0], str)):
-            raise ParseError("numeric box entries are [\"name\", lo, hi]")
+                or not isinstance(entry[0], str)
+                or not all(_is_a(b, float) for b in entry[1:])):
+            raise ParseError('numeric.box: expected ["name", lo, hi] entries, '
+                             f"found {entry!r}")
         chart.canonical_name(entry[0])
         box[entry[0]] = (float(entry[1]), float(entry[2]))
-    guards = tuple(parse_guard(chart, g) for g in num.get("require", []))
+    guards = tuple(parse_guard(chart, g)
+                   for g in _strings(num, "numeric", "require"))
     numeric = NumericSettings(
-        seed=int(num.get("seed", 20240808)),
-        samples=int(num.get("samples", 100)),
-        tol=float(num.get("tol", 1e-9)),
-        tol_fd=float(num.get("tol_fd", 1e-6)),
-        symmetry_samples=int(num.get("symmetry_samples", 200)),
+        seed=_value(num, "numeric", "seed", int, 20240808),
+        samples=_value(num, "numeric", "samples", int, 100),
+        tol=float(_value(num, "numeric", "tol", float, 1e-9)),
+        tol_fd=float(_value(num, "numeric", "tol_fd", float, 1e-6)),
+        symmetry_samples=_value(num, "numeric", "symmetry_samples", int, 200),
         box=box,
         guards=guards)
 

@@ -21,9 +21,12 @@ outputs:
 
     python make_goldens.py           # rewrite the golden files
     python make_goldens.py --json    # print {file name: output} as JSON
+    python make_goldens.py --check   # write nothing; exit 1 naming each
+                                     # golden file whose bytes differ
 
 The second form is what tests/test_goldens.py runs in a subprocess per
-PYTHONHASHSEED.
+PYTHONHASHSEED.  The third needs no pytest, so it also runs under the
+oldest supported Python.
 """
 
 import contextlib
@@ -90,11 +93,31 @@ def outputs():
     return out
 
 
+def stale(got):
+    """Names of the golden files whose bytes differ from `got`."""
+    out = []
+    for name, text in sorted(got.items()):
+        path = os.path.join(DATA, name)
+        try:
+            with open(path, encoding="utf-8", newline="") as fh:
+                same = fh.read() == text
+        except FileNotFoundError:
+            same = False
+        if not same:
+            out.append(name)
+    return out
+
+
 def main():
     got = outputs()
     if "--json" in sys.argv[1:]:
         sys.stdout.write(json.dumps(got, sort_keys=True))
         return
+    if "--check" in sys.argv[1:]:
+        differ = stale(got)
+        for name in differ:
+            print(f"differs: {os.path.join(DATA, name)}")
+        sys.exit(1 if differ else 0)
     os.makedirs(DATA, exist_ok=True)
     for name, text in sorted(got.items()):
         with open(os.path.join(DATA, name), "w", encoding="utf-8",

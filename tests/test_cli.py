@@ -287,3 +287,46 @@ L = "(d(q,t) + q + t)^1000"
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith("error: expansion would build")
     assert "Traceback" not in proc.stderr
+
+
+
+TYPED = """{head}
+[bundle]
+base = {base}
+fiber = ["q"]
+
+[lagrangian]
+L = {L}
+
+{tail}
+"""
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"tail": '[numeric]\nseed = "abc"'},
+     "numeric.seed: expected an integer, found str"),
+    ({"tail": "[numeric]\nsamples = [1]"},
+     "numeric.samples: expected an integer, found list"),
+    ({"tail": '[numeric]\nbox = [["q", "a", 1]]'},
+     "numeric.box: expected [\"name\", lo, hi] entries, found ['q', 'a', 1]"),
+    ({"tail": '[numeric]\nrequire = "q > 1"'},
+     "numeric.require: expected an array, found str"),
+    ({"head": "numeric = 5"}, "numeric: expected a table, found int"),
+    ({"head": "connection = 5"}, "connection: expected a table, found int"),
+    ({"tail": '[vectorfield.v]\nfiber = ["1"]\ncheck = "bogus"'},
+     "vectorfield.v.check: expected \"symbolic\" or \"numeric\", found 'bogus'"),
+    ({"tail": '[section.s]\ncomponents = ["t"]\nsolution = "yes"'},
+     "section.s.solution: expected a boolean, found str"),
+    ({"L": "5"}, "lagrangian.L: expected a string, found int"),
+    ({"base": "5"}, "bundle.base: expected an array, found int"),
+    ({"base": '"tx"'}, "bundle.base: expected an array, found str"),
+], ids=["seed", "samples", "box", "require", "numeric", "connection", "check",
+        "solution", "L", "base-int", "base-str"])
+def test_value_of_wrong_type_exits_2(tmp_path, capsys, edit, message):
+    fields = {"head": "", "base": '["t"]', "L": '"1/2*d(q,t)^2"', "tail": ""}
+    f = tmp_path / "typed.toml"
+    f.write_text(TYPED.format(**{**fields, **edit}))
+    code, out, err = run(capsys, "verify", str(f))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {message}\n")
+    assert "Traceback" not in err

@@ -360,3 +360,63 @@ def test_exact_roots_of_huge_rationals():
 def test_immutability():
     with pytest.raises(AttributeError):
         x.name = "z"
+
+
+# -- seeded laws ---------------------------------------------------------------
+
+LAW_NAMES = ["x", "y"]
+
+
+@pytest.mark.parametrize("seed", range(600, 640))
+def test_leibniz_rule(seed):
+    # d(ab)/dx = a'b + ab', structurally
+    r = randgen.rng(seed)
+    a, b = (randgen.smooth_expr(r, LAW_NAMES) for _ in range(2))
+    da, db = ex.differentiate(a, "x"), ex.differentiate(b, "x")
+    assert ex.differentiate(ex.mul(a, b), "x") == ex.add(ex.mul(da, b),
+                                                         ex.mul(a, db))
+
+
+@pytest.mark.parametrize("seed", range(600, 640))
+def test_chain_rule(seed):
+    # d/dx[a(x := g)] = a'(g) g' for a polynomial g, structurally
+    r = randgen.rng(seed)
+    a = randgen.smooth_expr(r, LAW_NAMES)
+    g = randgen.poly(r, LAW_NAMES, max_degree=2, terms=3)
+    lhs = ex.differentiate(ex.substitute(a, {"x": g}), "x")
+    rhs = ex.mul(ex.substitute(ex.differentiate(a, "x"), {"x": g}),
+                 ex.differentiate(g, "x"))
+    assert lhs == rhs
+
+
+def _mirror(r, pool, depth):
+    """A random sum of signed products over `pool`, built twice: as an Expr
+    and as a function of the pool's float values."""
+    if depth == 0:
+        i = r.randrange(len(pool))
+        return pool[i], lambda vals: vals[i]
+    (a, fa), (b, fb) = _mirror(r, pool, depth - 1), _mirror(r, pool, depth - 1)
+    kind = r.choice(["add", "sub", "mul"])
+    if kind == "add":
+        return ex.add(a, b), lambda vals: fa(vals) + fb(vals)
+    if kind == "sub":
+        return ex.sub(a, b), lambda vals: fa(vals) - fb(vals)
+    return ex.mul(a, b), lambda vals: fa(vals) * fb(vals)
+
+
+def test_structural_zero_is_numeric_zero():
+    # soundness of the normal form: it keeps the function it was built
+    # from, so whatever it reduces to 0 is 0 as a function; a pool of two
+    # random expressions makes cancellation common
+    r = randgen.rng(700)
+    zeros = 0
+    for _ in range(120):
+        pool = [randgen.smooth_expr(r, LAW_NAMES) for _ in range(2)]
+        e, f = _mirror(r, pool, 2)
+        zeros += e.is_zero()
+        for _ in range(2):
+            pt = randgen.sample_point(r, LAW_NAMES)
+            vals = [ex.evaluate_numeric(p, pt) for p in pool]
+            scale = (1.0 + max(map(abs, vals))) ** 4
+            assert abs(ex.evaluate_numeric(e, pt) - f(vals)) <= 1e-9 * scale
+    assert zeros >= 20

@@ -202,3 +202,15 @@ def test_bracket():
     Y = fm.VectorField(TS, {"u": ex.var("x0")})
     got = fm.bracket(X, Y)
     assert got == fm.VectorField(TS, {"u": ex.ONE})
+
+
+@pytest.mark.parametrize("seed", range(700, 712))
+def test_graded_leibniz_rule(seed):
+    # d(a ^ b) = da ^ b + (-1)^p a ^ db for a p-form a
+    r = randgen.rng(seed)
+    for p, q in ((0, 1), (1, 1), (1, 2)):
+        a, b = random_form(r, JS, p), random_form(r, JS, q)
+        lhs = fm.exterior_d(fm.wedge(a, b))
+        rhs = (fm.wedge(fm.exterior_d(a), b)
+               + fm.wedge(a, fm.exterior_d(b)).scale(ex.rat((-1) ** p)))
+        assert lhs == rhs

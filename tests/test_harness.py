@@ -125,3 +125,26 @@ def test_construction_path_disagreement_is_reported(monkeypatch, route,
     assert [e.name for e in rep.entries] == want
     failing = [e.name for e in rep.entries if e.status == "fail"]
     assert failing == entries
+
+
+def test_finite_difference_checks_the_shared_partials():
+    # the catalog samples the table every construction reads: a wrong
+    # entry fails its finite-difference check, and the display formula
+    # built from it no longer matches the intrinsic route, which takes its
+    # own d(L omega)
+    from cartanforge.lagrangian import cartan_forms
+    p = prob("free_particle")
+    lag = p.lagrangian
+    table = dict(lag.partials)
+    table["d(q,t)"] = ex.mul(ex.rat(2), table["d(q,t)"])
+    lag.__dict__["partials"] = table
+    assert lag.momentum("q", "t") == table["d(q,t)"]
+    cartan_forms.cache_clear()
+    try:
+        rep = hz.run_identity_catalog(p)
+    finally:
+        cartan_forms.cache_clear()
+    failing = {e.name for e in rep.entries if e.status == "fail"}
+    fd = {e.name for e in rep.entries if e.name.startswith("finite-difference")}
+    assert failing & fd == {"finite-difference[dL/dd(q,t)]"}
+    assert "cartan-intrinsic-vs-display" in failing
