@@ -4,8 +4,9 @@
 
 Commands: derive-el, cartan-forms, energy, legendre-diff, curvature,
 check-section, jetfield-el, symmetry, noether, verify.  Exit code 0 on
-success or all-pass, 1 when `verify` reports failures, 2 on usage or parse
-errors.  `--format json` renders every command as a stable document.
+success or all-pass, 1 when `verify` reports failures or standard output
+closes before the report is written, 2 on usage or parse errors.
+`--format json` renders every command as a stable document.
 
 `legendre-diff` reads the table named by --connection as the gamma
 displacement (connections and displacement tables have the same shape).
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import expr as ex
@@ -260,7 +262,14 @@ def main(argv=None):
     except CartanforgeError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    print(out)
+    try:
+        print(out)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away (`| head`); point stdout at devnull so the
+        # interpreter's flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return code
 
 

@@ -1,4 +1,4 @@
-"""Immutable symbolic scalar expressions with a fixed canonical form.
+"""Immutable, interned symbolic scalar expressions with a fixed canonical form.
 
 Every coefficient in the geometric layers is an ``Expr``.  The normal form is
 deliberately small and predictable:
@@ -13,9 +13,21 @@ deliberately small and predictable:
 * function applications at rational arguments fold when exact
   (sin(0) -> 0, abs(-3) -> 3, sqrt(4) -> 2, ...).
 
-Nothing else is rewritten: no trig identities, no rational-function
-cancellation such as (x^2-1)/(x-1).  Structural equality of normal forms is
-the engine's notion of symbolic equality.
+Nothing else is rewritten: no trig identities, no ``sign(u)^2 = 1``, no
+rational-function cancellation such as (x^2-1)/(x-1).  Structural equality
+of normal forms is the engine's notion of symbolic equality.
+
+Nodes are hash-consed: each comes from one intern table keyed by (tag,
+payload, children), children by identity and rationals by (numerator,
+denominator).  Structurally equal expressions are one object, so ``==`` and
+``hash`` are identity, like terms merge in a dict keyed by their monic part,
+and the sort key ``Expr.key`` is built once per distinct structure.  The
+table is a plain dict of ``weakref.ref`` (``WeakValueDictionary.get`` is
+Python code), so it keeps no dead expression alive.  A node with a cached
+``compile_numeric`` function sits in a reference cycle, and a new node of its
+structure can be interned before the cyclic collector runs the old
+reference's callback; the callback therefore removes the table entry only if
+it still holds that same reference.
 
 Differentiation of ``abs`` has no symbolic rule and raises, except through
 even roots: d sqrt(abs(u)) = u' * sign(u) / (2*sqrt(abs(u))), with ``sign``
@@ -23,22 +35,19 @@ kept as an opaque factor that numeric evaluation resolves.  ``sign`` itself
 differentiates to 0 whatever its argument, which is not differentiated (its
 jump at 0 is ignored; numeric checks sample away from it with guards).
 
-``differentiate`` and ``substitute`` each keep a memo for the length of one
-call: a plain dict from ``Pow`` and ``Func`` nodes to their result, so an
-atom repeated across terms (the powers of ``abs(G)`` and ``sign(G)`` in the
-Nambu string's Poincare-Cartan form) is worked out once.  ``Add`` and
-``Mul`` nodes are rarely repeated and are not memoized; an exception, such
-as ``DomainFunction`` for ``abs``, is never stored.  The memo dies with the
-call because the expressions outlive it: ``cartan_forms`` is cached, so a
-memo kept on the nodes or for the process would keep every derivative
-alive (a process-wide memo over all node kinds raised the peak RSS of the
-Nambu ``verify`` from 22 MB to 47 MB).
+``differentiate`` and ``substitute`` each keep a memo from ``Pow`` and
+``Func`` nodes to their result for one call, so an atom repeated across
+terms (the powers of ``abs(G)`` and ``sign(G)`` in the Nambu string's
+Poincare-Cartan form) is worked out once; an exception is never stored.  A
+memo kept for the process raised the Nambu ``verify``'s peak RSS 22 -> 47 MB.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from fractions import Fraction
+from functools import partial
 
 from .errors import (
     DomainFunction,
@@ -62,10 +71,10 @@ RESERVED_NAMES = frozenset(FUNCTIONS) | {"sqrt", "d", "dd", "a", "b"}
 class Expr:
     """Base class; concrete nodes are Rat, Var, Add, Mul, Pow, Func."""
 
-    __slots__ = ("_skey", "_fvs", "_h", "_fn")
+    __slots__ = ("_skey", "_fvs", "_fn", "__weakref__")
 
     def key(self):
-        # (rank, payload, children) nested tuples: a total structural order.
+        # (rank, payload, children) nested tuples: a total structural order
         k = getattr(self, "_skey", None)
         if k is None:
             k = self._make_key()
@@ -75,48 +84,68 @@ class Expr:
     def fvs(self):
         s = getattr(self, "_fvs", None)
         if s is None:
-            if isinstance(self, Rat):
-                s = frozenset()
-            elif isinstance(self, Var):
+            if isinstance(self, Var):
                 s = frozenset((self.name,))
-            elif isinstance(self, Add):
-                s = frozenset().union(*(t.fvs() for t in self.terms))
-            elif isinstance(self, Mul):
-                s = frozenset().union(*(f.fvs() for f in self.factors))
-            elif isinstance(self, Pow):
-                s = self.base.fvs()
             else:
-                s = self.arg.fvs()
+                s = frozenset().union(*(c.fvs() for c in _children(self)))
             object.__setattr__(self, "_fvs", s)
         return s
 
     def __setattr__(self, name, value):
         raise AttributeError("Expr nodes are immutable")
 
-    def __eq__(self, other):
-        return isinstance(other, Expr) and self.key() == other.key()
-
-    def __hash__(self):
-        h = getattr(self, "_h", None)
-        if h is None:
-            h = hash(self.key())
-            object.__setattr__(self, "_h", h)
-        return h
-
     def __repr__(self):
         return f"Expr[{to_text(self)}]"
 
     def is_zero(self):
-        return isinstance(self, Rat) and self.value == 0
+        return self is ZERO
+
+
+def _children(e):
+    """The child nodes of `e`, left to right."""
+    if isinstance(e, Add):
+        return e.terms
+    if isinstance(e, Mul):
+        return e.factors
+    if isinstance(e, Pow):
+        return (e.base,)
+    if isinstance(e, Func):
+        return (e.arg,)
+    if isinstance(e, (Rat, Var)):
+        return ()
+    raise TypeError(f"not an Expr: {e!r}")
+
+
+# (tag, payload, children) -> weakref.ref to the live node of that structure
+_TABLE = {}
+
+
+def _evict(k, ref):
+    # a newer node may be interned under k already (see module docstring)
+    if _TABLE.get(k) is ref:
+        del _TABLE[k]
+
+
+def _intern(cls, k, *fields):
+    """The live node interned under `k`, or a new one holding `fields`."""
+    r = _TABLE.get(k)
+    e = r() if r is not None else None
+    if e is None:
+        e = object.__new__(cls)
+        for name, value in zip(cls.__slots__, fields):
+            object.__setattr__(e, name, value)
+        _TABLE[k] = weakref.ref(e, partial(_evict, k))
+    return e
 
 
 class Rat(Expr):
     __slots__ = ("value",)
 
-    def __init__(self, value):
+    def __new__(cls, value):
         if type(value) is not Fraction:
             value = Fraction(value)
-        object.__setattr__(self, "value", value)
+        # keyed by the integers: Fraction.__hash__ is Python code
+        return _intern(cls, (0, value.numerator, value.denominator), value)
 
     def _make_key(self):
         return (0, str(self.value), ())
@@ -125,10 +154,10 @@ class Rat(Expr):
 class Var(Expr):
     __slots__ = ("name",)
 
-    def __init__(self, name):
+    def __new__(cls, name):
         if not name or not isinstance(name, str):
             raise UnknownVariable(f"invalid variable name: {name!r}")
-        object.__setattr__(self, "name", name)
+        return _intern(cls, (1, name), name)
 
     def _make_key(self):
         return (1, self.name, ())
@@ -137,9 +166,8 @@ class Var(Expr):
 class Func(Expr):
     __slots__ = ("fname", "arg")
 
-    def __init__(self, fname, arg):
-        object.__setattr__(self, "fname", fname)
-        object.__setattr__(self, "arg", arg)
+    def __new__(cls, fname, arg):
+        return _intern(cls, (2, fname, arg), fname, arg)
 
     def _make_key(self):
         return (2, self.fname, (self.arg.key(),))
@@ -148,11 +176,11 @@ class Func(Expr):
 class Pow(Expr):
     __slots__ = ("base", "exponent")
 
-    def __init__(self, base, exponent):
+    def __new__(cls, base, exponent):
         if type(exponent) is not Fraction:
             exponent = Fraction(exponent)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "exponent", exponent)
+        return _intern(cls, (3, base, exponent.numerator,
+                             exponent.denominator), base, exponent)
 
     def _make_key(self):
         return (3, str(self.exponent), (self.base.key(),))
@@ -161,8 +189,9 @@ class Pow(Expr):
 class Mul(Expr):
     __slots__ = ("factors",)
 
-    def __init__(self, factors):
-        object.__setattr__(self, "factors", tuple(factors))
+    def __new__(cls, factors):
+        factors = tuple(factors)
+        return _intern(cls, (4, factors), factors)
 
     def _make_key(self):
         return (4, "", tuple(f.key() for f in self.factors))
@@ -171,8 +200,9 @@ class Mul(Expr):
 class Add(Expr):
     __slots__ = ("terms",)
 
-    def __init__(self, terms):
-        object.__setattr__(self, "terms", tuple(terms))
+    def __new__(cls, terms):
+        terms = tuple(terms)
+        return _intern(cls, (5, terms), terms)
 
     def _make_key(self):
         return (5, "", tuple(t.key() for t in self.terms))
@@ -184,7 +214,6 @@ _F1 = Fraction(1)
 ZERO = Rat(0)
 ONE = Rat(1)
 MINUS_ONE = Rat(-1)
-HALF = Rat(Fraction(1, 2))
 
 
 def rat(p, q=1):
@@ -200,14 +229,27 @@ def var(name):
 # ---------------------------------------------------------------------------
 
 def _split_coeff(e):
-    """Split a canonical term into (rational coefficient, monic part)."""
+    """Split a canonical term into (rational coefficient, monic part).
+
+    A monic of two or more factors is the tuple of them, not a node, so
+    merging like terms interns no monic that only lives for the merge."""
     if isinstance(e, Rat):
         return e.value, ONE
-    if isinstance(e, Mul) and isinstance(e.factors[0], Rat):
-        rest = e.factors[1:]
-        monic = rest[0] if len(rest) == 1 else Mul(rest)
-        return e.factors[0].value, monic
+    if isinstance(e, Mul):
+        fs = e.factors
+        if isinstance(fs[0], Rat):
+            return fs[0].value, (fs[1] if len(fs) == 2 else fs[1:])
+        return _F1, fs
     return _F1, e
+
+
+def _term(c, monic):
+    """The canonical term c * monic; inverse of _split_coeff."""
+    if monic is ONE:
+        return Rat(c)
+    if type(monic) is tuple:
+        return Mul(monic if c == 1 else (Rat(c),) + monic)
+    return monic if c == 1 else Mul((Rat(c), monic))
 
 
 def add(*terms):
@@ -220,48 +262,29 @@ def add(*terms):
             stack.extend(t.terms)
         else:
             flat.append(t)
-    coeffs = {}
-    monics = {}
+    merged = {}   # monic -> [coefficient, the term while unmerged]
     for t in flat:
         c, m = _split_coeff(t)
         if c == 0:
             continue
-        k = m.key()
-        if k in coeffs:
-            coeffs[k] += c
+        got = merged.get(m)
+        if got is None:
+            merged[m] = [c, t]
         else:
-            coeffs[k] = c
-        monics[k] = m
+            got[0] += c
+            got[1] = None
     out = []
-    for k, c in coeffs.items():   # the sort by term key below fixes the order
-        if c == 0:
-            continue
-        m = monics[k]
-        if isinstance(m, Rat):  # the pure-number bucket (monic is ONE)
-            out.append(Rat(c))
-        elif c == 1:
-            out.append(m)
-        else:
-            out.append(_attach_coeff(c, m))
+    for m, (c, t) in merged.items():   # the sort below fixes the order
+        if t is not None:   # untouched canonical term
+            out.append(t)
+        elif c != 0:
+            out.append(_term(c, m))
     if not out:
         return ZERO
     if len(out) == 1:
         return out[0]
-    out.sort(key=lambda e: e.key())
+    out.sort(key=Expr.key)
     return Add(out)
-
-
-def _attach_coeff(c, monic):
-    if isinstance(monic, Mul):
-        return Mul((Rat(c),) + monic.factors)
-    return Mul((Rat(c), monic))
-
-
-def _base_exp(f):
-    """View a canonical factor as (base, exponent)."""
-    if isinstance(f, Pow):
-        return f.base, f.exponent
-    return f, _F1
 
 
 def mul(*factors):
@@ -274,7 +297,7 @@ def mul(*factors):
         if isinstance(f, Mul):
             stack.extend(f.factors)
         elif isinstance(f, Rat):
-            coeff *= f.value
+            coeff = f.value if coeff is _F1 else coeff * f.value
         else:
             flat.append(f)
     if coeff == 0:
@@ -293,19 +316,16 @@ def mul(*factors):
         return add(*(mul(*p) for p in products))
 
     # merge same-base powers
-    by_base = {}
+    by_base = {}   # base node -> (exponent, the factor while unmerged)
     for f in flat:
-        b, e = _base_exp(f)
-        k = b.key()
-        if k in by_base:
-            by_base[k] = (b, by_base[k][1] + e, None)
-        else:
-            by_base[k] = (b, e, f)
+        b, e = (f.base, f.exponent) if isinstance(f, Pow) else (f, _F1)
+        got = by_base.get(b)
+        by_base[b] = (e, f) if got is None else (got[0] + e, None)
     if len(by_base) == len(flat):   # distinct bases: already canonical
         out = flat
     else:
         out = []
-        for b, e, orig in by_base.values():
+        for b, (e, orig) in by_base.items():
             if orig is not None:  # untouched canonical factor
                 out.append(orig)
                 continue
@@ -314,22 +334,21 @@ def mul(*factors):
             p = pow_(b, e)
             c, m = _split_coeff(p)
             coeff *= c
-            if isinstance(m, Mul):
-                out.extend(m.factors)
-            elif not isinstance(m, Rat) or m.value != 1:
+            if type(m) is tuple:
+                out.extend(m)
+            elif m is not ONE:
                 out.append(m)
         if coeff == 0:
             return ZERO
         # pow_ folding can reintroduce merged bases; settle by one more pass
         seen = {}
         for f in out:
-            b, e = _base_exp(f)
-            k = b.key()
-            seen[k] = (b, seen[k][1] + e) if k in seen else (b, e)
+            b, e = (f.base, f.exponent) if isinstance(f, Pow) else (f, _F1)
+            seen[b] = seen[b] + e if b in seen else e
         if len(seen) != len(out):
-            return mul(Rat(coeff), *[pow_(b, e) for b, e in seen.values()])
+            return mul(Rat(coeff), *[pow_(b, e) for b, e in seen.items()])
 
-    out.sort(key=lambda e: e.key())
+    out.sort(key=Expr.key)
     if not out:
         return Rat(coeff)
     if coeff == 1 and len(out) == 1:
@@ -355,13 +374,7 @@ def _scale_sum(c, s):
     terms = []
     for t in s.terms:
         tc, m = _split_coeff(t)
-        tc *= c
-        if isinstance(m, Rat):   # the pure-number term
-            terms.append(Rat(tc))
-        elif tc == 1:
-            terms.append(m)
-        else:
-            terms.append(_attach_coeff(tc, m))
+        terms.append(_term(tc * c, m))
     return add(*terms)
 
 
@@ -387,7 +400,7 @@ def _nth_root_exact(fr, n):
 
 def pow_(base, exponent):
     """Canonical power with rational exponent."""
-    e = Fraction(exponent)
+    e = exponent if type(exponent) is Fraction else Fraction(exponent)
     if e == 0:
         return ONE
     if e == 1:
@@ -706,19 +719,7 @@ def _compile(e):
             continue
         if not ready:
             stack.append((node, True))
-            if isinstance(node, Add):
-                kids = node.terms
-            elif isinstance(node, Mul):
-                kids = node.factors
-            elif isinstance(node, Pow):
-                kids = (node.base,)
-            elif isinstance(node, Func):
-                kids = (node.arg,)
-            elif isinstance(node, Var):
-                kids = ()
-            else:
-                raise TypeError(f"not an Expr: {node!r}")
-            stack.extend((k, False) for k in reversed(kids))
+            stack.extend((k, False) for k in reversed(_children(node)))
             continue
         if isinstance(node, Var):
             rhs = f"_float(p[{node.name!r}])"
@@ -802,16 +803,14 @@ def to_text(e):
     if isinstance(e, Mul):
         c, m = _split_coeff(e)
         if c < 0:
-            return "-" + to_text(m if -c == 1 else _attach_coeff(-c, m))
+            return "-" + to_text(_term(-c, m))
         return "*".join(_print_factor(f) for f in e.factors)
     if isinstance(e, Add):
         parts = []
         for i, t in enumerate(e.terms):
             c, m = _split_coeff(t)
             if c < 0:
-                body = to_text(_attach_coeff(-c, m) if -c != 1 or isinstance(m, Rat) else m)
-                if isinstance(m, Rat):
-                    body = str(-c * m.value)
+                body = str(-c) if m is ONE else to_text(_term(-c, m))
                 parts.append(("-" if i == 0 else " - ") + body)
             else:
                 parts.append(("" if i == 0 else " + ") + to_text(t))

@@ -264,6 +264,15 @@ def _value(body, table, key, kind, default=None):
     return value
 
 
+def _sample_count(num, key, default):
+    """numeric.<key>, at least 1: no samples would pass every sampled
+    check vacuously."""
+    n = _value(num, "numeric", key, int, default)
+    if n < 1:
+        raise ParseError(f"numeric.{key}: expected at least 1, found {n}")
+    return n
+
+
 def _strings(body, table, key, default=()):
     """An array of strings under `key`."""
     value = _value(body, table, key, list, default)
@@ -433,10 +442,10 @@ def build_problem(tree):
                    for g in _strings(num, "numeric", "require"))
     numeric = NumericSettings(
         seed=_value(num, "numeric", "seed", int, 20240808),
-        samples=_value(num, "numeric", "samples", int, 100),
+        samples=_sample_count(num, "samples", 100),
         tol=float(_value(num, "numeric", "tol", float, 1e-9)),
         tol_fd=float(_value(num, "numeric", "tol_fd", float, 1e-6)),
-        symmetry_samples=_value(num, "numeric", "symmetry_samples", int, 200),
+        symmetry_samples=_sample_count(num, "symmetry_samples", 200),
         box=box,
         guards=guards)
 

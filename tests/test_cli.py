@@ -290,6 +290,23 @@ L = "(d(q,t) + q + t)^1000"
 
 
 
+def test_closed_stdout_is_not_a_traceback():
+    # the reader takes one line and closes the pipe, as `| head -1` does;
+    # nambu's forms print about 480 kB, far more than a pipe buffers, so
+    # the writer is still writing when the pipe closes
+    env = dict(os.environ, PYTHONPATH=os.path.join(
+        os.path.dirname(__file__), "..", "src"))
+    proc = subprocess.Popen([sys.executable, "-m", "cartanforge.cli",
+                             "cartan-forms", prob("nambu_string.toml")],
+                            env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) != 0
+    assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
 TYPED = """{head}
 [bundle]
 base = {base}
@@ -307,6 +324,10 @@ L = {L}
      "numeric.seed: expected an integer, found str"),
     ({"tail": "[numeric]\nsamples = [1]"},
      "numeric.samples: expected an integer, found list"),
+    ({"tail": "[numeric]\nsamples = 0"},
+     "numeric.samples: expected at least 1, found 0"),
+    ({"tail": "[numeric]\nsymmetry_samples = -3"},
+     "numeric.symmetry_samples: expected at least 1, found -3"),
     ({"tail": '[numeric]\nbox = [["q", "a", 1]]'},
      "numeric.box: expected [\"name\", lo, hi] entries, found ['q', 'a', 1]"),
     ({"tail": '[numeric]\nrequire = "q > 1"'},
@@ -320,8 +341,9 @@ L = {L}
     ({"L": "5"}, "lagrangian.L: expected a string, found int"),
     ({"base": "5"}, "bundle.base: expected an array, found int"),
     ({"base": '"tx"'}, "bundle.base: expected an array, found str"),
-], ids=["seed", "samples", "box", "require", "numeric", "connection", "check",
-        "solution", "L", "base-int", "base-str"])
+], ids=["seed", "samples", "samples-zero", "symmetry-samples-negative", "box",
+        "require", "numeric", "connection", "check", "solution", "L",
+        "base-int", "base-str"])
 def test_value_of_wrong_type_exits_2(tmp_path, capsys, edit, message):
     fields = {"head": "", "base": '["t"]', "L": '"1/2*d(q,t)^2"', "tail": ""}
     f = tmp_path / "typed.toml"

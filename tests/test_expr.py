@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import pytest
 
@@ -420,3 +422,83 @@ def test_structural_zero_is_numeric_zero():
             scale = (1.0 + max(map(abs, vals))) ** 4
             assert abs(ex.evaluate_numeric(e, pt) - f(vals)) <= 1e-9 * scale
     assert zeros >= 20
+
+
+# -- interning ----------------------------------------------------------------
+
+def test_equal_structures_are_one_object():
+    r = randgen.rng(45)
+    for _ in range(40):
+        e = randgen.smooth_expr(r, ["x", "y", "v"])
+        assert ex.parse(ex.to_text(e)) is e
+        assert ex.normalize(e) is e
+    for _ in range(20):
+        p, q = randgen.poly(r, ["x", "y"]), randgen.poly(r, ["x", "y"])
+        assert ex.add(p, q) is ex.add(q, p)
+    assert ex.Rat(1) is ex.Rat(ex.Fraction(2, 2)) is ex.ONE
+    assert ex.Pow(x, 2) is ex.Pow(x, ex.Fraction(4, 2))
+
+
+def test_intern_table_keeps_no_dead_node_alive():
+    p, q, r = ex.var("p"), ex.var("q"), ex.var("r")
+    gc.collect()
+    before = len(ex._TABLE)
+    e = ex.pow_(ex.add(p, q, r), 12)
+    assert len(e.terms) == 91 and len(ex._TABLE) > before + 91
+    del e
+    gc.collect()
+    assert len(ex._TABLE) <= before + 5
+
+
+def test_node_in_a_cycle_does_not_evict_its_successor():
+    # compile_numeric caches a function whose namespace refers back to the
+    # node, so a dropped node stays until the cyclic collector clears it
+    factors = (ex.var("p"), ex.func("sin", ex.var("q")))
+    e = ex.Mul(factors)
+    ex.compile_numeric(e)
+    del e
+    # rebuilt before the collection: the same node, and it stays interned
+    e = ex.Mul(factors)
+    assert ex.compile_numeric(e)({"p": 2.0, "q": 0.0}) == 0.0
+    gc.collect()
+    assert ex.Mul(factors) is e
+
+    # rebuilt during the collection, after the collector has cleared the
+    # table's reference to the dead node but before that reference's
+    # callback runs; the newer weak reference's callback runs first
+    del e
+    rebuilt, staged = [], []
+
+    def rebuild(_):
+        entry = ex._TABLE.get((4, factors))
+        staged.append(entry is not None and entry() is None)
+        rebuilt.append(ex.Mul(factors))
+
+    e = ex.Mul(factors)
+    probe = weakref.ref(e, rebuild)
+    del e
+    gc.collect()
+    assert staged == [True] and probe() is None
+    assert ex.Mul(factors) is rebuilt[0]
+
+
+def test_sign_and_abs_identities_are_not_structural():
+    # where the canonical form is incomplete: sign(u)^2 = 1 and
+    # abs(u)*sign(u) = u hold for u != 0 but are not rewritten, so an
+    # elimination that pivots on "structurally non-zero" can divide by zero
+    u = ex.parse("q - 2*p")
+    sq = ex.sub(ex.mul(ex.func("sign", u), ex.func("sign", u)), ex.ONE)
+    au = ex.sub(ex.mul(ex.func("abs", u), ex.func("sign", u)), u)
+    assert ex.to_text(sq) == "-1 + sign(q - 2*p)^2"
+    assert ex.to_text(au) == "-q + 2*p + abs(q - 2*p)*sign(q - 2*p)"
+    r = randgen.rng(46)
+    seen = 0
+    for _ in range(40):
+        pt = randgen.sample_point(r, ["p", "q"])
+        if abs(ex.evaluate_numeric(u, pt)) < 1e-3:
+            continue
+        seen += 1
+        for e in (sq, au):
+            assert not e.is_zero()
+            assert abs(ex.evaluate_numeric(e, pt)) <= 1e-12
+    assert seen >= 30
