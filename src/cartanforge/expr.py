@@ -20,14 +20,21 @@ of normal forms is the engine's notion of symbolic equality.
 Nodes are hash-consed: each comes from one intern table keyed by (tag,
 payload, children), children by identity and rationals by (numerator,
 denominator).  Structurally equal expressions are one object, so ``==`` and
-``hash`` are identity, like terms merge in a dict keyed by their monic part,
-and the sort key ``Expr.key`` is built once per distinct structure.  The
-table is a plain dict of ``weakref.ref`` (``WeakValueDictionary.get`` is
-Python code), so it keeps no dead expression alive.  A node with a cached
-``compile_numeric`` function sits in a reference cycle, and a new node of its
-structure can be interned before the cyclic collector runs the old
-reference's callback; the callback therefore removes the table entry only if
-it still holds that same reference.
+``hash`` are identity and the sort key ``Expr.key`` is built once per
+distinct structure.  The table is a plain dict of ``weakref.ref``, so it
+keeps no dead expression alive.  A node with a cached ``compile_numeric``
+function sits in a reference cycle, and a new node of its structure can be
+interned before the cyclic collector runs the old reference's callback; the
+callback therefore removes the table entry only if it still holds that same
+reference.  Copying or pickling a node rebuilds it through its constructor.
+
+Sums and products of canonical terms meet in one term accumulator, a dict
+from a term's factor tuple to its coefficient, which builds nodes only for
+the terms that survive and sorts them once.  ``add`` collects its terms
+there; ``mul``'s expand pass and the product rule of ``differentiate`` put
+each product there through one monomial kernel, ``_mono_mul``, which merges
+same-base powers of a ``Var`` or ``Func`` and leaves any other collision to
+a full ``mul``.
 
 Differentiation of ``abs`` has no symbolic rule and raises, except through
 even roots: d sqrt(abs(u)) = u' * sign(u) / (2*sqrt(abs(u))), with ``sign``
@@ -38,8 +45,10 @@ jump at 0 is ignored; numeric checks sample away from it with guards).
 ``differentiate`` and ``substitute`` each keep a memo from ``Pow`` and
 ``Func`` nodes to their result for one call, so an atom repeated across
 terms (the powers of ``abs(G)`` and ``sign(G)`` in the Nambu string's
-Poincare-Cartan form) is worked out once; an exception is never stored.  A
-memo kept for the process raised the Nambu ``verify``'s peak RSS 22 -> 47 MB.
+Poincare-Cartan form) is worked out once; an exception is never stored.
+``sum_of_partials`` takes one memo per variable from its caller, so
+``exterior_d`` shares them across its whole call.  A memo kept for the
+process raised the Nambu ``verify``'s peak RSS 22 -> 47 MB.
 """
 
 from __future__ import annotations
@@ -96,6 +105,10 @@ class Expr:
 
     def __repr__(self):
         return f"Expr[{to_text(self)}]"
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through the interning constructor
+        return type(self), tuple(getattr(self, n) for n in type(self).__slots__)
 
     def is_zero(self):
         return self is ZERO
@@ -229,62 +242,97 @@ def var(name):
 # ---------------------------------------------------------------------------
 
 def _split_coeff(e):
-    """Split a canonical term into (rational coefficient, monic part).
+    """Split a canonical term into (rational coefficient, factor tuple).
 
-    A monic of two or more factors is the tuple of them, not a node, so
-    merging like terms interns no monic that only lives for the merge."""
-    if isinstance(e, Rat):
-        return e.value, ONE
+    The factor tuple is the monic part, sorted and with distinct bases; like
+    terms merge under it, so merging interns no monic node."""
     if isinstance(e, Mul):
         fs = e.factors
         if isinstance(fs[0], Rat):
-            return fs[0].value, (fs[1] if len(fs) == 2 else fs[1:])
+            return fs[0].value, fs[1:]
         return _F1, fs
-    return _F1, e
+    if isinstance(e, Rat):
+        return e.value, ()
+    return _F1, (e,)
 
 
-def _term(c, monic):
-    """The canonical term c * monic; inverse of _split_coeff."""
-    if monic is ONE:
+def _term(c, fs):
+    """The canonical term c * fs; inverse of _split_coeff."""
+    if not fs:
         return Rat(c)
-    if type(monic) is tuple:
-        return Mul(monic if c == 1 else (Rat(c),) + monic)
-    return monic if c == 1 else Mul((Rat(c), monic))
+    if c == 1:
+        return fs[0] if len(fs) == 1 else Mul(fs)
+    return Mul((Rat(c),) + fs)
 
 
-def add(*terms):
-    """Canonical sum: flatten, merge like terms, sort, drop zeros."""
-    flat = []
-    stack = list(terms)
-    while stack:
-        t = stack.pop()
-        if isinstance(t, Add):
-            stack.extend(t.terms)
+def _mono_mul(fa, fb):
+    """The factor tuple of the product of two factor tuples, or None when
+    ``mul`` must fold it: a sum factor, or a shared base other than a Var or
+    Func (``pow_`` can fold it to a rational, a sum or a base that merges
+    again).  Same-base powers of a Var or Func merge by adding exponents."""
+    if not fa or not fb:
+        fs = fa or fb
+        return None if Add in map(type, fs) else fs
+    by_base = {}
+    for f in fa + fb:   # a base occurs at most once in each tuple
+        kind = type(f)
+        if kind is Add:
+            return None
+        b = f.base if kind is Pow else f
+        g = by_base.get(b)
+        if g is None:
+            by_base[b] = f
+        elif type(b) is Var or type(b) is Func:
+            by_base[b] = pow_(b, (f.exponent if f is not b else _F1)
+                              + (g.exponent if g is not b else _F1))
         else:
-            flat.append(t)
-    merged = {}   # monic -> [coefficient, the term while unmerged]
-    for t in flat:
-        c, m = _split_coeff(t)
-        if c == 0:
-            continue
-        got = merged.get(m)
-        if got is None:
-            merged[m] = [c, t]
-        else:
-            got[0] += c
-            got[1] = None
-    out = []
-    for m, (c, t) in merged.items():   # the sort below fixes the order
-        if t is not None:   # untouched canonical term
-            out.append(t)
-        elif c != 0:
-            out.append(_term(c, m))
+            return None
+    return tuple(sorted([f for f in by_base.values() if f is not ONE], key=Expr.key))
+
+
+def _put(acc, c, fs, t=None):
+    """Add the monomial c * fs to a term accumulator, which maps a factor
+    tuple to [coefficient, the term's node while unmerged and unscaled]."""
+    got = acc.get(fs)
+    if got is None:
+        acc[fs] = [c, t]
+    else:
+        got[0] += c
+        got[1] = None
+
+
+def _collect(acc, e, c=None):
+    """Add c * e (c None for 1) to the accumulator, term by term; return it."""
+    for t in e.terms if type(e) is Add else (e,):
+        if type(t) is Add:   # pow_ folding can leave a sum as a term
+            _collect(acc, t, c)
+        elif t is not ZERO:
+            tc, fs = _split_coeff(t)
+            if c is None:
+                _put(acc, tc, fs, t)
+            else:
+                _put(acc, tc * c, fs)
+    return acc
+
+
+def _sum(acc):
+    """The canonical sum in an accumulator: surviving terms only, sorted once."""
+    out = [_term(c, fs) if t is None else t
+           for fs, (c, t) in acc.items() if t is not None or c != 0]
     if not out:
         return ZERO
     if len(out) == 1:
         return out[0]
     out.sort(key=Expr.key)
     return Add(out)
+
+
+def add(*terms):
+    """Canonical sum: flatten, merge like terms, sort, drop zeros."""
+    acc = {}
+    for t in terms:
+        _collect(acc, t)
+    return _sum(acc)
 
 
 def mul(*factors):
@@ -304,16 +352,25 @@ def mul(*factors):
         return ZERO
 
     if len(flat) == 1 and isinstance(flat[0], Add):
-        return _scale_sum(coeff, flat[0])
+        # a rational times a sum: rescale the terms, which stay as they are
+        return _sum(_collect({}, flat[0], None if coeff == 1 else coeff))
     sums = [f for f in flat if isinstance(f, Add)]
     if sums:
-        # expand pass: distribute the whole product over every sum factor
+        # expand pass: a product the monomial kernel declines is a full mul
         _check_expansion(math.prod(len(s.terms) for s in sums))
-        rest = [f for f in flat if not isinstance(f, Add)]
-        products = [[Rat(coeff)] + rest]
-        for s in sums:
-            products = [p + [t] for p in products for t in s.terms]
-        return add(*(mul(*p) for p in products))
+        prods = [(coeff, (), ())]   # (coefficient, factor tuple, pieces)
+        rest = [(f,) for f in flat if not isinstance(f, Add)]
+        for group in rest + [s.terms for s in sums]:
+            split = [(t, *_split_coeff(t)) for t in group]
+            prods = [(c * tc, None if fs is None else _mono_mul(fs, tfs), ts + (t,))
+                     for c, fs, ts in prods for t, tc, tfs in split]
+        acc = {}
+        for c, fs, ts in prods:
+            if fs is None:
+                _collect(acc, mul(Rat(coeff), *ts))
+            else:
+                _put(acc, c, fs)
+        return _sum(acc)
 
     # merge same-base powers
     by_base = {}   # base node -> (exponent, the factor while unmerged)
@@ -329,15 +386,9 @@ def mul(*factors):
             if orig is not None:  # untouched canonical factor
                 out.append(orig)
                 continue
-            if e == 0:
-                continue
-            p = pow_(b, e)
-            c, m = _split_coeff(p)
+            c, fs = _split_coeff(pow_(b, e))   # ONE when e == 0
             coeff *= c
-            if type(m) is tuple:
-                out.extend(m)
-            elif m is not ONE:
-                out.append(m)
+            out.extend(fs)
         if coeff == 0:
             return ZERO
         # pow_ folding can reintroduce merged bases; settle by one more pass
@@ -363,19 +414,6 @@ def _check_expansion(products):
         raise ExpressionTooLarge(
             f"expansion would build {products} terms "
             f"(limit {MAX_EXPANSION})")
-
-
-def _scale_sum(c, s):
-    """``mul(Rat(c), s)`` for a canonical sum: rescale each term's
-    coefficient; the sum's like terms are already merged, so only the sort
-    by term key, which the new coefficients change, is left to ``add``."""
-    if c == 1:
-        return s
-    terms = []
-    for t in s.terms:
-        tc, m = _split_coeff(t)
-        terms.append(_term(tc * c, m))
-    return add(*terms)
 
 
 def _nth_root_exact(fr, n):
@@ -527,22 +565,47 @@ def _diff(e, x, memo):
         return ZERO
     if isinstance(e, Var):
         return ONE
-    if isinstance(e, Add):
-        return add(*(_diff(t, x, memo) for t in e.terms))
-    if isinstance(e, Mul):
-        pieces = []
-        for i, f in enumerate(e.factors):
-            df = _diff(f, x, memo)
-            if df.is_zero():
-                continue
-            others = e.factors[:i] + e.factors[i + 1:]
-            pieces.append(mul(df, *others))
-        return add(*pieces) if pieces else ZERO
+    if isinstance(e, (Add, Mul)):
+        return sum_of_partials(((1, e, x),), {x: memo})
     d = memo.get(e)
     if d is None:
         # an exception (abs) propagates before anything is stored
         d = memo[e] = _diff_atom(e, x, memo)
     return d
+
+
+def _diff_into(acc, e, x, memo, c=None):
+    """Add c * de/dx (c None for 1) to the accumulator; the product rule
+    multiplies each term of a factor's derivative into the other factors."""
+    for t in e.terms if type(e) is Add else (e,):
+        if type(t) is not Mul:
+            _collect(acc, _diff(t, x, memo), c)
+            continue
+        if x not in t.fvs():
+            continue
+        tc, fs = _split_coeff(t)
+        ct = tc if c is None else tc * c
+        for i, f in enumerate(fs):
+            df = _diff(f, x, memo)
+            if df is ZERO:
+                continue
+            others = fs[:i] + fs[i + 1:]
+            for u in df.terms if type(df) is Add else (df,):
+                uc, ufs = _split_coeff(u)
+                p = _mono_mul(others, ufs)
+                if p is None:
+                    _collect(acc, mul(Rat(tc), *others, u), c)
+                else:
+                    _put(acc, ct * uc, p)
+
+
+def sum_of_partials(parts, memos):
+    """Canonical sum of s * de/dx over (s, e, x) in `parts`, in one
+    accumulator; `memos` maps each x to a ``_diff`` memo the caller shares."""
+    acc = {}
+    for s, e, x in parts:
+        _diff_into(acc, e, x, memos[x], None if s == 1 else s)
+    return _sum(acc)
 
 
 def _diff_atom(e, x, memo):
@@ -801,17 +864,16 @@ def to_text(e):
     if isinstance(e, Pow):
         return _print_pow(e)
     if isinstance(e, Mul):
-        c, m = _split_coeff(e)
+        c, fs = _split_coeff(e)
         if c < 0:
-            return "-" + to_text(_term(-c, m))
+            return "-" + to_text(_term(-c, fs))
         return "*".join(_print_factor(f) for f in e.factors)
     if isinstance(e, Add):
         parts = []
         for i, t in enumerate(e.terms):
-            c, m = _split_coeff(t)
+            c, fs = _split_coeff(t)
             if c < 0:
-                body = str(-c) if m is ONE else to_text(_term(-c, m))
-                parts.append(("-" if i == 0 else " - ") + body)
+                parts.append(("-" if i == 0 else " - ") + to_text(_term(-c, fs)))
             else:
                 parts.append(("" if i == 0 else " + ") + to_text(t))
         return "".join(parts)

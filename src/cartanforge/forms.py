@@ -174,21 +174,19 @@ def wedge(a, b):
 
 
 def exterior_d(a):
+    """d of a form.  Contributions are grouped by output key, and each
+    output coefficient is built in one accumulator, one key at a time, with
+    one derivative memo per coordinate for the whole call."""
     sp = a.space
-    declared = set(sp.coords)
-    out = {}
+    parts = {}   # output key -> [(sign, coefficient, coordinate)]
     for key, c in a.coeffs.items():
         for i, name in enumerate(sp.coords):
-            if i in key:
-                continue
-            dc = ex.differentiate(c, name, declared=declared)
-            if dc.is_zero():
-                continue
-            sign, merged = _merge_keys((i,), key)
-            if sign < 0:
-                dc = ex.mul(ex.MINUS_ONE, dc)
-            out[merged] = ex.add(out.get(merged, ex.ZERO), dc)
-    return Form(sp, a.degree + 1, out)
+            if i not in key and name in ex.free_vars(c):
+                sign, merged = _merge_keys((i,), key)
+                parts.setdefault(merged, []).append((sign, c, name))
+    memos = {name: {} for name in sp.coords}
+    return Form(sp, a.degree + 1, {k: ex.sum_of_partials(ps, memos)
+                                   for k, ps in parts.items()})
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from .canonical import (
     prolong_diffeo,
 )
 from .chart import prolong_section
-from .connection import integral_residual2
+from .connection import curvature, integral_residual2
 from .errors import NumericDomain
 from .forms import (
     Form,
@@ -46,6 +46,7 @@ from .forms import (
 )
 from .lagrangian import (
     cartan_forms,
+    derive_el,
     energy_density,
     energy_intrinsic,
     jetfield_el,
@@ -237,7 +238,6 @@ def run_identity_catalog(problem, seed=None, samples=None, tol=None):
             entries.append(_sym(f"legendre-linearity[{cname}]", ok))
 
             frame = conn.horizontal_frame()
-            from .connection import curvature
             R = curvature(conn)
             okc = True
             for i, xm in enumerate(ch.base_names):
@@ -254,7 +254,6 @@ def run_identity_catalog(problem, seed=None, samples=None, tol=None):
             entries.append(_skip(name, "no connections declared"))
 
     # sections marked as solutions (or explicitly not)
-    from .lagrangian import derive_el
     el = derive_el(lag)
     for sname, decl in sorted(problem.sections.items()):
         if decl.solution is None:

@@ -1,5 +1,7 @@
+import copy
 import gc
 import math
+import pickle
 import weakref
 
 import pytest
@@ -480,6 +482,19 @@ def test_node_in_a_cycle_does_not_evict_its_successor():
     gc.collect()
     assert staged == [True] and probe() is None
     assert ex.Mul(factors) is rebuilt[0]
+
+
+@pytest.mark.parametrize("text, kind", [
+    ("3/7", ex.Rat), ("x", ex.Var), ("sin(x + y)", ex.Func),
+    ("sqrt(x + 2)", ex.Pow), ("-2*x*sin(y)", ex.Mul), ("x*sin(y) + 1/2", ex.Add),
+])
+def test_copy_and_pickle_keep_interning(text, kind):
+    e = ex.parse(text)
+    assert type(e) is kind
+    assert copy.copy(e) is e
+    assert copy.deepcopy(e) is e
+    assert pickle.loads(pickle.dumps(e)) is e
+    assert pickle.loads(pickle.dumps([e, e])) == [e, e]
 
 
 def test_sign_and_abs_identities_are_not_structural():

@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 
 from cartanforge import chart as ch
@@ -195,6 +197,13 @@ def test_volume_form():
     vol = fm.volume_form(JS)
     assert vol.degree == 2
     assert vol.coefficient("x0", "x1") == ex.ONE
+
+
+def test_deepcopy_of_a_form_shares_its_coefficients():
+    a = random_form(randgen.rng(502), JS, 2)
+    b = copy.deepcopy(a)
+    assert b == a and b is not a
+    assert all(b.coeffs[k] is c for k, c in a.coeffs.items())
 
 
 def test_bracket():

@@ -92,7 +92,8 @@ def test_catalog_fault_injection(monkeypatch):
                 return False
         return Lying()
 
-    monkeypatch.setattr(cn, "curvature", broken)
+    # the catalog calls the name harness imported
+    monkeypatch.setattr(hz, "curvature", broken)
     rep = hz.run_identity_catalog(prob("wave_1p1"))
     assert not rep.passed
     failing = [e.name for e in rep.entries if e.status == "fail"]
