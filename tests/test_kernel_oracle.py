@@ -52,7 +52,7 @@ def random_sum(r, terms=4):
 
 
 def outcome(fn, *args):
-    """The node fn returns, or the class of the CartanforgeError it raises."""
+    """The node fn returns, or DomainFunction when it raises that."""
     try:
         return fn(*args)
     except DomainFunction as exc:
