@@ -3,7 +3,7 @@
 Every coefficient in the geometric layers is an ``Expr``.  The normal form is
 deliberately small and predictable:
 
-* exact rational arithmetic (arbitrary-precision ``Fraction``),
+* exact rational arithmetic (arbitrary-precision integers and ``Fraction``),
 * sums flattened, like terms merged, terms sorted by a total structural order,
 * products flattened, distributed over sums (an explicit expand pass that
   raises ExpressionTooLarge beyond MAX_EXPANSION products), same-base
@@ -20,8 +20,9 @@ of normal forms is the engine's notion of symbolic equality.
 Nodes are hash-consed: each comes from one intern table keyed by (tag,
 payload, children), children by identity and rationals by (numerator,
 denominator).  Structurally equal expressions are one object, so ``==`` and
-``hash`` are identity and the sort key ``Expr.key`` is built once per
-distinct structure.  The table is a plain dict of ``weakref.ref``, so it
+``hash`` are identity.  A new node's sort key ``Expr.key`` is built when it
+is interned, from its children's stored keys, and the sorts read that slot
+directly.  The table is a plain dict of ``weakref.ref``, so it
 keeps no dead expression alive.  A node with a cached ``compile_numeric``
 function sits in a reference cycle, and a new node of its structure can be
 interned before the cyclic collector runs the old reference's callback; the
@@ -29,12 +30,15 @@ callback therefore removes the table entry only if it still holds that same
 reference.  Copying or pickling a node rebuilds it through its constructor.
 
 Sums and products of canonical terms meet in one term accumulator, a dict
-from a term's factor tuple to its coefficient, which builds nodes only for
-the terms that survive and sorts them once.  ``add`` collects its terms
-there; ``mul``'s expand pass and the product rule of ``differentiate`` put
-each product there through one monomial kernel, ``_mono_mul``, which merges
+from a term's factor tuple to its coefficient as a reduced (numerator,
+denominator) pair of ints; nodes and ``Fraction`` coefficients are built only
+for the terms that survive, sorted once.  ``add`` collects its terms there;
+``mul``'s expand pass and the product rule of ``differentiate`` put each
+product there through one monomial kernel, ``_mono_mul``, which merges
 same-base powers of a ``Var`` or ``Func`` and leaves any other collision to
-a full ``mul``.
+a full ``mul``.  Each merge (a pair of factors -> the merged factor) is
+looked up in a dict that lives for one ``mul`` or ``sum_of_partials`` call,
+so its exponent sum is worked out once per call.
 
 Differentiation of ``abs`` has no symbolic rule and raises, except through
 even roots: d sqrt(abs(u)) = u' * sign(u) / (2*sqrt(abs(u))), with ``sign``
@@ -48,7 +52,8 @@ terms (the powers of ``abs(G)`` and ``sign(G)`` in the Nambu string's
 Poincare-Cartan form) is worked out once; an exception is never stored.
 ``sum_of_partials`` takes one memo per variable from its caller, so
 ``exterior_d`` shares them across its whole call.  A memo kept for the
-process raised the Nambu ``verify``'s peak RSS 22 -> 47 MB.
+process raised the Nambu ``verify``'s peak RSS 22 -> 47 MB; no memo here
+outlives its call.
 """
 
 from __future__ import annotations
@@ -57,6 +62,7 @@ import math
 import weakref
 from fractions import Fraction
 from functools import partial
+from operator import attrgetter
 
 from .errors import (
     DomainFunction,
@@ -83,12 +89,9 @@ class Expr:
     __slots__ = ("_skey", "_fvs", "_fn", "__weakref__")
 
     def key(self):
-        # (rank, payload, children) nested tuples: a total structural order
-        k = getattr(self, "_skey", None)
-        if k is None:
-            k = self._make_key()
-            object.__setattr__(self, "_skey", k)
-        return k
+        # (rank, payload, children) nested tuples: a total structural order,
+        # built from the children's keys when the node is interned
+        return self._skey
 
     def fvs(self):
         s = getattr(self, "_fvs", None)
@@ -147,8 +150,13 @@ def _intern(cls, k, *fields):
         e = object.__new__(cls)
         for name, value in zip(cls.__slots__, fields):
             object.__setattr__(e, name, value)
+        object.__setattr__(e, "_skey", e._make_key())
         _TABLE[k] = weakref.ref(e, partial(_evict, k))
     return e
+
+
+# the sorts read the stored key directly
+_KEY = attrgetter("_skey")
 
 
 class Rat(Expr):
@@ -183,7 +191,7 @@ class Func(Expr):
         return _intern(cls, (2, fname, arg), fname, arg)
 
     def _make_key(self):
-        return (2, self.fname, (self.arg.key(),))
+        return (2, self.fname, (self.arg._skey,))
 
 
 class Pow(Expr):
@@ -196,7 +204,7 @@ class Pow(Expr):
                              exponent.denominator), base, exponent)
 
     def _make_key(self):
-        return (3, str(self.exponent), (self.base.key(),))
+        return (3, str(self.exponent), (self.base._skey,))
 
 
 class Mul(Expr):
@@ -207,7 +215,7 @@ class Mul(Expr):
         return _intern(cls, (4, factors), factors)
 
     def _make_key(self):
-        return (4, "", tuple(f.key() for f in self.factors))
+        return (4, "", tuple(f._skey for f in self.factors))
 
 
 class Add(Expr):
@@ -218,7 +226,7 @@ class Add(Expr):
         return _intern(cls, (5, terms), terms)
 
     def _make_key(self):
-        return (5, "", tuple(t.key() for t in self.terms))
+        return (5, "", tuple(t._skey for t in self.terms))
 
 
 # the constructors share this instead of building a Fraction(1) per factor
@@ -242,34 +250,42 @@ def var(name):
 # ---------------------------------------------------------------------------
 
 def _split_coeff(e):
-    """Split a canonical term into (rational coefficient, factor tuple).
+    """Split a canonical term into (numerator, denominator, factor tuple).
 
     The factor tuple is the monic part, sorted and with distinct bases; like
     terms merge under it, so merging interns no monic node."""
     if isinstance(e, Mul):
         fs = e.factors
         if isinstance(fs[0], Rat):
-            return fs[0].value, fs[1:]
-        return _F1, fs
+            v = fs[0].value
+            return v.numerator, v.denominator, fs[1:]
+        return 1, 1, fs
     if isinstance(e, Rat):
-        return e.value, ()
-    return _F1, (e,)
+        return e.value.numerator, e.value.denominator, ()
+    return 1, 1, (e,)
 
 
-def _term(c, fs):
-    """The canonical term c * fs; inverse of _split_coeff."""
+def _qmul(n, d, m, e):
+    """The reduced pair of (n/d) * (m/e), both reduced and non-zero."""
+    g, h = math.gcd(n, e), math.gcd(m, d)
+    return (n // g) * (m // h), (d // h) * (e // g)
+
+
+def _term(n, d, fs):
+    """The canonical term (n/d) * fs; inverse of _split_coeff."""
     if not fs:
-        return Rat(c)
-    if c == 1:
+        return Rat(Fraction(n, d))
+    if n == 1 and d == 1:
         return fs[0] if len(fs) == 1 else Mul(fs)
-    return Mul((Rat(c),) + fs)
+    return Mul((Rat(Fraction(n, d)),) + fs)
 
 
-def _mono_mul(fa, fb):
+def _mono_mul(fa, fb, merges):
     """The factor tuple of the product of two factor tuples, or None when
     ``mul`` must fold it: a sum factor, or a shared base other than a Var or
     Func (``pow_`` can fold it to a rational, a sum or a base that merges
-    again).  Same-base powers of a Var or Func merge by adding exponents."""
+    again).  Same-base powers of a Var or Func merge by adding exponents,
+    once per pair of factors in the caller's `merges` memo."""
     if not fa or not fb:
         fs = fa or fb
         return None if Add in map(type, fs) else fs
@@ -283,47 +299,53 @@ def _mono_mul(fa, fb):
         if g is None:
             by_base[b] = f
         elif type(b) is Var or type(b) is Func:
-            by_base[b] = pow_(b, (f.exponent if f is not b else _F1)
-                              + (g.exponent if g is not b else _F1))
+            m = merges.get((g, f))
+            if m is None:
+                m = merges[g, f] = pow_(b, (f.exponent if f is not b else _F1)
+                                        + (g.exponent if g is not b else _F1))
+            by_base[b] = m
         else:
             return None
-    return tuple(sorted([f for f in by_base.values() if f is not ONE], key=Expr.key))
+    return tuple(sorted([f for f in by_base.values() if f is not ONE], key=_KEY))
 
 
-def _put(acc, c, fs, t=None):
-    """Add the monomial c * fs to a term accumulator, which maps a factor
-    tuple to [coefficient, the term's node while unmerged and unscaled]."""
+def _put(acc, n, d, fs, t=None):
+    """Add the monomial (n/d) * fs to a term accumulator, which maps a
+    factor tuple to [numerator, denominator, the term's node while unmerged
+    and unscaled]."""
     got = acc.get(fs)
     if got is None:
-        acc[fs] = [c, t]
-    else:
-        got[0] += c
-        got[1] = None
+        acc[fs] = [n, d, t]
+    else:   # a sum of 0 reduces to 0/1
+        m, e = got[0] * d + n * got[1], got[1] * d
+        g = math.gcd(m, e)
+        got[:] = m // g, e // g, None
 
 
 def _collect(acc, e, c=None):
-    """Add c * e (c None for 1) to the accumulator, term by term; return it."""
+    """Add c * e (c None for 1, else a reduced pair) to the accumulator,
+    term by term; return it."""
     for t in e.terms if type(e) is Add else (e,):
         if type(t) is Add:   # pow_ folding can leave a sum as a term
             _collect(acc, t, c)
         elif t is not ZERO:
-            tc, fs = _split_coeff(t)
+            n, d, fs = _split_coeff(t)
             if c is None:
-                _put(acc, tc, fs, t)
+                _put(acc, n, d, fs, t)
             else:
-                _put(acc, tc * c, fs)
+                _put(acc, *_qmul(n, d, *c), fs)
     return acc
 
 
 def _sum(acc):
     """The canonical sum in an accumulator: surviving terms only, sorted once."""
-    out = [_term(c, fs) if t is None else t
-           for fs, (c, t) in acc.items() if t is not None or c != 0]
+    out = [_term(n, d, fs) if t is None else t
+           for fs, (n, d, t) in acc.items() if n]
     if not out:
         return ZERO
     if len(out) == 1:
         return out[0]
-    out.sort(key=Expr.key)
+    out.sort(key=_KEY)
     return Add(out)
 
 
@@ -353,23 +375,26 @@ def mul(*factors):
 
     if len(flat) == 1 and isinstance(flat[0], Add):
         # a rational times a sum: rescale the terms, which stay as they are
-        return _sum(_collect({}, flat[0], None if coeff == 1 else coeff))
+        return _sum(_collect({}, flat[0], None if coeff == 1 else (
+            coeff.numerator, coeff.denominator)))
     sums = [f for f in flat if isinstance(f, Add)]
     if sums:
         # expand pass: a product the monomial kernel declines is a full mul
         _check_expansion(math.prod(len(s.terms) for s in sums))
-        prods = [(coeff, (), ())]   # (coefficient, factor tuple, pieces)
+        merges = {}
+        prods = [(coeff.numerator, coeff.denominator, (), ())]
         rest = [(f,) for f in flat if not isinstance(f, Add)]
         for group in rest + [s.terms for s in sums]:
             split = [(t, *_split_coeff(t)) for t in group]
-            prods = [(c * tc, None if fs is None else _mono_mul(fs, tfs), ts + (t,))
-                     for c, fs, ts in prods for t, tc, tfs in split]
+            prods = [(*_qmul(n, d, tn, td),
+                      None if fs is None else _mono_mul(fs, tfs, merges), ts + (t,))
+                     for n, d, fs, ts in prods for t, tn, td, tfs in split]
         acc = {}
-        for c, fs, ts in prods:
+        for n, d, fs, ts in prods:
             if fs is None:
                 _collect(acc, mul(Rat(coeff), *ts))
             else:
-                _put(acc, c, fs)
+                _put(acc, n, d, fs)
         return _sum(acc)
 
     # merge same-base powers
@@ -386,8 +411,8 @@ def mul(*factors):
             if orig is not None:  # untouched canonical factor
                 out.append(orig)
                 continue
-            c, fs = _split_coeff(pow_(b, e))   # ONE when e == 0
-            coeff *= c
+            n, d, fs = _split_coeff(pow_(b, e))   # ONE when e == 0
+            coeff *= Fraction(n, d)
             out.extend(fs)
         if coeff == 0:
             return ZERO
@@ -399,7 +424,7 @@ def mul(*factors):
         if len(seen) != len(out):
             return mul(Rat(coeff), *[pow_(b, e) for b, e in seen.items()])
 
-    out.sort(key=Expr.key)
+    out.sort(key=_KEY)
     if not out:
         return Rat(coeff)
     if coeff == 1 and len(out) == 1:
@@ -574,37 +599,39 @@ def _diff(e, x, memo):
     return d
 
 
-def _diff_into(acc, e, x, memo, c=None):
-    """Add c * de/dx (c None for 1) to the accumulator; the product rule
-    multiplies each term of a factor's derivative into the other factors."""
+def _diff_into(acc, e, x, memo, merges, c=None):
+    """Add c * de/dx (c None for 1, else a reduced pair) to the accumulator;
+    the product rule multiplies each term of a factor's derivative into the
+    other factors."""
     for t in e.terms if type(e) is Add else (e,):
         if type(t) is not Mul:
             _collect(acc, _diff(t, x, memo), c)
             continue
         if x not in t.fvs():
             continue
-        tc, fs = _split_coeff(t)
-        ct = tc if c is None else tc * c
+        tn, td, fs = _split_coeff(t)
+        cn, cd = (tn, td) if c is None else _qmul(tn, td, *c)
         for i, f in enumerate(fs):
             df = _diff(f, x, memo)
             if df is ZERO:
                 continue
             others = fs[:i] + fs[i + 1:]
             for u in df.terms if type(df) is Add else (df,):
-                uc, ufs = _split_coeff(u)
-                p = _mono_mul(others, ufs)
+                un, ud, ufs = _split_coeff(u)
+                p = _mono_mul(others, ufs, merges)
                 if p is None:
-                    _collect(acc, mul(Rat(tc), *others, u), c)
+                    _collect(acc, mul(Rat(Fraction(tn, td)), *others, u), c)
                 else:
-                    _put(acc, ct * uc, p)
+                    _put(acc, *_qmul(cn, cd, un, ud), p)
 
 
 def sum_of_partials(parts, memos):
-    """Canonical sum of s * de/dx over (s, e, x) in `parts`, in one
-    accumulator; `memos` maps each x to a ``_diff`` memo the caller shares."""
-    acc = {}
+    """Canonical sum of s * de/dx over (s, e, x) in `parts`, s an integer,
+    in one accumulator; `memos` maps each x to a ``_diff`` memo the caller
+    shares."""
+    acc, merges = {}, {}
     for s, e, x in parts:
-        _diff_into(acc, e, x, memos[x], None if s == 1 else s)
+        _diff_into(acc, e, x, memos[x], merges, None if s == 1 else (s, 1))
     return _sum(acc)
 
 
@@ -864,16 +891,16 @@ def to_text(e):
     if isinstance(e, Pow):
         return _print_pow(e)
     if isinstance(e, Mul):
-        c, fs = _split_coeff(e)
-        if c < 0:
-            return "-" + to_text(_term(-c, fs))
+        n, d, fs = _split_coeff(e)
+        if n < 0:
+            return "-" + to_text(_term(-n, d, fs))
         return "*".join(_print_factor(f) for f in e.factors)
     if isinstance(e, Add):
         parts = []
         for i, t in enumerate(e.terms):
-            c, fs = _split_coeff(t)
-            if c < 0:
-                parts.append(("-" if i == 0 else " - ") + to_text(_term(-c, fs)))
+            n, d, fs = _split_coeff(t)
+            if n < 0:
+                parts.append(("-" if i == 0 else " - ") + to_text(_term(-n, d, fs)))
             else:
                 parts.append(("" if i == 0 else " + ") + to_text(t))
         return "".join(parts)

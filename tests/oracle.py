@@ -3,10 +3,13 @@
 These are the sum, product, power, product rule and exterior derivative as
 they stood before products were multiplied term by term into one
 accumulator: every product of the expand pass is a full ``mul`` and every
-piece of the product rule is re-merged by ``add``.  They build nodes only
-through the interned constructors (``Rat``, ``Mul``, ``Add``, ``Pow``,
-``Func``) and ``func``, so a result that agrees structurally with the
-library's is the very same node, and tests compare them with ``is``.
+piece of the product rule is re-merged by ``add``, with ``Fraction``
+coefficients.  They build nodes only through the interned constructors
+(``Rat``, ``Mul``, ``Add``, ``Pow``, ``Func``) and ``func``, so a result
+that agrees structurally with the library's is the very same node, and
+tests compare them with ``is``.  ``key`` is the sort key built recursively,
+as ``Expr.key`` built it on first use before keys were stored at intern
+time.
 """
 
 import math
@@ -17,6 +20,20 @@ from cartanforge import forms as fm
 from cartanforge.errors import DomainFunction, NumericDomain
 
 _F1 = Fraction(1)
+
+
+def key(e):
+    if isinstance(e, ex.Rat):
+        return (0, str(e.value), ())
+    if isinstance(e, ex.Var):
+        return (1, e.name, ())
+    if isinstance(e, ex.Func):
+        return (2, e.fname, (key(e.arg),))
+    if isinstance(e, ex.Pow):
+        return (3, str(e.exponent), (key(e.base),))
+    if isinstance(e, ex.Mul):
+        return (4, "", tuple(key(f) for f in e.factors))
+    return (5, "", tuple(key(t) for t in e.terms))
 
 
 def _split_coeff(e):

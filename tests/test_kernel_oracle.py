@@ -7,6 +7,7 @@ monomial kernel) and rationals, sums and products under roots (where
 ``pow_`` folding can give a rational, a sum or a base that merges again).
 """
 
+import gc
 import os
 from fractions import Fraction
 
@@ -181,3 +182,93 @@ def test_exterior_d_raises_on_bare_abs_every_time():
     for _ in range(2):
         with pytest.raises(DomainFunction):
             fm.exterior_d(a)
+
+
+
+# -- integer coefficients, the merge memo and stored keys ----------------------
+
+BIG, MINUS_BIG = ex.rat(10**40, 7), ex.rat(-10**40, 7)
+U = ex.sub(x, ex.mul(ex.rat(2), y))
+SIGN, ABS = ex.func("sign", U), ex.func("abs", U)
+XY = fm.jet_space(ch.make_chart(["x", "y"], ["w"]))   # x, y are coordinates 0, 1
+COEFFICIENT_CASES = [
+    # huge coefficients: the product of the first two cancels BIG*x^2, and
+    # the derivative of the third is 2*BIG*sin*cos - 2*BIG*cos*sin = 0
+    ex.add(ex.mul(BIG, x), y),
+    ex.add(x, ex.mul(MINUS_BIG, ex.pow_(x, 2), ex.pow_(y, -1))),
+    ex.add(ex.mul(BIG, ex.pow_(ex.func("sin", x), 2)),
+           ex.mul(BIG, ex.pow_(ex.func("cos", x), 2))),
+    # denominators that are not powers of two: 1/3 + 1/6 merge to 1/2
+    ex.add(ex.mul(ex.rat(1, 3), x), ex.mul(ex.rat(1, 6), y)),
+    ex.sub(ex.mul(ex.rat(1, 3), x, ex.func("sin", x)),
+           ex.mul(ex.rat(1, 6), ex.func("cos", x))),
+    # a sum rescaled by -1/3
+    ex.mul(ex.rat(-1, 3), ex.add(ex.mul(ex.rat(3, 7), x), ex.mul(ex.rat(1, 6), y), ex.ONE)),
+    # repeated same-base merges of sign(u)^k and abs(u)^(-3/2)
+    ex.add(ex.mul(SIGN, x), ex.mul(ex.pow_(SIGN, 2), y), ex.pow_(SIGN, 3)),
+    ex.add(ex.mul(ex.pow_(ABS, Fraction(-3, 2)), SIGN), ex.mul(ex.pow_(ABS, HALF), x)),
+]
+
+
+def test_coefficient_cases_cancel_and_merge():
+    a, b, trig, thirds, mixed, scaled = COEFFICIENT_CASES[:6]
+    assert ex.mul(a, b) is ex.sub(ex.mul(x, y), ex.mul(
+        ex.rat(10**80, 49), ex.pow_(x, 3), ex.pow_(y, -1)))
+    assert ex.differentiate(trig, "x") is ex.ZERO
+    assert ex.mul(thirds, S) is ex.parse("1/3*x^2 + 1/2*x*y + 1/6*y^2")
+    assert ex.differentiate(mixed, "x") is ex.parse("1/2*sin(x) + 1/3*x*cos(x)")
+    assert scaled is ex.parse("-1/3 - 1/7*x - 1/18*y")
+
+
+@pytest.mark.parametrize("a", COEFFICIENT_CASES)
+def test_coefficient_cases_match_the_oracle(a):
+    for b in COEFFICIENT_CASES + [ex.rat(-1, 3), BIG, ex.rat(7, 10**40), S]:
+        assert ex.mul(a, b) is oracle.mul(a, b)
+        assert ex.mul(ex.rat(-1, 3), a, b) is oracle.mul(ex.rat(-1, 3), a, b)
+    for name in ("x", "y"):
+        assert ex.differentiate(a, name) is oracle.differentiate(a, name)
+    form = fm.Form(XY, 1, {(0,): ex.mul(y, a), (1,): ex.mul(MINUS_BIG, x, a)})
+    assert_same_form(fm.exterior_d(form), oracle.exterior_d(form))
+
+
+def test_exterior_d_cancels_huge_coefficients_to_zero():
+    # BIG*y dx + BIG*x dy = d(BIG*x*y): the two partials cancel
+    for c in (BIG, MINUS_BIG, ex.rat(1, 3)):
+        form = fm.Form(XY, 1, {(0,): ex.mul(c, y), (1,): ex.mul(c, x)})
+        assert fm.exterior_d(form).coeffs == {} == oracle.exterior_d(form).coeffs
+
+
+@pytest.mark.parametrize("seed", range(860, 866))
+def test_stored_key_is_the_recursive_key(seed):
+    r = randgen.rng(seed)
+    exprs = [randgen.smooth_expr(r, ["x", "y"]) for _ in range(8)]
+    exprs += [random_sum(r) for _ in range(8)] + COEFFICIENT_CASES
+    for e in exprs:
+        assert e.key() == oracle.key(e)
+        for t in e.terms if isinstance(e, ex.Add) else (e,):
+            assert t.key() == oracle.key(t)
+
+
+def _nodes(e, seen):
+    if e not in seen:
+        seen.add(e)
+        for c in ex._children(e):
+            _nodes(c, seen)
+    return seen
+
+
+@pytest.mark.parametrize("name", ["polyakov_string", "nambu_string"])
+def test_exterior_d_keeps_no_node_of_its_work_alive(name):
+    # the merge memo lives for one call: after the collection only the
+    # nodes of the result and what existed before remain (nambu's d(Omega)
+    # is zero, so none of the nodes it builds may survive)
+    omega = cartan_forms(parse_problem(os.path.join(
+        PROBLEMS, name + ".toml")).lagrangian).omega
+    gc.collect()
+    before = set(ex._TABLE)
+    got = fm.exterior_d(omega)
+    gc.collect()
+    kept = set()
+    for c in got.coeffs.values():
+        _nodes(c, kept)
+    assert all(r() in kept for k, r in ex._TABLE.items() if k not in before)
