@@ -155,7 +155,6 @@ def _intern(cls, k, *fields):
     return e
 
 
-# the sorts read the stored key directly
 _KEY = attrgetter("_skey")
 
 
@@ -310,9 +309,8 @@ def _mono_mul(fa, fb, merges):
 
 
 def _put(acc, n, d, fs, t=None):
-    """Add the monomial (n/d) * fs to a term accumulator, which maps a
-    factor tuple to [numerator, denominator, the term's node while unmerged
-    and unscaled]."""
+    """Add (n/d) * fs to a term accumulator: factor tuple -> [numerator,
+    denominator, the term's node while unmerged and unscaled]."""
     got = acc.get(fs)
     if got is None:
         acc[fs] = [n, d, t]
@@ -323,8 +321,7 @@ def _put(acc, n, d, fs, t=None):
 
 
 def _collect(acc, e, c=None):
-    """Add c * e (c None for 1, else a reduced pair) to the accumulator,
-    term by term; return it."""
+    """Add c * e (c None for 1, else a reduced pair) to acc; return acc."""
     for t in e.terms if type(e) is Add else (e,):
         if type(t) is Add:   # pow_ folding can leave a sum as a term
             _collect(acc, t, c)
@@ -416,6 +413,8 @@ def mul(*factors):
             out.extend(fs)
         if coeff == 0:
             return ZERO
+        if Add in map(type, out):   # a merged power folded to a sum: expand it
+            return mul(Rat(coeff), *out)
         # pow_ folding can reintroduce merged bases; settle by one more pass
         seen = {}
         for f in out:
@@ -600,9 +599,8 @@ def _diff(e, x, memo):
 
 
 def _diff_into(acc, e, x, memo, merges, c=None):
-    """Add c * de/dx (c None for 1, else a reduced pair) to the accumulator;
-    the product rule multiplies each term of a factor's derivative into the
-    other factors."""
+    """Add c * de/dx (c None for 1, else a reduced pair) to acc; the product
+    rule multiplies each term of a factor's derivative into the others."""
     for t in e.terms if type(e) is Add else (e,):
         if type(t) is not Mul:
             _collect(acc, _diff(t, x, memo), c)
@@ -861,13 +859,17 @@ def _print_pow(e):
         base = _paren(base)
     if den == 1:
         return f"{base}^{num}"
-    inner = base if num == 1 else f"{base}^{num}"
+    # base^num re-parses to a power of base only for a Var or Func base or a
+    # sum to a negative power: otherwise the power goes outside the roots
+    outer = num != 1 and (isinstance(e.base, (Rat, Mul))
+                          or isinstance(e.base, Add) and num > 0)
+    inner = base if num == 1 or outer else f"{base}^{num}"
     while den > 1:
         if den % 2:
             raise ValueError(f"unprintable exponent denominator {den}")
         inner = f"sqrt({inner})"
         den //= 2
-    return inner
+    return f"{inner}^{num}" if outer else inner
 
 
 def _print_factor(e):

@@ -139,6 +139,8 @@ def mul(*factors):
                 out.append(m)
         if coeff == 0:
             return ex.ZERO
+        if any(isinstance(f, ex.Add) for f in out):
+            return mul(ex.Rat(coeff), *out)
         seen = {}
         for f in out:
             b, e = (f.base, f.exponent) if isinstance(f, ex.Pow) else (f, _F1)

@@ -8,6 +8,7 @@ monomial kernel) and rationals, sums and products under roots (where
 """
 
 import gc
+import itertools
 import os
 from fractions import Fraction
 
@@ -97,6 +98,15 @@ def test_differentiate_is_the_oracle_derivative(seed):
 ])
 def test_colliding_bases_fold(e, want):
     assert e is want
+
+
+def test_products_of_atoms_are_canonical():
+    # a merged power that folds to a sum (sqrt(x+y)*sqrt(x+y)) is expanded
+    # into the other factors, not left as a sum inside a product
+    for a, b, c in itertools.combinations_with_replacement(ATOMS, 3):
+        for p in (ex.mul(a, b, c), ex.mul(ex.rat(-2, 3), a, b)):
+            assert ex.normalize(p) is p, ex.to_text(p)
+            assert ex.parse(ex.to_text(p)) is p, ex.to_text(p)
 
 
 @pytest.mark.parametrize("factors", [
