@@ -93,10 +93,12 @@ def intervals(names, box):
 
 def draw_point(rng, cells, guards=()):
     """One point from the (name, lo, hi) `cells`, redrawn until every guard
-    holds, at most _MAX_DRAWS times."""
+    holds, at most _MAX_DRAWS times.  Each coordinate is drawn with
+    ``random.uniform``'s own expression, so the points are the same."""
+    rand = rng.random
     for _ in range(_MAX_DRAWS):
-        pt = {n: rng.uniform(lo, hi) for n, lo, hi in cells}
-        if all(g.holds(pt) for g in guards):
+        pt = {n: lo + (hi - lo) * rand() for n, lo, hi in cells}
+        if not guards or all(g.holds(pt) for g in guards):
             return pt
     raise NumericDomain("could not draw a sample point satisfying the guards")
 

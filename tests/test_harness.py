@@ -1,4 +1,5 @@
 import os
+import random
 
 import pytest
 
@@ -47,6 +48,29 @@ def test_guards_redraw_points():
                            box={"x": (-1.0, 1.0)}, samples=50,
                            guards=(Guard(x, ">", 0.1),))
     assert hz.numeric_check(chk).status == "pass"
+
+
+def _uniform_points(rng, cells, guards, count):
+    # the sampler's contract written with random.uniform: draw every cell in
+    # order, redraw while a guard fails
+    out = []
+    while len(out) < count:
+        pt = {n: rng.uniform(lo, hi) for n, lo, hi in cells}
+        if all(g.holds(pt) for g in guards):
+            out.append(pt)
+    return out
+
+
+@pytest.mark.parametrize("guarded", [False, True])
+def test_draw_point_equals_uniform_draws(guarded):
+    x, y = ex.var("x"), ex.var("y")
+    cells = hz.intervals({"x", "y", "z"}, {"x": (-2.0, 3.5), "z": (0.25, 0.5)})
+    guards = (Guard(ex.add(x, y), ">", 0.0), Guard(y, "<", 0.5)) if guarded else ()
+    want = _uniform_points(random.Random(7), cells, guards, 200)
+    rng = random.Random(7)
+    got = [hz.draw_point(rng, cells, guards) for _ in range(200)]
+    assert [{n: v.hex() for n, v in p.items()} for p in got] == [
+        {n: v.hex() for n, v in p.items()} for p in want]
 
 
 def test_domain_error_propagates_with_point():
