@@ -379,7 +379,7 @@ def mul(*factors):
         # expand pass: a product the monomial kernel declines is a full mul
         _check_expansion(math.prod(len(s.terms) for s in sums))
         merges = {}
-        prods = [(coeff.numerator, coeff.denominator, (), ())]
+        prods = [(coeff.numerator, coeff.denominator, (), ())]   # (n, d, factors, pieces)
         rest = [(f,) for f in flat if not isinstance(f, Add)]
         for group in rest + [s.terms for s in sums]:
             split = [(t, *_split_coeff(t)) for t in group]
