@@ -21,24 +21,23 @@ Nodes are hash-consed: each comes from one intern table keyed by (tag,
 payload, children), children by identity and rationals by (numerator,
 denominator).  Structurally equal expressions are one object, so ``==`` and
 ``hash`` are identity.  A new node's sort key ``Expr.key`` is built when it
-is interned, from its children's stored keys, and the sorts read that slot
-directly.  The table is a plain dict of ``weakref.ref``, so it
-keeps no dead expression alive.  A node with a cached ``compile_numeric``
-function sits in a reference cycle, and a new node of its structure can be
-interned before the cyclic collector runs the old reference's callback; the
-callback therefore removes the table entry only if it still holds that same
-reference.  Copying or pickling a node rebuilds it through its constructor.
+is interned, from its children's stored keys.  The table maps a key to a
+weak reference that holds that key, so it keeps no dead expression alive.
+A node with a cached ``compile_numeric`` function sits in a reference
+cycle, and a new node of its structure can be interned before the cyclic
+collector runs the old reference's callback; the callback therefore removes
+the entry only if it still holds that same reference.  Copying or pickling
+a node rebuilds it through its constructor.
 
 Sums and products of canonical terms meet in one term accumulator, a dict
 from a term's factor tuple to its coefficient as a reduced (numerator,
-denominator) pair of ints; nodes and ``Fraction`` coefficients are built only
-for the terms that survive, sorted once.  ``add`` collects its terms there;
-``mul``'s expand pass and the product rule of ``differentiate`` put each
-product there through one monomial kernel, ``_mono_mul``, which merges
+denominator) pair of ints; nodes and ``Fraction`` coefficients are built
+only for the surviving terms, sorted once.  ``add`` collects its terms
+there; ``mul``'s expand pass and the product rule of ``differentiate`` put
+each product there through one monomial kernel, ``_mono_mul``, which merges
 same-base powers of a ``Var`` or ``Func`` and leaves any other collision to
 a full ``mul``.  Each merge (a pair of factors -> the merged factor) is
-looked up in a dict that lives for one ``mul`` or ``sum_of_partials`` call,
-so its exponent sum is worked out once per call.
+memoized for one ``mul`` or ``sum_of_partials`` call.
 
 Differentiation of ``abs`` has no symbolic rule and raises, except through
 even roots: d sqrt(abs(u)) = u' * sign(u) / (2*sqrt(abs(u))), with ``sign``
@@ -52,8 +51,7 @@ terms (the powers of ``abs(G)`` and ``sign(G)`` in the Nambu string's
 Poincare-Cartan form) is worked out once; an exception is never stored.
 ``sum_of_partials`` takes one memo per variable from its caller, so
 ``exterior_d`` shares them across its whole call.  A memo kept for the
-process raised the Nambu ``verify``'s peak RSS 22 -> 47 MB; no memo here
-outlives its call.
+process raised the Nambu ``verify``'s peak RSS 22 -> 47 MB.
 """
 
 from __future__ import annotations
@@ -61,7 +59,6 @@ from __future__ import annotations
 import math
 import weakref
 from fractions import Fraction
-from functools import partial
 from operator import attrgetter
 
 from .errors import (
@@ -89,8 +86,7 @@ class Expr:
     __slots__ = ("_skey", "_fvs", "_fn", "__weakref__")
 
     def key(self):
-        # (rank, payload, children) nested tuples: a total structural order,
-        # built from the children's keys when the node is interned
+        # (rank, payload, children) nested tuples: a total structural order
         return self._skey
 
     def fvs(self):
@@ -132,14 +128,18 @@ def _children(e):
     raise TypeError(f"not an Expr: {e!r}")
 
 
-# (tag, payload, children) -> weakref.ref to the live node of that structure
+# (tag, payload, children) -> _Ref to the live node of that structure
 _TABLE = {}
 
 
-def _evict(k, ref):
-    # a newer node may be interned under k already (see module docstring)
-    if _TABLE.get(k) is ref:
-        del _TABLE[k]
+class _Ref(weakref.ref):
+    __slots__ = ("key",)   # its table key: no functools.partial per node
+
+
+def _evict(ref):
+    # a newer node may be interned under ref.key already (see module docstring)
+    if _TABLE.get(ref.key) is ref:
+        del _TABLE[ref.key]
 
 
 def _intern(cls, k, *fields):
@@ -151,7 +151,8 @@ def _intern(cls, k, *fields):
         for name, value in zip(cls.__slots__, fields):
             object.__setattr__(e, name, value)
         object.__setattr__(e, "_skey", e._make_key())
-        _TABLE[k] = weakref.ref(e, partial(_evict, k))
+        ref = _TABLE[k] = _Ref(e, _evict)
+        ref.key = k
     return e
 
 
