@@ -93,8 +93,8 @@ def intervals(names, box):
 
 def draw_point(rng, cells, guards=()):
     """One point from the (name, lo, hi) `cells`, redrawn until every guard
-    holds, at most _MAX_DRAWS times.  Each coordinate is drawn with
-    ``random.uniform``'s own expression, so the points are the same."""
+    holds, at most _MAX_DRAWS times.  Each coordinate is ``random.uniform``'s
+    own expression, so it equals ``rng.uniform(lo, hi)`` bit for bit."""
     rand = rng.random
     for _ in range(_MAX_DRAWS):
         pt = {n: lo + (hi - lo) * rand() for n, lo, hi in cells}
