@@ -17,6 +17,11 @@ and the Euler-Lagrange equations in full, total 730 KB, so their golden
 files (DIGESTED) hold the SHA-256 hex digest of the output, not the output
 itself.  polyakov_string covers the box-and-guard sampling path.
 
+`verify-1000` is `verify --samples 1000`, ten times the declared samples,
+on the four small problems whose catalog is mostly sampling: it freezes the
+seeded sampler's worst deviations and witnesses over many points.  Those
+golden files are digests too.
+
 Run from the tests directory after a change that is meant to alter the
 outputs:
 
@@ -45,16 +50,17 @@ from cartanforge.problem import parse_problem  # noqa: E402
 
 COMMANDS = ["verify", "derive-el", "cartan-forms", "jetfield-el",
             "symmetry", "noether", "check-section"]
+# commands that are another command run with fixed options
+ALIASES = {"verify-1000": ("verify", ["--samples", "1000"])}
+SAMPLED = ["free_particle", "harmonic_oscillator", "wave_1p1", "maxwell"]
 PROBLEMS = {
-    "free_particle": COMMANDS,
-    "harmonic_oscillator": COMMANDS,
-    "wave_1p1": COMMANDS,
-    "maxwell": COMMANDS,
+    **{problem: COMMANDS + ["verify-1000"] for problem in SAMPLED},
     "polyakov_string": COMMANDS,
     "nambu_string": ["verify", "derive-el", "cartan-forms"],
 }
 # (problem, command) pairs whose golden file is the digest of the output
-DIGESTED = {("nambu_string", "derive-el"), ("nambu_string", "cartan-forms")}
+DIGESTED = {("nambu_string", "derive-el"), ("nambu_string", "cartan-forms"),
+            *((problem, "verify-1000") for problem in SAMPLED)}
 PAIRS = [(problem, command) for problem, commands in PROBLEMS.items()
          for command in commands]
 DATA = os.path.join(HERE, "data")
@@ -85,11 +91,13 @@ def outputs():
     out = {}
     for problem, command in PAIRS:
         path = os.path.join(HERE, "..", "problems", problem + ".toml")
+        name, fixed = ALIASES.get(command, (command, []))
         text = []
         for options in invocations(path, command):
             buf = io.StringIO()
             with contextlib.redirect_stdout(buf):
-                code = cli.main([command, path, *options, "--format", "json"])
+                code = cli.main([name, path, *fixed, *options,
+                                 "--format", "json"])
             if code != 0:
                 raise SystemExit(f"{command} {problem} {options} exited {code}")
             if options:
