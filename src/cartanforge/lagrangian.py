@@ -8,8 +8,8 @@ The three canonical forms are built from the local expressions
     Omega    = -d Theta
 
 `Lagrangian.partials` maps every jet coordinate z to dL/dz, built whole on
-first use and kept on the instance (not a field: equality, hashing and the
-`cartan_forms` cache key see only `chart` and `L`).  The momenta, both
+first use and kept on the instance (not a field: equality and hashing see
+only `chart` and `L`); `cartan_forms` keeps its result there too.  The momenta, both
 Euler-Lagrange routes, `energy_density`, `legendre_difference`,
 `noether.total_variation` and the catalog's finite-difference check all
 read it.  The routes the catalog compares the constructions against take
@@ -35,7 +35,7 @@ jet field's unknowns G(y,x_rho,x_mu).  Either output is affine
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from . import expr as ex
 from .canonical import contact_form, vertical_endo_S, vertical_endo_V
@@ -87,10 +87,14 @@ def vartheta_intrinsic(lag):
     return vertical_endo_V(lag.chart).contract_with_dL(lag.L)
 
 
-@lru_cache(maxsize=64)
 def cartan_forms(lag):
     """All three canonical forms, built from the display formula for
-    vartheta; the catalog compares it with `vartheta_intrinsic`."""
+    vartheta; the catalog compares it with `vartheta_intrinsic`.  Built once
+    per Lagrangian object and kept on it, like `partials`, so they live as
+    long as the Lagrangian does."""
+    cf = lag.__dict__.get("cartan_forms")
+    if cf is not None:
+        return cf
     ch = lag.chart
     js = jet_space(ch)
     om = volume_form(js)
@@ -104,7 +108,8 @@ def cartan_forms(lag):
             vt = vt + wedge(th, interior(coordinate_field(js, x), om)).scale(p)
     big_theta = vt + om.scale(lag.L)
     big_omega = exterior_d(big_theta).scale(ex.MINUS_ONE)
-    return CartanForms(vt, big_theta, big_omega)
+    cf = lag.__dict__["cartan_forms"] = CartanForms(vt, big_theta, big_omega)
+    return cf
 
 
 # ---------------------------------------------------------------------------

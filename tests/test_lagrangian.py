@@ -1,3 +1,4 @@
+import gc
 import os
 
 import pytest
@@ -319,3 +320,19 @@ def test_jetfield_solutions_match_section_el():
     assert all(v.is_zero() for v in f_res.values())
     assert all(v.is_zero() for v in g_res.values())
     assert sys.residuals_along(phi)["q"].is_zero()
+
+
+def test_cartan_forms_live_as_long_as_their_lagrangian():
+    # a run that builds many Lagrangians once each keeps none of their forms
+    # alive: they are kept on the Lagrangian, not in a process-wide cache
+    r = randgen.rng(12)
+    names = list(WAVE.jet_coords())
+    gc.collect()
+    before = {k for k, ref in ex._TABLE.items() if ref() is not None}
+    for _ in range(80):
+        lag = lg.Lagrangian(WAVE, randgen.nonzero_poly(r, names, max_degree=3))
+        assert lg.cartan_forms(lag) is lg.cartan_forms(lag)
+    del lag
+    gc.collect()
+    assert [k for k, ref in ex._TABLE.items()
+            if ref() is not None and k not in before] == []
