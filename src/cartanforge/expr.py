@@ -94,8 +94,11 @@ class Expr:
         if s is None:
             if isinstance(self, Var):
                 s = frozenset((self.name,))
-            else:
-                s = frozenset().union(*(c.fvs() for c in _children(self)))
+            else:   # the largest child's set, when it holds the others'
+                sets = sorted((c.fvs() for c in _children(self)), key=len)
+                s = sets.pop() if sets else _NO_VARS
+                if not all(t <= s for t in sets):
+                    s = s.union(*sets)
             object.__setattr__(self, "_fvs", s)
         return s
 
@@ -130,6 +133,7 @@ def _children(e):
 
 # (tag, payload, children) -> _Ref to the live node of that structure
 _TABLE = {}
+_NO_VARS = frozenset()
 
 
 class _Ref(weakref.ref):
@@ -751,20 +755,22 @@ def _eval(e, p):
 
 
 def compile_numeric(e):
-    """``evaluate_numeric`` for one expression as a generated function.
-
-    The function performs the tree walk's IEEE operations in the same order
-    on the same values, so results agree bit for bit: one local per distinct
-    subtree (shared subtrees are computed once), rationals converted to
-    floats once, ``math.fsum`` over terms in term order, products left to
-    right from 1.0.  When any operation fails, the tree walk runs again to
-    raise exactly the exception ``evaluate_numeric`` raises, so domain
-    errors, unbound variables and oversized rationals surface at call time
-    with the same class and message.  The function is cached on the node.
-    """
+    """``evaluate_numeric`` for one expression as a function generated from
+    ``emit_numeric``'s statements.  When any operation fails, the tree walk
+    runs again to raise exactly the exception ``evaluate_numeric`` raises, so
+    domain errors, unbound variables and oversized rationals surface at call
+    time with the same class and message.  The function is cached on the
+    node."""
     fn = getattr(e, "_fn", None)
     if fn is None:
-        fn = _compile(e)
+        lines, consts = [], {}
+        out = emit_numeric(e, {}, lines, consts)
+        body = "".join(f"        {line}\n" for line in lines)
+        src = (f"def _numeric(p):\n    try:\n{body}        return {out}\n"
+               f"    except _Rerun:\n        return evaluate_numeric(_e, p)\n")
+        ns = dict(NUMERIC_NS, evaluate_numeric=evaluate_numeric, _e=e, **consts)
+        exec(compile(src, "<compile_numeric>", "exec"), ns)
+        fn = ns["_numeric"]
         object.__setattr__(e, "_fn", fn)
     return fn
 
@@ -774,29 +780,23 @@ class _Escape(ArithmeticError):
     without Python raising first (an even root of a negative value)."""
 
 
-_COMPILE_NS = {"_fsum": math.fsum, "_float": float, "_sin": math.sin,
-               "_cos": math.cos, "_exp": math.exp, "_log": math.log,
-               "_Escape": _Escape,
-               # every class a compiled operation can raise; the tree walk
-               # then raises its own error for the same operation
-               "_Rerun": (ArithmeticError, LookupError, TypeError, ValueError)}
+NUMERIC_NS = {"_fsum": math.fsum, "_float": float, "_sin": math.sin,
+              "_cos": math.cos, "_exp": math.exp, "_log": math.log,
+              "_Escape": _Escape,
+              # every class a compiled operation can raise; the tree walk
+              # then raises its own error for the same operation
+              "_Rerun": (ArithmeticError, LookupError, TypeError, ValueError)}
 
 
-def _compile(e):
-    consts = {}     # name -> value bound in the function's namespace
-    names = {}      # subtree -> local or literal standing for its value
-    lines = []
-
-    def const(value):
-        try:
-            return f"({float(value)!r})"
-        except OverflowError:   # keep the failure at call time
-            c = f"_c{len(consts)}"
-            consts[c] = value
-            local = f"v{len(lines)}"
-            lines.append(f"{local} = _float({c})")
-            return local
-
+def emit_numeric(e, names, lines, consts):
+    """Append to `lines` a statement for each subtree of `e` missing from
+    `names` (subtree -> local or literal; a ``Var`` missing there is read
+    from the point ``p``) and return what holds `e`'s value.  The statements
+    perform the tree walk's IEEE operations in its order on the same values,
+    so results agree bit for bit: one local per distinct subtree, rationals
+    converted once (one too large for a float is bound in `consts` and
+    converted where its statement runs), ``math.fsum`` over terms in term
+    order, products left to right from 1.0."""
     # post-order walk, children left to right as the tree walk visits them
     stack = [(e, False)]
     while stack:
@@ -804,7 +804,12 @@ def _compile(e):
         if node in names:
             continue
         if isinstance(node, Rat):
-            names[node] = const(node.value)
+            try:
+                names[node] = f"({float(node.value)!r})"
+            except OverflowError:
+                consts[f"_c{len(consts)}"] = node.value
+                names[node] = f"v{len(lines)}"
+                lines.append(f"{names[node]} = _float(_c{len(consts) - 1})")
             continue
         if not ready:
             stack.append((node, True))
@@ -834,13 +839,7 @@ def _compile(e):
             rhs = f"_{node.fname}({names[node.arg]})"
         names[node] = f"v{len(lines)}"
         lines.append(f"{names[node]} = {rhs}")
-
-    body = "".join(f"        {line}\n" for line in lines)
-    src = (f"def _numeric(p):\n    try:\n{body}        return {names[e]}\n"
-           f"    except _Rerun:\n        return evaluate_numeric(_e, p)\n")
-    ns = dict(_COMPILE_NS, evaluate_numeric=evaluate_numeric, _e=e, **consts)
-    exec(compile(src, "<compile_numeric>", "exec"), ns)
-    return ns["_numeric"]
+    return names[e]
 
 
 # ---------------------------------------------------------------------------

@@ -82,6 +82,7 @@ class CheckResult:
 
 
 _MAX_DRAWS = 1000  # draws per point before the guards count as unsatisfiable
+_NO_POINT = "could not draw a sample point satisfying the guards"
 _FD_STEP = 1e-5    # central-difference step of the dL/dz check
 
 
@@ -100,18 +101,22 @@ def draw_point(rng, cells, guards=()):
         pt = {n: lo + (hi - lo) * rand() for n, lo, hi in cells}
         if not guards or all(g.holds(pt) for g in guards):
             return pt
-    raise NumericDomain("could not draw a sample point satisfying the guards")
+    raise NumericDomain(_NO_POINT)
 
 
-def sample_worst(deviation, rng, names, box, guards, samples):
-    """The largest `deviation(pt)` over `samples` seeded points and its
-    witness, the point rounded by `_round_point` ({} if no deviation is
-    positive).  Guard variables join `names`; a domain error names its
-    point."""
-    names = set(names)
-    for g in guards:
-        names |= ex.free_vars(g.expr)
-    cells = intervals(names, box)
+def _largest(devs):
+    """max(0.0, *devs), except that a NaN among `devs` is the result."""
+    out = 0.0
+    for dev in devs:
+        if dev > out or dev != dev:
+            out = dev
+    return out
+
+
+def _sample_points(deviation, rng, cells, guards, samples):
+    """The per-point path a kernel reproduces: the worst `deviation(pt)`
+    over `samples` points from `draw_point` and its witness; the first
+    NaN deviation is the worst and stays.  A domain error names its point."""
     worst, witness = 0.0, {}
     for _ in range(samples):
         pt = draw_point(rng, cells, guards)
@@ -119,9 +124,154 @@ def sample_worst(deviation, rng, names, box, guards, samples):
             dev = deviation(pt)
         except NumericDomain as err:
             raise NumericDomain(f"{err} at point {_round_point(pt)}") from err
-        if dev > worst:
+        if dev > worst or dev != dev and worst == worst:
             worst, witness = dev, pt
     return worst, _round_point(witness)
+
+
+class _Kernel:
+    """One generated function that samples a check the way `_sample_points`
+    does, with every value in a local.
+
+    A call draws from one of the cell tuples `blocks` (each cell into its
+    local), redraws until the `guards` hold, computes the `shared`
+    expressions and then one of the `branches`: a function that emits its
+    statements through this object and returns its deviations' text.  All
+    of it comes from ``expr.emit_numeric``, so each distinct subtree is one
+    local.  Branches whose statements are the same text are emitted once."""
+
+    def __init__(self, blocks, guards, shared, branches):
+        self.blocks, self.guards = blocks, guards
+        self.cells = {}   # name -> index of its locals x<i>, l<i>, w<i>
+        consts = []       # values of l<i>, w<i> (lo, hi - lo), then t<j>
+        for block in blocks:
+            for n, lo, hi in block:
+                if n not in self.cells:
+                    self.cells[n] = len(self.cells)
+                    consts += [lo, hi - lo]
+        consts += [g.threshold for g in guards]
+        self.consts = tuple(consts)
+        self.names = {ex.var(n): f"x{i}" for n, i in self.cells.items()}
+        self.lines, self.bound, self.src = [], {}, []
+        self.depth = 0
+        self.put("def _kernel(_rand, _samples, _block, _branch, _k):")
+        self.depth = 1
+        if consts:
+            self.put("".join([*(f"l{i}, w{i}, " for i in self.cells.values()),
+                              *(f"t{j}, " for j in range(len(guards)))])
+                     + "= _k")
+        if len(blocks) > 1:
+            self.put(" = ".join(f"x{i}" for i in self.cells.values()) + " = 0.0")
+        self.put("worst, wit = 0.0, None")
+        self.put("try:")
+        self.depth = 2
+        self.put("for _ in range(_samples):")
+        self.depth = 3
+        if guards:
+            self.put("for _ in _DRAWS:")
+            self.depth = 4
+        self._dispatch("_block", [[f"x{self.cells[n]} = l{self.cells[n]} + "
+                                   f"w{self.cells[n]} * _rand()"
+                                   for n, _, _ in block] for block in blocks])
+        for j, g in enumerate(guards):
+            v = self.value(g.expr)
+            self.put(f"if not {v} {'>' if g.op == '>' else '<'} t{j}: continue")
+        if guards:
+            self.put("break")
+            self.depth = 3
+            self.put("else:")
+            self.put("    raise _NumericDomain(_NO_POINT)")
+        for e in shared:
+            self.value(e)
+        bodies, self.branch_of = [], []
+        for branch in branches:
+            body = self._branch(branch)
+            if body not in bodies:
+                bodies.append(body)
+            self.branch_of.append(bodies.index(body))
+        self._dispatch("_branch", bodies)
+        self.put("if dev > worst or dev != dev and worst == worst:")
+        self.put(f"    worst, wit = dev, ({''.join(f'x{i}, ' for i in self.cells.values())})")
+        self.depth = 1
+        self.put("except _Rerun:")
+        self.put("    return None")
+        self.put("return worst, wit")
+        ns = dict(ex.NUMERIC_NS, _DRAWS=range(_MAX_DRAWS), _NO_POINT=_NO_POINT,
+                  _NumericDomain=NumericDomain, p={}, **self.bound)
+        exec(compile("\n".join(self.src), "<sampling kernel>", "exec"), ns)
+        self.fn = ns["_kernel"]
+
+    def put(self, line):
+        self.src.append("    " * self.depth + line)
+
+    def value(self, e, names=None):
+        """Emit the statements computing `e`; the local or literal holding
+        it.  `names` defaults to the subtrees every branch sees."""
+        start = len(self.lines)
+        out = ex.emit_numeric(e, self.names if names is None else names,
+                              self.lines, self.bound)
+        for line in self.lines[start:]:
+            self.put(line)
+        return out
+
+    def _branch(self, branch):
+        """The statements of one branch, unindented, ending with `dev`."""
+        src, depth, names = self.src, self.depth, self.names
+        self.src, self.depth, self.names = [], 0, dict(names)
+        devs = branch(self)
+        self.put(f"dev = {devs[0] if devs else '0.0'}")
+        for dev in devs[1:]:
+            self.put(f"t = {dev}")
+            self.put("if t > dev or t != t: dev = t")
+        body = self.src
+        self.src, self.depth, self.names = src, depth, names
+        return body
+
+    def _dispatch(self, var, bodies):
+        """Emit `bodies`, each under ``if var == index`` when there are
+        several."""
+        for b, body in enumerate(bodies):
+            if len(bodies) > 1:
+                self.put(f"{'elif' if b else 'if'} {var} == {b}:")
+            pad = "    " * (self.depth + (len(bodies) > 1))
+            self.src += [pad + line for line in body]
+
+    def run(self, rng, samples, block, branch, deviation):
+        """The worst deviation of `branch` over `samples` points drawn from
+        `blocks[block]`, and its witness rounded by `_round_point`.  When
+        any operation raised, the check runs again from the same stream
+        state through `_sample_points` with `deviation()`, the per-point
+        function, so results and errors are the per-point path's."""
+        state = rng.getstate()
+        got = self.fn(rng.random, samples, block, self.branch_of[branch],
+                      self.consts)
+        cells = self.blocks[block]
+        if got is None:
+            rng.setstate(state)
+            return _sample_points(deviation(), rng, cells, self.guards, samples)
+        worst, wit = got
+        if wit is None:
+            return worst, {}
+        return worst, _round_point({n: wit[self.cells[n]] for n, _, _ in cells})
+
+
+def sample_worst(pairs, rng, names, box, guards, samples):
+    """The largest |a - b| over the expression `pairs` at `samples` seeded
+    points, and its witness ({} if no deviation is positive; a NaN
+    deviation is the worst).  Guard variables join `names`; a domain error
+    names its point."""
+    names = set(names)
+    for g in guards:
+        names |= ex.free_vars(g.expr)
+    kernel = _Kernel((intervals(names, box),), guards, (),
+                     (lambda k: [f"abs({k.value(a)} - {k.value(b)})"
+                                 for a, b in pairs],))
+    return kernel.run(rng, samples, 0, 0, lambda: _pairs_deviation(pairs))
+
+
+def _pairs_deviation(pairs):
+    fns = [(ex.compile_numeric(a), ex.compile_numeric(b)) for a, b in pairs]
+    return lambda pt: _largest(abs(a(pt) - b(pt)) for a, b in fns)
 
 
 def numeric_check(check: IdentityCheck):
@@ -133,17 +283,58 @@ def numeric_check(check: IdentityCheck):
     else:
         pairs = [(lhs, rhs)]
     names = set().union(*(ex.free_vars(e) for pair in pairs for e in pair))
-    fns = [(ex.compile_numeric(a), ex.compile_numeric(b)) for a, b in pairs]
-    worst, witness = sample_worst(
-        lambda pt: max([0.0, *(abs(a(pt) - b(pt)) for a, b in fns)]),
-        random.Random(check.seed), names, check.box, check.guards,
-        check.samples)
+    worst, witness = sample_worst(pairs, random.Random(check.seed), names,
+                                  check.box, check.guards, check.samples)
     status = "pass" if worst <= check.tol else "fail"
-    return CheckResult(check.name, status, worst, witness)
+    return CheckResult(check.name, status, worst, witness, _nan(worst))
+
+
+def _nan(worst, detail=""):
+    """`detail`, naming a NaN worst deviation."""
+    if worst == worst:
+        return detail
+    return f"{detail}; NaN deviation" if detail else "NaN deviation"
 
 
 def _round_point(pt):
     return {k: round(v, 12) for k, v in sorted(pt.items())}
+
+
+def finite_differences(lag, rng, box, guards, samples):
+    """The worst relative gap between each tabled dL/dz and a central
+    difference of L, with its witness, in the order of `lag.partials`.  The
+    checks draw from the one stream `rng` in turn, through one kernel: its
+    shared statements compute L at the point; a coordinate's branch then
+    computes dL/dz and, at z +- _FD_STEP, only the subtrees of L that
+    contain z."""
+    L, coords = lag.L, list(lag.partials.items())
+    names = set(ex.free_vars(L))
+    for g in guards:
+        names |= ex.free_vars(g.expr)
+    cells = [intervals(names | {z}, box) for z, _ in coords]
+    blocks = sorted(dict.fromkeys(cells), key=len)   # the most drawn first
+
+    def branch(z, partial):
+        def emit(k):
+            got = k.value(partial)
+            if z in L.fvs():
+                x = k.names[ex.var(z)]
+                k.put(f"zp = {x} + {_FD_STEP!r}")
+                k.put(f"zm = {x} - {_FD_STEP!r}")
+            ends, seen = [], k.names
+            for shifted in ("zp", "zm"):
+                seen = {e: v for e, v in seen.items() if z not in e.fvs()}
+                seen[ex.var(z)] = shifted
+                ends.append(k.value(L, seen))
+            k.put(f"want = ({ends[0]} - {ends[1]}) / {2 * _FD_STEP!r}")
+            return [f"abs({got} - want) / (1.0 + abs(want))"]
+        return emit
+
+    kernel = _Kernel(blocks, guards, (L,), [branch(z, d) for z, d in coords])
+    return [kernel.run(rng, samples, blocks.index(c), i,
+                       lambda z=z, d=d: _fd_deviation(ex.compile_numeric(L),
+                                                      ex.compile_numeric(d), z))
+            for i, ((z, d), c) in enumerate(zip(coords, cells))]
 
 
 # ---------------------------------------------------------------------------
@@ -197,16 +388,12 @@ def run_identity_catalog(problem, seed=None, samples=None, tol=None):
 
     # finite-difference validation of the table of dL/dz that every
     # construction reads
-    rng = random.Random(seed)
-    L = ex.compile_numeric(lag.L)
-    for coord, partial in lag.partials.items():
-        dL = ex.compile_numeric(partial)
-        worst, witness = sample_worst(
-            _fd_deviation(L, dL, coord), rng, ex.free_vars(lag.L) | {coord},
-            num.box, num.guards, samples)
+    fds = finite_differences(lag, random.Random(seed), num.box, num.guards,
+                             samples)
+    for coord, (worst, witness) in zip(lag.partials, fds):
         entries.append(CheckResult(f"finite-difference[dL/d{coord}]",
                                    "pass" if worst <= num.tol_fd else "fail",
-                                   worst, witness))
+                                   worst, witness, _nan(worst)))
 
     # canonical forms: both construction paths and closedness of the
     # Poincare-Cartan sequence
@@ -289,7 +476,7 @@ def run_identity_catalog(problem, seed=None, samples=None, tol=None):
             entries.append(CheckResult(name,
                                        "pass" if got == bool(decl.symmetry) else "fail",
                                        nres.max_dev, nres.witness,
-                                       "numeric fallback"))
+                                       _nan(nres.max_dev, "numeric fallback")))
         else:
             got = rep.is_symmetry
             entries.append(_sym(name, got == bool(decl.symmetry),
@@ -315,7 +502,8 @@ def run_identity_catalog(problem, seed=None, samples=None, tol=None):
             else:
                 ok, detail = exact and numrep.conserved, ""
             entries.append(CheckResult(name, "pass" if ok else "fail",
-                                       numrep.max_dev, numrep.witness, detail))
+                                       numrep.max_dev, numrep.witness,
+                                       _nan(numrep.max_dev, detail)))
 
     # declared jet fields
     prob_el = jetfield_el(lag)

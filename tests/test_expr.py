@@ -517,3 +517,24 @@ def test_sign_and_abs_identities_are_not_structural():
             assert not e.is_zero()
             assert abs(ex.evaluate_numeric(e, pt)) <= 1e-12
     assert seen >= 30
+
+
+def _union_of_vars(e):
+    if isinstance(e, ex.Var):
+        return {e.name}
+    return set().union(*(_union_of_vars(c) for c in ex._children(e)))
+
+
+@pytest.mark.parametrize("seed", [31, 32, 33])
+def test_free_vars_share_a_childs_set(seed):
+    # a node's set is its largest child's when that one holds the others'
+    x, y = ex.var("x"), ex.var("y")
+    xy = ex.mul(x, y)
+    assert ex.free_vars(ex.add(xy, x)) is ex.free_vars(xy)
+    assert ex.free_vars(ex.func("sin", xy)) is ex.free_vars(xy)
+    assert ex.free_vars(ex.add(x, y)) == {"x", "y"}
+    assert ex.free_vars(ex.rat(3)) == frozenset()
+    r = randgen.rng(seed)
+    for _ in range(40):
+        e = randgen.smooth_expr(r, ["x", "y", "z", "w"], depth=3)
+        assert ex.free_vars(e) == _union_of_vars(e)
