@@ -1,22 +1,36 @@
 """Numeric verification layer and the executable identity catalog.
 
 Every sampled check (``numeric_check``, the finite-difference check of each
-dL/dz, numeric ``noether.check_conservation``) draws its points through one
-sampler, ``sample_worst``:
+dL/dz, numeric ``noether.check_conservation``) samples the same way:
 
 - the stream is a ``random.Random`` seeded from the problem's numeric
   settings, so two runs with the same seed produce byte-identical reports;
 - variables are drawn in sorted order, each uniform on its ``box`` interval
-  (name -> (lo, hi)), or on [-1, 1] where the box declares none;
+  (name -> (lo, hi)), or on [-1, 1] where the box declares none, as
+  ``lo + (hi - lo) * rng.random()``, ``random.uniform``'s own expression;
 - a point violating a declared guard (for example a determinant kept away
-  from zero) is redrawn; a domain error outside the guards is raised with
-  the offending point attached;
+  from zero) is redrawn, at most _MAX_DRAWS times; a domain error outside
+  the guards is raised with the offending point attached;
 - the result is the worst deviation and its witness, the first point that
   reached it, rounded to 12 decimals ({} when no deviation is positive).
+  The first NaN deviation is the worst and stays, so the check fails.
 
-Each check compiles its expressions once with ``expr.compile_numeric``,
-whose values equal ``evaluate_numeric``'s bit for bit, so the reports do
-not depend on which evaluator ran.
+``_sample_points`` is that rule written point by point: ``draw_point``, a
+dict per point and one ``expr.compile_numeric`` function per expression.
+A check runs it only as a fallback.  Each check generates one kernel
+(``_Kernel``): a single function whose statements come from
+``expr.emit_numeric``, the generator behind ``compile_numeric``.  It draws
+every coordinate into a local, tests the guards inline, computes each
+distinct subtree once per point and keeps the worst deviation and its
+witness in locals; the witness dict is built once, at the end.  The
+finite-difference checks of a problem share one kernel: L is computed once
+per point, and each coordinate's branch adds dL/dz and the subtrees of L
+that contain the shifted coordinate.  The statements perform the tree
+walk's operations in its order, so the values, witnesses and stream state
+equal the per-point path's bit for bit.  When any operation in a kernel
+raises, the stream goes back to the state the check started from and the
+check runs again through ``_sample_points``, which raises exactly the
+error, message and ``at point`` suffix the per-point path raises.
 """
 
 from __future__ import annotations
@@ -133,36 +147,30 @@ class _Kernel:
     """One generated function that samples a check the way `_sample_points`
     does, with every value in a local.
 
-    A call draws from one of the cell tuples `blocks` (each cell into its
-    local), redraws until the `guards` hold, computes the `shared`
-    expressions and then one of the `branches`: a function that emits its
-    statements through this object and returns its deviations' text.  All
-    of it comes from ``expr.emit_numeric``, so each distinct subtree is one
-    local.  Branches whose statements are the same text are emitted once."""
+    A call draws the (name, lo, hi) `cells` in order, each into its local,
+    plus at most one of the `extras` at its sorted place; redraws until the
+    `guards` hold; computes the `shared` expressions; then runs one of the
+    `branches`: a function that emits its statements through this object
+    and returns its deviations' text.  Every expression goes through
+    ``expr.emit_numeric``, so each distinct subtree is one local.  Branches
+    whose statements are the same text are emitted once."""
 
-    def __init__(self, blocks, guards, shared, branches):
-        self.blocks, self.guards = blocks, guards
-        self.cells = {}   # name -> index of its locals x<i>, l<i>, w<i>
-        consts = []       # values of l<i>, w<i> (lo, hi - lo), then t<j>
-        for block in blocks:
-            for n, lo, hi in block:
-                if n not in self.cells:
-                    self.cells[n] = len(self.cells)
-                    consts += [lo, hi - lo]
-        consts += [g.threshold for g in guards]
-        self.consts = tuple(consts)
-        self.names = {ex.var(n): f"x{i}" for n, i in self.cells.items()}
+    def __init__(self, cells, guards, shared, branches, extras=()):
+        self.cells, self.guards = cells, guards
+        self.names = {ex.var(n): f"x{i}" for i, (n, _, _) in enumerate(cells)}
         self.lines, self.bound, self.src = [], {}, []
+        self.consts = tuple([v for _, lo, hi in cells for v in (lo, hi - lo)]
+                            + [g.threshold for g in guards])
+        gaps = {self._gap(n) for n, _, _ in extras}
+        wit = "".join(f"x{i}, " for i in range(len(cells))) + "xe, " * bool(extras)
         self.depth = 0
-        self.put("def _kernel(_rand, _samples, _block, _branch, _k):")
+        self.put("def _kernel(_rand, _samples, _branch, _gap, le, we, _k):")
         self.depth = 1
-        if consts:
-            self.put("".join([*(f"l{i}, w{i}, " for i in self.cells.values()),
+        if self.consts:
+            self.put("".join([*(f"l{i}, w{i}, " for i in range(len(cells))),
                               *(f"t{j}, " for j in range(len(guards)))])
                      + "= _k")
-        if len(blocks) > 1:
-            self.put(" = ".join(f"x{i}" for i in self.cells.values()) + " = 0.0")
-        self.put("worst, wit = 0.0, None")
+        self.put("worst, wit, xe = 0.0, None, 0.0")
         self.put("try:")
         self.depth = 2
         self.put("for _ in range(_samples):")
@@ -170,9 +178,11 @@ class _Kernel:
         if guards:
             self.put("for _ in _DRAWS:")
             self.depth = 4
-        self._dispatch("_block", [[f"x{self.cells[n]} = l{self.cells[n]} + "
-                                   f"w{self.cells[n]} * _rand()"
-                                   for n, _, _ in block] for block in blocks])
+        for i in range(len(cells) + 1):
+            if i in gaps:
+                self.put(f"if _gap == {i}: xe = le + we * _rand()")
+            if i < len(cells):
+                self.put(f"x{i} = l{i} + w{i} * _rand()")
         for j, g in enumerate(guards):
             v = self.value(g.expr)
             self.put(f"if not {v} {'>' if g.op == '>' else '<'} t{j}: continue")
@@ -189,9 +199,13 @@ class _Kernel:
             if body not in bodies:
                 bodies.append(body)
             self.branch_of.append(bodies.index(body))
-        self._dispatch("_branch", bodies)
+        for b, body in enumerate(bodies):
+            if len(bodies) > 1:
+                self.put(f"{'elif' if b else 'if'} _branch == {b}:")
+            pad = "    " * (self.depth + (len(bodies) > 1))
+            self.src += [pad + line for line in body]
         self.put("if dev > worst or dev != dev and worst == worst:")
-        self.put(f"    worst, wit = dev, ({''.join(f'x{i}, ' for i in self.cells.values())})")
+        self.put(f"    worst, wit = dev, ({wit})")
         self.depth = 1
         self.put("except _Rerun:")
         self.put("    return None")
@@ -200,6 +214,10 @@ class _Kernel:
                   _NumericDomain=NumericDomain, p={}, **self.bound)
         exec(compile("\n".join(self.src), "<sampling kernel>", "exec"), ns)
         self.fn = ns["_kernel"]
+
+    def _gap(self, name):
+        """How many cells sort before `name`."""
+        return sum(n < name for n, _, _ in self.cells)
 
     def put(self, line):
         self.src.append("    " * self.depth + line)
@@ -227,32 +245,30 @@ class _Kernel:
         self.src, self.depth, self.names = src, depth, names
         return body
 
-    def _dispatch(self, var, bodies):
-        """Emit `bodies`, each under ``if var == index`` when there are
-        several."""
-        for b, body in enumerate(bodies):
-            if len(bodies) > 1:
-                self.put(f"{'elif' if b else 'if'} {var} == {b}:")
-            pad = "    " * (self.depth + (len(bodies) > 1))
-            self.src += [pad + line for line in body]
-
-    def run(self, rng, samples, block, branch, deviation):
-        """The worst deviation of `branch` over `samples` points drawn from
-        `blocks[block]`, and its witness rounded by `_round_point`.  When
-        any operation raised, the check runs again from the same stream
-        state through `_sample_points` with `deviation()`, the per-point
-        function, so results and errors are the per-point path's."""
+    def run(self, rng, samples, branch, deviation, extra=None):
+        """The worst deviation of `branch` over `samples` points of the
+        cells and the `extra` (name, lo, hi) from `extras` if given, and
+        its witness rounded by `_round_point`.  When any operation raised,
+        the check runs again from the same stream state through
+        `_sample_points` with `deviation()`, the per-point function, so
+        results and errors are the per-point path's."""
+        cells, args = self.cells, (-1, 0.0, 0.0)
+        if extra is not None:
+            cells = tuple(sorted(cells + (extra,)))
+            args = (self._gap(extra[0]), extra[1], extra[2] - extra[1])
         state = rng.getstate()
-        got = self.fn(rng.random, samples, block, self.branch_of[branch],
+        got = self.fn(rng.random, samples, self.branch_of[branch], *args,
                       self.consts)
-        cells = self.blocks[block]
         if got is None:
             rng.setstate(state)
             return _sample_points(deviation(), rng, cells, self.guards, samples)
         worst, wit = got
         if wit is None:
             return worst, {}
-        return worst, _round_point({n: wit[self.cells[n]] for n, _, _ in cells})
+        pt = dict(zip((n for n, _, _ in self.cells), wit))
+        if extra is not None:
+            pt[extra[0]] = wit[-1]
+        return worst, _round_point(pt)
 
 
 def sample_worst(pairs, rng, names, box, guards, samples):
@@ -263,10 +279,10 @@ def sample_worst(pairs, rng, names, box, guards, samples):
     names = set(names)
     for g in guards:
         names |= ex.free_vars(g.expr)
-    kernel = _Kernel((intervals(names, box),), guards, (),
+    kernel = _Kernel(intervals(names, box), guards, (),
                      (lambda k: [f"abs({k.value(a)} - {k.value(b)})"
                                  for a, b in pairs],))
-    return kernel.run(rng, samples, 0, 0, lambda: _pairs_deviation(pairs))
+    return kernel.run(rng, samples, 0, lambda: _pairs_deviation(pairs))
 
 
 def _pairs_deviation(pairs):
@@ -306,16 +322,20 @@ def finite_differences(lag, rng, box, guards, samples):
     checks draw from the one stream `rng` in turn, through one kernel: its
     shared statements compute L at the point; a coordinate's branch then
     computes dL/dz and, at z +- _FD_STEP, only the subtrees of L that
-    contain z."""
+    contain z.  A coordinate that neither L nor a guard reads is drawn as
+    the call's extra cell."""
     L, coords = lag.L, list(lag.partials.items())
     names = set(ex.free_vars(L))
     for g in guards:
         names |= ex.free_vars(g.expr)
-    cells = [intervals(names | {z}, box) for z, _ in coords]
-    blocks = sorted(dict.fromkeys(cells), key=len)   # the most drawn first
+    cells = intervals(names, box)
+    extras = {z: (z, *box.get(z, (-1.0, 1.0))) for z, _ in coords
+              if z not in names}
 
     def branch(z, partial):
         def emit(k):
+            if z in extras:
+                k.names[ex.var(z)] = "xe"
             got = k.value(partial)
             if z in L.fvs():
                 x = k.names[ex.var(z)]
@@ -330,11 +350,13 @@ def finite_differences(lag, rng, box, guards, samples):
             return [f"abs({got} - want) / (1.0 + abs(want))"]
         return emit
 
-    kernel = _Kernel(blocks, guards, (L,), [branch(z, d) for z, d in coords])
-    return [kernel.run(rng, samples, blocks.index(c), i,
+    kernel = _Kernel(cells, guards, (L,), [branch(z, d) for z, d in coords],
+                     tuple(extras.values()))
+    return [kernel.run(rng, samples, i,
                        lambda z=z, d=d: _fd_deviation(ex.compile_numeric(L),
-                                                      ex.compile_numeric(d), z))
-            for i, ((z, d), c) in enumerate(zip(coords, cells))]
+                                                      ex.compile_numeric(d), z),
+                       extras.get(z))
+            for i, (z, d) in enumerate(coords)]
 
 
 # ---------------------------------------------------------------------------
