@@ -94,11 +94,13 @@ class Expr:
         if s is None:
             if isinstance(self, Var):
                 s = frozenset((self.name,))
-            else:   # the largest child's set, when it holds the others'
-                sets = sorted((c.fvs() for c in _children(self)), key=len)
-                s = sets.pop() if sets else _NO_VARS
-                if not all(t <= s for t in sets):
-                    s = s.union(*sets)
+            else:   # a child's own set when it holds the union
+                sets = [c.fvs() for c in _children(self)]
+                s = frozenset().union(*sets)
+                for t in sets:
+                    if len(t) == len(s):
+                        s = t
+                        break
             object.__setattr__(self, "_fvs", s)
         return s
 
@@ -133,7 +135,6 @@ def _children(e):
 
 # (tag, payload, children) -> _Ref to the live node of that structure
 _TABLE = {}
-_NO_VARS = frozenset()
 
 
 class _Ref(weakref.ref):
@@ -807,9 +808,9 @@ def emit_numeric(e, names, lines, consts):
             try:
                 names[node] = f"({float(node.value)!r})"
             except OverflowError:
-                consts[f"_c{len(consts)}"] = node.value
                 names[node] = f"v{len(lines)}"
-                lines.append(f"{names[node]} = _float(_c{len(consts) - 1})")
+                consts[f"_c{len(lines)}"] = node.value
+                lines.append(f"{names[node]} = _float(_c{len(lines)})")
             continue
         if not ready:
             stack.append((node, True))

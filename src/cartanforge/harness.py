@@ -286,6 +286,7 @@ def sample_worst(pairs, rng, names, box, guards, samples):
 
 
 def _pairs_deviation(pairs):
+    """`sample_worst`'s deviation at one point dict, for `_sample_points`."""
     fns = [(ex.compile_numeric(a), ex.compile_numeric(b)) for a, b in pairs]
     return lambda pt: _largest(abs(a(pt) - b(pt)) for a, b in fns)
 
