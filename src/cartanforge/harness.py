@@ -162,7 +162,8 @@ class _Kernel:
         self.consts = tuple([v for _, lo, hi in cells for v in (lo, hi - lo)]
                             + [g.threshold for g in guards])
         gaps = {self._gap(n) for n, _, _ in extras}
-        wit = "".join(f"x{i}, " for i in range(len(cells))) + "xe, " * bool(extras)
+        wit = "".join(f"x{i}, " for i in range(len(cells)))
+        wit += "xe, " if extras else ""
         self.depth = 0
         self.put("def _kernel(_rand, _samples, _branch, _gap, le, we, _k):")
         self.depth = 1

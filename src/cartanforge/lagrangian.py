@@ -12,9 +12,10 @@ first use and kept on the instance (not a field: equality and hashing see
 only `chart` and `L`); `cartan_forms` keeps its result there too.  The
 momenta, both Euler-Lagrange routes, `energy_density`,
 `legendre_difference`, `noether.total_variation` and the catalog's
-finite-difference check all read it.  The routes the catalog compares the constructions against take
-their own d(L omega) and never read it: `vartheta_intrinsic`,
-`energy_intrinsic` and hypothesis (b) of `noether.jetfield_noether_check`.
+finite-difference check all read it.  The routes the catalog compares the
+constructions against take their own d(L omega) and never read it:
+`vartheta_intrinsic`, `energy_intrinsic` and hypothesis (b) of
+`noether.jetfield_noether_check`.
 
 The constructors only build: `cartan_forms` and `energy_density` follow
 these display formulas.  The independent intrinsic routes, contractions

@@ -187,8 +187,9 @@ def test_guards_that_cannot_hold():
                                      guards, 5))
     assert got == ("error", "could not draw a sample point satisfying the guards")
     lag = lg.Lagrangian(CHART, ex.pow_(ex.var("q"), 2))
-    same(lambda rng: hz.finite_differences(lag, rng, {}, (Guard(ex.var("q"), "<", -1.5),), 5),
-         lambda rng: fd_reference(lag, rng, {}, (Guard(ex.var("q"), "<", -1.5),), 5))
+    guards = (Guard(ex.var("q"), "<", -1.5),)
+    same(lambda rng: hz.finite_differences(lag, rng, {}, guards, 5),
+         lambda rng: fd_reference(lag, rng, {}, guards, 5))
 
 
 @pytest.mark.parametrize("e", [
