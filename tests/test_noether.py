@@ -73,6 +73,31 @@ def test_conservation_along_line():
     assert num.conserved and num.max_dev <= 1e-9
 
 
+def test_exact_zero_conservation_builds_no_kernel(monkeypatch):
+    # the report is the one the sampled path gives for a zero residual
+    import random
+
+    from cartanforge import harness
+
+    cur = no.noether_current(FREE, E_field(MECH, q="1"))
+    line = ch.SectionE(MECH, (MECH.parse("2*t + 3"),))
+    residual = no.check_conservation(cur, line).residual
+    assert residual.is_zero()
+    worst, witness = harness.sample_worst(
+        [(c, ex.ZERO) for c in residual.coeffs.values()], random.Random(7),
+        MECH.base_names, {}, (), 50)
+    sampled = no.ConservationReport(worst <= 1e-9, "numeric", residual,
+                                    worst, witness)
+
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("a kernel was built for an exact zero")
+
+    monkeypatch.setattr(harness, "_Kernel", no_kernel)
+    num = no.check_conservation(cur, line, mode="numeric", samples=50, seed=7)
+    assert num == sampled and num.witness == sampled.witness == {}
+    assert (num.conserved, num.max_dev) == (True, 0.0)
+
+
 def test_conservation_fails_off_shell():
     cur = no.noether_current(FREE, E_field(MECH, q="1"))
     parab = ch.SectionE(MECH, (MECH.parse("t^2"),))
