@@ -3,10 +3,10 @@
 Contact forms theta^A = dy^A - v^A_mu dx^mu, the structure form, contact
 reduction, the holonomy test, the two vertical endomorphisms, and canonical
 prolongation of vector fields and fiber-preserving maps.  Both
-prolongations are written with the one total derivative D_mu
-(`chart.total_derivative`, the same operator as in the Euler-Lagrange
-equations); contact reduction and `forms.pullback` share one loop that
-replaces basis covectors by 1-forms (`forms.replace_covectors`).
+prolongations use the one total derivative D_mu (`chart.total_derivative`;
+the Euler-Lagrange equations take its terms from the Lagrangian's table
+`second_partials`); contact reduction and `forms.pullback` share one loop
+that replaces basis covectors by 1-forms (`forms.replace_covectors`).
 
 The S endomorphism is always embedded through a connection: its covector
 slots are dy^A - Gamma^A_mu dx^mu.  The connection-free version exists only

@@ -199,18 +199,14 @@ class SectionJ1:
         return SectionE(self.chart, self.f)
 
 
-def total_derivative(chart, e, x, second=None):
-    """D_mu e = de/dx^mu + v^B_mu de/dy^B + s^B_{nu,mu} de/dv^B_nu, mu = x.
-
-    `second(b, nu, mu)` names the second-order slot s: by default `chart.w`,
-    the symmetric second-jet symbols of sections; the jet-field equations
-    pass their unknowns G(y,x_rho,x_mu).  Absent and zero partials are skipped.
-    """
-    second = second or chart.w
+def total_derivative(chart, e, x):
+    """D_mu e = de/dx^mu + v^B_mu de/dy^B + w^B_{nu,mu} de/dv^B_nu, mu = x,
+    with the symmetric second-jet symbols dd(b,nu,mu) in the second-order
+    slot.  Absent and zero partials are skipped."""
     declared = set(chart.jet_coords())
     free = ex.free_vars(e)
     slots = [(v_name(b, x), b) for b in chart.fiber_names]
-    slots += [(second(b, nu, x), v_name(b, nu))
+    slots += [(chart.w(b, nu, x), v_name(b, nu))
               for b in chart.fiber_names for nu in chart.base_names]
     terms = [ex.differentiate(e, x, declared=declared)]
     for coefficient, name in slots:

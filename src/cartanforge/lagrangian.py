@@ -9,8 +9,8 @@ The three canonical forms are built from the local expressions
 
 `Lagrangian.partials` maps every jet coordinate z to dL/dz, built whole on
 first use and kept on the instance (not a field: equality and hashing see
-only `chart` and `L`); `cartan_forms` keeps its result there too.  The
-momenta, both Euler-Lagrange routes, `energy_density`,
+only `chart` and `L`); `second_partials` and `cartan_forms` keep theirs
+there too.  The momenta, both Euler-Lagrange routes, `energy_density`,
 `legendre_difference`, `noether.total_variation` and the catalog's
 finite-difference check all read it.  The routes the catalog compares the
 constructions against take their own d(L omega) and never read it:
@@ -25,12 +25,12 @@ compares each pair, which pins the orientation conventions down
 mechanically.
 
 The Euler-Lagrange equations come by two routes, along sections
-(`derive_el`) and for second-order jet fields (`jetfield_el`).  Both are
-dL/dy^A - D_mu(dL/dv^A_mu) with the one total derivative
-`chart.total_derivative`; they differ only in what fills its second-order
-slot: the second-jet symbols dd(y,x,x'), symmetric by construction, or the
-jet field's unknowns G(y,x_rho,x_mu).  Either output is affine
-(quasi-linear) in that slot by first-orderedness of the Lagrangian.
+(`derive_el`) and for second-order jet fields (`jetfield_el`).  As L is
+first order, both are affine in the second-order slot s of D_mu:
+EL_A = a_A - H^{mu nu}_{AB} s^B_{nu mu} with H = d2L/dv^A_mu dv^B_nu, read
+with the drift a_A from the one table `Lagrangian.second_partials`.  The
+routes differ only in what fills s: the symmetric second-jet symbols
+dd(y,x,x') or the jet field's unknowns G(y,x_rho,x_mu).
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from functools import cached_property
 
 from . import expr as ex
 from .canonical import contact_form, vertical_endo_S, vertical_endo_V
-from .chart import SectionE, total_derivative, v_name
+from .chart import SectionE, v_name
 from .connection import JetField2, jetfield_contract, sopde_project
 from .errors import ChartMismatch, UnknownCoordinate
 from .forms import (
@@ -70,6 +70,14 @@ class Lagrangian:
         """dL/dz for every jet coordinate z, taken once on first use; a
         partial with no symbolic rule (`abs`) raises on that first use."""
         return {z: ex.differentiate(self.L, z) for z in self.chart.jet_coords()}
+
+    @cached_property
+    def second_partials(self):
+        """(v, z) -> d(dL/dv)/dz for every velocity v and jet coordinate z
+        where it is not zero; for z a velocity this is the Hessian H."""
+        table = {(v, z): ex.differentiate(self.partials[v], z)
+                 for v in self.chart.v_names() for z in self.chart.jet_coords()}
+        return {k: d for k, d in table.items() if not d.is_zero()}
 
     def momentum(self, y, x):
         """p^A_mu = dL/dv^A_mu."""
@@ -141,16 +149,23 @@ class ELSystem:
         return {y: ex.substitute(c, sub) for y, c in self.components.items()}
 
 
-def _el_equations(lag, second):
-    """EL_A = dL/dy^A - D_mu(dL/dv^A_mu), with `second` naming the
-    second-order slot of D_mu (see `chart.total_derivative`)."""
+def _el_equations(lag, second=None):
+    """EL_A = dL/dy^A - D_mu(dL/dv^A_mu) from `Lagrangian.second_partials`:
+    D_mu p^A_mu = H[v, x_mu] + v^B_mu H[v, y^B] + second(B,nu,mu) H[v, v^B_nu]
+    with v = v^A_mu.  With no `second` the last sum drops: the drift a_A."""
     ch = lag.chart
+    h = lag.second_partials
     out = {}
     for y in ch.fiber_names:
         terms = [lag.partials[y]]
         for x in ch.base_names:
-            d = total_derivative(ch, lag.momentum(y, x), x, second)
-            terms.append(ex.mul(ex.MINUS_ONE, d))
+            v = v_name(y, x)
+            slots = [(ex.ONE, x)] + [(ex.var(v_name(b, x)), b) for b in ch.fiber_names]
+            if second:
+                slots += [(ex.var(second(b, nu, x)), v_name(b, nu))
+                          for b in ch.fiber_names for nu in ch.base_names]
+            terms += [ex.mul(ex.MINUS_ONE, c, h[(v, z)])
+                      for c, z in slots if (v, z) in h]
         out[y] = ex.add(*terms)
     return out
 
@@ -222,6 +237,12 @@ def g_unknown(y, x_rho, x_mu):
     return f"G({y},{x_rho},{x_mu})"
 
 
+def _g_slots(ch):
+    """(y, x_rho, x_mu) of every unknown, in the order of `unknowns`."""
+    return [(y, xr, xm) for y in ch.fiber_names
+            for xr in ch.base_names for xm in ch.base_names]
+
+
 @dataclass(frozen=True)
 class JetFieldReport:
     is_sopde: bool
@@ -249,34 +270,33 @@ class LinearSolveReport:
 class ELJetProblem:
     """Reduced equations for a second-order ansatz with the G-table unknown.
 
-    Each equation is affine in the symbols G(y,x_rho,x_mu); `solve` runs a
-    small fraction-free-ish elimination over the expression field and
-    reports a parametrized solution set instead of failing on singular
-    Hessians.
+    Each equation is affine in the symbols G(y,x_rho,x_mu); `solve` reads
+    its matrix -H and right-hand side -a_A from `Lagrangian.second_partials`,
+    runs Gauss-Jordan elimination with `ex.div`, pivoting on the first
+    structurally non-zero entry of each column, and reports a parametrized
+    solution set instead of failing on singular Hessians.
     """
     lagrangian: Lagrangian
     unknowns: tuple
     equations: dict = field(compare=False)  # fiber name -> Expr
 
     def solve(self):
+        lag = self.lagrangian
+        h = lag.second_partials
+        drift = _el_equations(lag)
         rows = []
-        zero_sub = {u: ex.ZERO for u in self.unknowns}
         for y in sorted(self.equations):
-            eq = self.equations[y]
-            coeffs = [ex.differentiate(eq, u, declared=set(self.unknowns)
-                                       | ex.free_vars(eq)) for u in self.unknowns]
-            rhs = ex.mul(ex.MINUS_ONE, ex.substitute(eq, zero_sub))
-            rows.append((coeffs, rhs))
+            coeffs = [ex.mul(ex.MINUS_ONE,
+                             h.get((v_name(y, xm), v_name(b, xr)), ex.ZERO))
+                      for b, xr, xm in _g_slots(lag.chart)]
+            rows.append((coeffs, ex.mul(ex.MINUS_ONE, drift[y])))
 
         nuns = len(self.unknowns)
         pivot_cols = []
         used = [False] * len(rows)
         for col in range(nuns):
-            pick = None
-            for i, (coeffs, _) in enumerate(rows):
-                if not used[i] and not coeffs[col].is_zero():
-                    pick = i
-                    break
+            pick = next((i for i, (coeffs, _) in enumerate(rows)
+                         if not used[i] and not coeffs[col].is_zero()), None)
             if pick is None:
                 continue
             used[pick] = True
@@ -291,10 +311,9 @@ class ELJetProblem:
                 newr = ex.sub(rhs, ex.mul(factor, rows[pick][1]))
                 rows[j] = (newc, newr)
 
-        consistent = True
-        for i, (coeffs, rhs) in enumerate(rows):
-            if not used[i] and all(c.is_zero() for c in coeffs) and not rhs.is_zero():
-                consistent = False
+        consistent = not any(
+            not used[i] and all(c.is_zero() for c in coeffs) and not rhs.is_zero()
+            for i, (coeffs, rhs) in enumerate(rows))
 
         pivot_set = {col for _, col in pivot_cols}
         free = tuple(self.unknowns[c] for c in range(nuns) if c not in pivot_set)
@@ -313,13 +332,10 @@ class ELJetProblem:
         """Full report for a candidate jet field."""
         from .connection import jetfield_curvature_residuals
         lag = self.lagrangian
-        ch = lag.chart
         is_sopde = sopde_project(yf)
         omega_l = cartan_forms(lag).omega
         contracted = jetfield_contract(yf, omega_l)
-        gsub = {g_unknown(y, xr, xm): yf.G[(y, xr, xm)]
-                for y in ch.fiber_names
-                for xr in ch.base_names for xm in ch.base_names}
+        gsub = {g_unknown(*s): yf.G[s] for s in _g_slots(lag.chart)}
         reduced = {y: ex.substitute(eq, gsub) for y, eq in self.equations.items()}
         return JetFieldReport(is_sopde, contracted, reduced,
                               jetfield_curvature_residuals(yf))
@@ -328,8 +344,5 @@ class ELJetProblem:
 def jetfield_el(lag):
     """Equations dL/dy^A - D^Y_mu(dL/dv^A_mu) = 0 for a second-order field:
     the second-order slot of D^Y_mu holds the unknowns G^B_{rho,mu}."""
-    ch = lag.chart
-    unknowns = tuple(g_unknown(y, xr, xm)
-                     for y in ch.fiber_names
-                     for xr in ch.base_names for xm in ch.base_names)
+    unknowns = tuple(g_unknown(*s) for s in _g_slots(lag.chart))
     return ELJetProblem(lag, unknowns, _el_equations(lag, g_unknown))

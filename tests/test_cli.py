@@ -100,6 +100,17 @@ def test_jetfield_el_checker(capsys):
     assert "sopde = true" in out and "solves = true" in out
 
 
+def test_jetfield_el_solver_nambu_hits_the_size_bound(capsys):
+    # No golden covers nambu's solve: its elimination stops on the term
+    # bound at the same row update every time, which pins its rows.  The
+    # sound solve of ROADMAP item 2 replaces this with a report of rank 3.
+    start = time.monotonic()
+    code, out, err = run(capsys, "jetfield-el", prob("nambu_string.toml"))
+    assert time.monotonic() - start < 30
+    assert (code, out) == (2, "")
+    assert err == "error: expansion would build 13952 terms (limit 10000)\n"
+
+
 def test_symmetry_command(capsys):
     code, out, _ = run(capsys, "symmetry", prob("free_particle.toml"),
                        "--vectorfield", "dilation")

@@ -134,8 +134,101 @@ def test_total_derivative_chain_rule_oracle():
         for x in WAVE.base_names:
             composed = ex.substitute(p, {k: v for k, v in sub.items()})
             lhs = ex.differentiate(composed, x, declared=WAVE.base_names)
-            rhs = ex.substitute(lg.total_derivative(WAVE, p, x), sub)
+            rhs = ex.substitute(ch.total_derivative(WAVE, p, x), sub)
             assert ex.sub(lhs, rhs).is_zero()
+
+
+# -- the affine table: second_partials against plain differentiation ---------
+
+TWO = ch.make_chart(["x0", "x1"], ["u", "w"])
+
+
+def reference_total_derivative(chart, e, x, second):
+    """D_mu e with `second(b, nu, mu)` in the second-order slot, taken by
+    differentiating e itself: the construction the table must reproduce."""
+    declared = set(chart.jet_coords())
+    slots = [(ch.v_name(b, x), b) for b in chart.fiber_names]
+    slots += [(second(b, nu, x), ch.v_name(b, nu))
+              for b in chart.fiber_names for nu in chart.base_names]
+    terms = [ex.differentiate(e, x, declared=declared)]
+    for coefficient, name in slots:
+        d = ex.differentiate(e, name, declared=declared)
+        if not d.is_zero():
+            terms.append(ex.mul(ex.var(coefficient), d))
+    return ex.add(*terms)
+
+
+def reference_el(lag, second):
+    chart = lag.chart
+    return {y: ex.add(lag.partials[y], *(
+        ex.mul(ex.MINUS_ONE, reference_total_derivative(
+            chart, lag.momentum(y, x), x, second))
+        for x in chart.base_names)) for y in chart.fiber_names}
+
+
+def table_lagrangians():
+    # velocities drawn three times as often, so the Hessians are not sparse
+    r = randgen.rng(812)
+    names = list(TWO.jet_coords()) + list(TWO.v_names()) * 2
+    for _ in range(6):
+        yield lg.Lagrangian(TWO, randgen.nonzero_poly(r, names, 4, 8))
+    for _ in range(6):
+        yield lg.Lagrangian(TWO, ex.mul(randgen.smooth_expr(r, names, 3),
+                                        randgen.nonzero_poly(r, names, 3, 4)))
+
+
+def test_second_partials_are_the_partials_of_the_partials():
+    for lag in table_lagrangians():
+        h = lag.second_partials
+        for v in TWO.v_names():
+            for z in TWO.jet_coords():
+                d = ex.differentiate(lag.partials[v], z)
+                assert h.get((v, z), ex.ZERO) is d
+                assert (v, z) in h or d.is_zero()
+
+
+def test_el_routes_equal_the_total_derivative_of_each_momentum():
+    for lag in table_lagrangians():
+        assert lg.derive_el(lag).components == reference_el(lag, TWO.w)
+        prob = lg.jetfield_el(lag)
+        assert prob.equations == reference_el(lag, lg.g_unknown)
+
+
+def test_solve_rows_are_the_derivatives_of_the_equations():
+    # solve's coefficient of G(b,rho,mu) in row y is -H[d(y,mu), d(b,rho)]
+    # and its right-hand side -a_y: node for node what differentiating each
+    # equation by each unknown, and substituting zero for them, gives
+    for lag in table_lagrangians():
+        prob = lg.jetfield_el(lag)
+        h = lag.second_partials
+        drift = lg._el_equations(lag)
+        zero = {u: ex.ZERO for u in prob.unknowns}
+        for y, eq in prob.equations.items():
+            assert ex.mul(ex.MINUS_ONE, drift[y]) is ex.mul(
+                ex.MINUS_ONE, ex.substitute(eq, zero))
+            for b, xr, xm in lg._g_slots(TWO):
+                hb = h.get((ch.v_name(y, xm), ch.v_name(b, xr)), ex.ZERO)
+                assert ex.mul(ex.MINUS_ONE, hb) is ex.differentiate(
+                    eq, lg.g_unknown(b, xr, xm))
+
+
+def test_solve_solutions_satisfy_the_equations():
+    # the pivots, evaluated with the other unknowns at seeded values, make
+    # every jet-field equation vanish: the rows have the equations' indices.
+    # A pivot may still name another pivot's unknown behind a coefficient
+    # that is zero but not structurally so; that unknown's value is moot.
+    r = randgen.rng(813)
+    for lag in table_lagrangians():
+        prob = lg.jetfield_el(lag)
+        sol = prob.solve()
+        if not sol.consistent:
+            continue
+        for _ in range(3):
+            pt = randgen.sample_point(r, TWO.jet_coords() + prob.unknowns)
+            pt.update({u: ex.compile_numeric(e)(pt) for u, e in sol.pivots.items()})
+            scale = 1 + max(map(abs, pt.values()))
+            for eq in prob.equations.values():
+                assert abs(ex.compile_numeric(eq)(pt)) <= 1e-9 * scale
 
 
 def assert_el_routes_agree(lag):
