@@ -8,11 +8,12 @@ for each problem in PROBLEMS and each command listed for it, so a rewrite
 cannot change an answer unnoticed.  `symmetry`, `noether` and
 `check-section` run once per declared vector field, (vector field,
 section) pair and section, in name order; their golden file is the
-concatenation of those runs, each preceded by a line `$ <options>`.  nambu_string's `jetfield-el`
-without `--jetfield` has none: its elimination stops on the expression size
-bound (exit 2), which tests/test_cli.py pins instead.  Its `verify` guards the largest expression the corpus builds, the Nambu
-Poincare-Cartan form, but only through checks that pass, and dOmega = 0
-there.  Its `derive-el` and `cartan-forms` outputs, which print that form
+concatenation of those runs, each preceded by a line `$ <options>`.
+nambu_string's `jetfield-el` without `--jetfield` has none: its elimination
+stops on the expression size bound (exit 2), which tests/test_cli.py pins
+instead.  Its `verify` guards the largest expression the corpus builds, the
+Nambu Poincare-Cartan form, but only through checks that pass, and
+dOmega = 0 there.  Its `derive-el` and `cartan-forms` outputs, which print that form
 and the Euler-Lagrange equations in full, total 730 KB, so their golden
 files (DIGESTED) hold the SHA-256 hex digest of the output, not the output
 itself.  polyakov_string covers the box-and-guard sampling path.
