@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from cartanforge import canonical as ca
@@ -5,6 +7,7 @@ from cartanforge import chart as ch
 from cartanforge import connection as cn
 from cartanforge import expr as ex
 from cartanforge import forms as fm
+from cartanforge import harness
 from cartanforge import lagrangian as lg
 from cartanforge import noether as no
 from cartanforge.errors import HypothesisViolated, NotOnEChart
@@ -75,10 +78,6 @@ def test_conservation_along_line():
 
 def test_exact_zero_conservation_builds_no_kernel(monkeypatch):
     # the report is the one the sampled path gives for a zero residual
-    import random
-
-    from cartanforge import harness
-
     cur = no.noether_current(FREE, E_field(MECH, q="1"))
     line = ch.SectionE(MECH, (MECH.parse("2*t + 3"),))
     residual = no.check_conservation(cur, line).residual
