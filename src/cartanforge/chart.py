@@ -68,21 +68,11 @@ class JetChart:
                     out.append(w_name(y, x1, x2))
         return tuple(out)
 
-    def b_names(self):
-        return tuple(b_name(y, xr, xm)
-                     for y in self.fiber_names
-                     for xr in self.base_names
-                     for xm in self.base_names)
-
     def e_coords(self):
         return self.base_names + self.fiber_names
 
     def jet_coords(self):
         return self.base_names + self.fiber_names + self.v_names()
-
-    def extended_coords(self):
-        """Jet coordinates plus the symmetric second-jet symbols."""
-        return self.jet_coords() + self.w_names()
 
     def w(self, y, x1, x2):
         """Symmetric accessor: dd(y, x1, x2) with indices put in chart order."""

@@ -702,57 +702,54 @@ def _subst(e, b, memo):
 
 
 def evaluate_numeric(e, point):
-    """IEEE double evaluation; every free variable must be bound."""
+    """IEEE double evaluation; every free variable must be bound.  Each
+    distinct subtree is evaluated once per call, so the time follows the
+    expression's DAG, not its tree."""
     try:
-        return _eval(e, point)
+        return _eval(e, point, {})
     except OverflowError as exc:
         raise NumericDomain(f"overflow: {exc}") from exc
 
 
-def _eval(e, p):
+def _eval(e, p, memo):
+    v = memo.get(e)
+    if v is not None:
+        return v
     if isinstance(e, Rat):
-        return float(e.value)
-    if isinstance(e, Var):
+        v = float(e.value)
+    elif isinstance(e, Var):
         try:
-            return float(p[e.name])
+            v = float(p[e.name])
         except KeyError:
             raise UnboundVariable(f"no value bound for {e.name!r}") from None
-    if isinstance(e, Add):
-        return math.fsum(_eval(t, p) for t in e.terms)
-    if isinstance(e, Mul):
-        out = 1.0
+    elif isinstance(e, Add):
+        v = math.fsum(_eval(t, p, memo) for t in e.terms)
+    elif isinstance(e, Mul):
+        v = 1.0
         for f in e.factors:
-            out *= _eval(f, p)
-        return out
-    if isinstance(e, Pow):
-        b = _eval(e.base, p)
+            v *= _eval(f, p, memo)
+    elif isinstance(e, Pow):
+        b = _eval(e.base, p, memo)
         n = e.exponent
-        if n.denominator == 1:
-            if b == 0.0 and n < 0:
-                raise NumericDomain("division by zero")
-            return b ** n.numerator
-        if b < 0.0:
+        if n.denominator != 1 and b < 0.0:
             raise NumericDomain(f"even root of negative value {b}")
         if b == 0.0 and n < 0:
             raise NumericDomain("division by zero")
-        return b ** (n.numerator / n.denominator)
-    if isinstance(e, Func):
-        u = _eval(e.arg, p)
-        if e.fname == "sin":
-            return math.sin(u)
-        if e.fname == "cos":
-            return math.cos(u)
-        if e.fname == "exp":
-            return math.exp(u)
-        if e.fname == "log":
-            if u <= 0.0:
-                raise NumericDomain(f"log of non-positive value {u}")
-            return math.log(u)
-        if e.fname == "abs":
-            return abs(u)
-        if e.fname == "sign":
-            return float((u > 0.0) - (u < 0.0))
-    raise TypeError(f"not an Expr: {e!r}")
+        v = b ** (n.numerator if n.denominator == 1
+                  else n.numerator / n.denominator)
+    elif isinstance(e, Func):
+        u = _eval(e.arg, p, memo)
+        if e.fname == "log" and u <= 0.0:
+            raise NumericDomain(f"log of non-positive value {u}")
+        v = _FUNCS[e.fname](u)
+    else:
+        raise TypeError(f"not an Expr: {e!r}")
+    memo[e] = v
+    return v
+
+
+_FUNCS = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "log": math.log,
+          "abs": abs, "sign": lambda u: float((u > 0.0) - (u < 0.0))}
 
 
 def compile_numeric(e):

@@ -1,7 +1,7 @@
 """Numeric verification layer and the executable identity catalog.
 
 Every sampled check (``numeric_check``, the finite-difference check of each
-dL/dz, numeric ``noether.check_conservation``) samples the same way:
+dL/dz, numeric ``noether.check_conservation``) samples by one rule:
 
 - the stream is a ``random.Random`` seeded from the problem's numeric
   settings, so two runs with the same seed produce byte-identical reports;
@@ -9,28 +9,29 @@ dL/dz, numeric ``noether.check_conservation``) samples the same way:
   (name -> (lo, hi)), or on [-1, 1] where the box declares none, as
   ``lo + (hi - lo) * rng.random()``, ``random.uniform``'s own expression;
 - a point violating a declared guard (for example a determinant kept away
-  from zero) is redrawn, at most _MAX_DRAWS times; a domain error outside
-  the guards is raised with the offending point attached;
+  from zero) is redrawn, at most _MAX_DRAWS times (``draw_point``); a guard
+  that fails to evaluate raises its own error;
+- at each point the check evaluates its expressions in one order: a, then
+  b, of each pair for ``sample_worst``; L, dL/dz, L at z + h, then L at
+  z - h for the finite-difference check of dL/dz.  The first domain error
+  is raised with the point attached;
 - the result is the worst deviation and its witness, the first point that
   reached it, rounded to 12 decimals ({} when no deviation is positive).
   The first NaN deviation is the worst and stays, so the check fails.
 
-``_sample_points`` is that rule written point by point: ``draw_point``, a
-dict per point and one ``expr.compile_numeric`` function per expression.
-A check runs it only as a fallback.  Each check generates one kernel
-(``_Kernel``): a single function whose statements come from
-``expr.emit_numeric``, the generator behind ``compile_numeric``.  It draws
-every coordinate into a local, tests the guards inline, computes each
-distinct subtree once per point and keeps the worst deviation and its
-witness in locals; the witness dict is built once, at the end.  The
-finite-difference checks of a problem share one kernel: L is computed once
-per point, and each coordinate's branch adds dL/dz and the subtrees of L
-that contain the shifted coordinate.  The statements perform the tree
-walk's operations in its order, so the values, witnesses and stream state
-equal the per-point path's bit for bit.  When any operation in a kernel
-raises, the stream goes back to the state the check started from and the
-check runs again through ``_sample_points``, which raises exactly the
-error, message and ``at point`` suffix the per-point path raises.
+Each check runs as one generated kernel (``_Kernel``): a single function
+whose statements come from ``expr.emit_numeric``, the generator behind
+``compile_numeric``.  It draws every coordinate into a local, tests the
+guards inline, computes each distinct subtree once per point and keeps the
+worst deviation and its witness in locals; the witness dict is built once,
+at the end.  The finite-difference checks of a problem share one kernel:
+L is computed once per point, and each coordinate's branch adds dL/dz and
+the subtrees of L that contain the shifted coordinate.  A kernel performs
+the rule's operations, each a (subtree, point) evaluation, on the same
+values, so values, witnesses and stream state are the rule's bit for bit.
+When one raises, the kernel returns the point it was at, whose draws are
+done as the rule's are; ``_raise_at`` evaluates that point's guards and
+expressions in the rule's order and raises the rule's first error.
 """
 
 from __future__ import annotations
@@ -118,34 +119,24 @@ def draw_point(rng, cells, guards=()):
     raise NumericDomain(_NO_POINT)
 
 
-def _largest(devs):
-    """max(0.0, *devs), except that a NaN among `devs` is the result."""
-    out = 0.0
-    for dev in devs:
-        if dev > out or dev != dev:
-            out = dev
-    return out
-
-
-def _sample_points(deviation, rng, cells, guards, samples):
-    """The per-point path a kernel reproduces: the worst `deviation(pt)`
-    over `samples` points from `draw_point` and its witness; the first
-    NaN deviation is the worst and stays.  A domain error names its point."""
-    worst, witness = 0.0, {}
-    for _ in range(samples):
-        pt = draw_point(rng, cells, guards)
+def _raise_at(pt, guards, evals):
+    """Raise the sampling rule's error at `pt`, a point where a kernel
+    raised: a guard's own error, else the first of `evals` to fail, with
+    `pt` attached.  Each of `evals` is (expression, coordinate, step): the
+    expression at `pt` with `step` added to that coordinate, if any."""
+    for g in guards:
+        g.holds(pt)
+    for e, z, step in evals:
         try:
-            dev = deviation(pt)
+            ex.compile_numeric(e)({**pt, z: pt[z] + step} if z else pt)
         except NumericDomain as err:
             raise NumericDomain(f"{err} at point {_round_point(pt)}") from err
-        if dev > worst or dev != dev and worst == worst:
-            worst, witness = dev, pt
-    return worst, _round_point(witness)
+    raise AssertionError(f"a kernel raised at {pt}, but its replay did not")
 
 
 class _Kernel:
-    """One generated function that samples a check the way `_sample_points`
-    does, with every value in a local.
+    """One generated function that samples a check by the module's rule,
+    with every value in a local.
 
     A call draws the (name, lo, hi) `cells` in order, each into its local,
     plus at most one of the `extras` at its sorted place; redraws until the
@@ -209,7 +200,7 @@ class _Kernel:
         self.put(f"    worst, wit = dev, ({wit})")
         self.depth = 1
         self.put("except _Rerun:")
-        self.put("    return None")
+        self.put(f"    return None, ({wit})")
         self.put("return worst, wit")
         ns = dict(ex.NUMERIC_NS, _DRAWS=range(_MAX_DRAWS), _NO_POINT=_NO_POINT,
                   _NumericDomain=NumericDomain, p={}, **self.bound)
@@ -246,29 +237,24 @@ class _Kernel:
         self.src, self.depth, self.names = src, depth, names
         return body
 
-    def run(self, rng, samples, branch, deviation, extra=None):
+    def run(self, rng, samples, branch, evals, extra=None):
         """The worst deviation of `branch` over `samples` points of the
         cells and the `extra` (name, lo, hi) from `extras` if given, and
-        its witness rounded by `_round_point`.  When any operation raised,
-        the check runs again from the same stream state through
-        `_sample_points` with `deviation()`, the per-point function, so
-        results and errors are the per-point path's."""
-        cells, args = self.cells, (-1, 0.0, 0.0)
+        its witness rounded by `_round_point`.  When an operation raised,
+        the kernel returns None and the point it was at; `_raise_at` then
+        replays that point's guards and `evals` to raise the error."""
+        args = (-1, 0.0, 0.0)
         if extra is not None:
-            cells = tuple(sorted(cells + (extra,)))
             args = (self._gap(extra[0]), extra[1], extra[2] - extra[1])
-        state = rng.getstate()
-        got = self.fn(rng.random, samples, self.branch_of[branch], *args,
-                      self.consts)
-        if got is None:
-            rng.setstate(state)
-            return _sample_points(deviation(), rng, cells, self.guards, samples)
-        worst, wit = got
+        worst, wit = self.fn(rng.random, samples, self.branch_of[branch],
+                             *args, self.consts)
         if wit is None:
             return worst, {}
         pt = dict(zip((n for n, _, _ in self.cells), wit))
         if extra is not None:
             pt[extra[0]] = wit[-1]
+        if worst is None:
+            _raise_at(pt, self.guards, evals)
         return worst, _round_point(pt)
 
 
@@ -283,13 +269,8 @@ def sample_worst(pairs, rng, names, box, guards, samples):
     kernel = _Kernel(intervals(names, box), guards, (),
                      (lambda k: [f"abs({k.value(a)} - {k.value(b)})"
                                  for a, b in pairs],))
-    return kernel.run(rng, samples, 0, lambda: _pairs_deviation(pairs))
-
-
-def _pairs_deviation(pairs):
-    """`sample_worst`'s deviation at one point dict, for `_sample_points`."""
-    fns = [(ex.compile_numeric(a), ex.compile_numeric(b)) for a, b in pairs]
-    return lambda pt: _largest(abs(a(pt) - b(pt)) for a, b in fns)
+    return kernel.run(rng, samples, 0,
+                      [(e, None, 0.0) for pair in pairs for e in pair])
 
 
 def numeric_check(check: IdentityCheck):
@@ -355,9 +336,8 @@ def finite_differences(lag, rng, box, guards, samples):
     kernel = _Kernel(cells, guards, (L,), [branch(z, d) for z, d in coords],
                      tuple(extras.values()))
     return [kernel.run(rng, samples, i,
-                       lambda z=z, d=d: _fd_deviation(ex.compile_numeric(L),
-                                                      ex.compile_numeric(d), z),
-                       extras.get(z))
+                       ((L, None, 0.0), (d, None, 0.0), (L, z, _FD_STEP),
+                        (L, z, -_FD_STEP)), extras.get(z))
             for i, (z, d) in enumerate(coords)]
 
 
@@ -372,19 +352,6 @@ def _sym(name, ok, detail=""):
 
 def _skip(name, why):
     return CheckResult(name, "skip", None, {}, why)
-
-
-def _fd_deviation(L, dL, coord):
-    """Relative gap between the compiled dL/d`coord` and a central
-    difference of the compiled L."""
-    def dev(pt):
-        got = dL(pt)
-        hi, lo = dict(pt), dict(pt)
-        hi[coord] += _FD_STEP
-        lo[coord] -= _FD_STEP
-        want = (L(hi) - L(lo)) / (2 * _FD_STEP)
-        return abs(got - want) / (1.0 + abs(want))
-    return dev
 
 
 def _seeded_gamma_tables(problem, rng, count):

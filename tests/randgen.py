@@ -62,5 +62,40 @@ def smooth_expr(r, names, depth=2):
     return ex.pow_(shifted, r.choice([-2, -1, 2, 3]))
 
 
+def wild_expr(r, names, depth=2):
+    """Random expression that leaves its domain on part of a sample box.
+
+    log, sqrt and 1/u take unshifted polynomials, so they meet log <= 0,
+    even roots of negatives and division by zero.  u^(3/2), exp of large
+    multiples (overflow), 400-digit rationals (half of them too large for a
+    float) and a log of v^2 - 10^-12, whose gap |v| < 10^-6 is narrower
+    than a finite-difference stencil, join them.
+    """
+    if depth == 0 or r.random() < 0.4:
+        return nonzero_poly(r, names, max_degree=2, terms=3)
+    kind = r.choice(["add", "mul", "log", "sqrt", "inv", "pow", "exp",
+                     "huge", "gap"])
+    a = wild_expr(r, names, depth - 1)
+    if kind == "add":
+        return ex.add(a, wild_expr(r, names, depth - 1))
+    if kind == "mul":
+        return ex.mul(a, wild_expr(r, names, depth - 1))
+    if kind in ("log", "sqrt"):
+        return ex.func(kind, a)
+    if kind == "inv":
+        return a if a.is_zero() else ex.pow_(a, -1)
+    if kind == "pow":
+        return ex.pow_(a, Fraction(3, 2))
+    if kind == "exp":
+        return ex.func("exp", ex.mul(ex.Rat(r.choice((100, 800))), a))
+    if kind == "huge":
+        big = Fraction(r.choice((1, -1)) * 10 ** 400,
+                       7 * 10 ** r.choice((0, 399)))
+        return ex.add(a, ex.Rat(big))
+    v = ex.var(r.choice(names))
+    return ex.add(a, ex.func("log", ex.add(ex.pow_(v, 2),
+                                           ex.Rat(Fraction(-1, 10 ** 12)))))
+
+
 def sample_point(r, names, lo=-1.0, hi=1.0):
     return {n: r.uniform(lo, hi) for n in sorted(names)}

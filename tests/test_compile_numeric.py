@@ -1,6 +1,7 @@
 """compile_numeric against the evaluate_numeric tree walk, bit for bit."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -91,6 +92,17 @@ def test_tree_300_levels_deep():
     for i in range(300):
         e = ex.func("sin", e) if i % 2 else ex.add(e, ex.rat(1, 3))
     assert same(e, {"x": 0.3}) == ex.evaluate_numeric(e, {"x": 0.3}).hex()
+
+
+def test_tree_walk_evaluates_each_shared_subtree_once():
+    # 2^20 paths through 41 distinct nodes: a walk over every path takes
+    # seconds, one over the distinct nodes milliseconds
+    e = x
+    for _ in range(20):
+        e = ex.add(ex.func("sin", e), ex.func("cos", e))
+    start = time.perf_counter()
+    assert same(e, {"x": 0.3}) == ex.compile_numeric(e)({"x": 0.3}).hex()
+    assert time.perf_counter() - start < 0.5
 
 
 def test_function_is_cached_on_the_node():

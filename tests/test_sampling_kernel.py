@@ -1,10 +1,11 @@
 """The generated sampling kernels against the per-point path, bit for bit.
 
-The reference here samples point by point, as the harness did before its
-kernels: `draw_point`, one compiled function per expression and a dict per
-point.  Every check must give the same worst deviation (by float.hex), the
-same witness and the same stream state afterwards, or raise the same error
-with the stream left in the same state.
+The reference here samples point by point, by the harness's rule:
+`draw_point`, one compiled function per expression and a dict per point,
+each point's expressions evaluated in the rule's order.  Every check must
+give the same worst deviation (by float.hex), the same witness and the same
+stream state afterwards, or raise the same error with the stream left in
+the same state.
 """
 
 import json
@@ -64,6 +65,7 @@ def fd_deviation(L, dL, z):
     L, dL = ex.compile_numeric(L), ex.compile_numeric(dL)
 
     def dev(pt):
+        L(pt)
         got = dL(pt)
         hi, lo = dict(pt), dict(pt)
         hi[z] += 1e-5
@@ -247,20 +249,43 @@ def test_the_first_nan_is_the_worst_and_stays(box, first):
     assert got[0][0] == "nan"
 
 
-def test_a_failed_kernel_reruns_the_check_point_by_point(monkeypatch):
-    # a kernel that raised after drawing hands the check, from the stream
-    # state it started at, to the per-point path
-    real = hz._Kernel.__init__
+def test_a_gap_narrower_than_the_stencil_raises_at_its_point():
+    # log(q^2 - 10^-12) is undefined for |q| < 10^-6, and L at q +- 10^-5 is
+    # defined across that gap.  The rule evaluates L at the point first, so
+    # the q check raises at its first point in the gap; evaluating only dL/dq
+    # and L at q +- h, the call returned at this seed.
+    mech = ch.make_chart(["t"], ["q"])
+    q = ex.var("q")
+    lag = lg.Lagrangian(mech, ex.func("log", ex.add(
+        ex.pow_(q, 2), ex.Rat(Fraction(-1, 10 ** 12)))))
+    box = {"q": (-2e-6, 2e-6)}
+    got = same(lambda rng: hz.finite_differences(lag, rng, box, (), 3),
+               lambda rng: fd_reference(lag, rng, box, (), 3), seed=215)
+    assert got == ("error", "log of non-positive value -7.54002996458792e-13"
+                            " at point {'q': -4.95981e-07}")
+    # the t check before it drew no point in the gap
+    rng = random.Random(215)
+    cells = hz.intervals({"q", "t"}, box)
+    assert all(abs(hz.draw_point(rng, cells)["q"]) > 1e-6 for _ in range(3))
 
-    def failing(self, *args):
-        real(self, *args)
-        self.fn = lambda rand, *_: [rand() for _ in range(7)] and None
-    monkeypatch.setattr(hz._Kernel, "__init__", failing)
-    pairs = [(ex.func("exp", x), ex.add(ex.ONE, x))]
-    guards = (Guard(y, "<", 0.5),)
-    same(lambda rng: hz.sample_worst(pairs, rng, ["x", "y"], {}, guards, 30),
-         lambda rng: reference(pairs_deviation(pairs), rng, ["x", "y"], {},
-                               guards, 30))
-    lag = lg.Lagrangian(CHART, ex.mul(ex.var("q"), ex.func("sin", ex.var("d(r,s)"))))
-    same(lambda rng: hz.finite_differences(lag, rng, {}, guards, 30),
-         lambda rng: fd_reference(lag, rng, {}, guards, 30))
+
+BOXES = [(-2e-6, 2e-6), (1e150, 1e160), (-0.5, 1.5)]
+
+
+@pytest.mark.parametrize("seed", range(960, 1000))
+def test_inputs_that_leave_their_domain_match_the_per_point_path(seed):
+    r = randgen.rng(seed)
+    names = r.sample(JET, r.randint(1, 3))
+    box = {n: r.choice(BOXES) for n in r.sample(JET, 2)}
+    guards = tuple(Guard(randgen.wild_expr(r, names, 1), r.choice("<>"),
+                         r.uniform(-0.5, 0.5)) for _ in range(r.randint(0, 2)))
+    lag = lg.Lagrangian(CHART, randgen.wild_expr(r, names, 3))
+    if "abs" not in ex.to_text(lag.L):   # abs has no partials table
+        same(lambda rng: hz.finite_differences(lag, rng, box, guards, 20),
+             lambda rng: fd_reference(lag, rng, box, guards, 20), seed)
+    pairs = [(randgen.wild_expr(r, names, 2), randgen.smooth_expr(r, names, 1))
+             for _ in range(r.randint(1, 2))]
+    used = set(names).union(*(ex.free_vars(e) for pair in pairs for e in pair))
+    same(lambda rng: hz.sample_worst(pairs, rng, used, box, guards, 20),
+         lambda rng: reference(pairs_deviation(pairs), rng, used, box, guards,
+                               20), seed)
