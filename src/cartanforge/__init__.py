@@ -28,7 +28,6 @@ from .connection import (
 )
 from .expr import (
     Expr,
-    compile_numeric,
     differentiate,
     evaluate_numeric,
     free_vars,

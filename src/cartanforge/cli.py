@@ -187,8 +187,7 @@ def cmd_noether(problem, args):
     if args.along:
         sdecl = _named(problem.sections, args.along, "section")
         # one residual serves both verdicts
-        nrep = check_conservation(cur, sdecl.section, mode="numeric",
-                                  samples=samples,
+        nrep = check_conservation(cur, sdecl.section, samples=samples,
                                   tol=args.tol if args.tol is not None
                                   else problem.numeric.tol,
                                   seed=args.seed if args.seed is not None

@@ -23,11 +23,12 @@ denominator).  Structurally equal expressions are one object, so ``==`` and
 ``hash`` are identity.  A new node's sort key ``Expr.key`` is built when it
 is interned, from its children's stored keys.  The table maps a key to a
 weak reference that holds that key, so it keeps no dead expression alive.
-A node with a cached ``compile_numeric`` function sits in a reference
-cycle, and a new node of its structure can be interned before the cyclic
-collector runs the old reference's callback; the callback therefore removes
-the entry only if it still holds that same reference.  Copying or pickling
-a node rebuilds it through its constructor.
+A node that only cyclic garbage still refers to (a list that contains
+itself and the node, say) lives until the cyclic collector runs, and a new
+node of its structure can be interned before the old reference's callback
+runs; the callback therefore removes the entry only if it still holds that
+same reference.  Copying or pickling a node rebuilds it through its
+constructor.
 
 Sums and products of canonical terms meet in one term accumulator, a dict
 from a term's factor tuple to its coefficient as a reduced (numerator,
@@ -52,6 +53,12 @@ Poincare-Cartan form) is worked out once; an exception is never stored.
 ``sum_of_partials`` takes one memo per variable from its caller, so
 ``exterior_d`` shares them across its whole call.  A memo kept for the
 process raised the Nambu ``verify``'s peak RSS 22 -> 47 MB.
+
+Numeric evaluation has two forms.  ``evaluate_numeric``, a walk over the
+DAG, gives single values and the text of every error (a domain failure is a
+``NumericDomain``).  ``emit_numeric`` writes the same IEEE operations as
+statements, from which ``harness`` builds its sampling kernels; where one
+raises, the kernel's point is replayed through the walk for the error.
 """
 
 from __future__ import annotations
@@ -83,7 +90,7 @@ RESERVED_NAMES = frozenset(FUNCTIONS) | {"sqrt", "d", "dd", "a", "b"}
 class Expr:
     """Base class; concrete nodes are Rat, Var, Add, Mul, Pow, Func."""
 
-    __slots__ = ("_skey", "_fvs", "_fn", "__weakref__")
+    __slots__ = ("_skey", "_fvs", "__weakref__")
 
     def key(self):
         # (rank, payload, children) nested tuples: a total structural order
@@ -709,6 +716,8 @@ def evaluate_numeric(e, point):
         return _eval(e, point, {})
     except OverflowError as exc:
         raise NumericDomain(f"overflow: {exc}") from exc
+    except ValueError as exc:   # inf - inf in fsum, sin or cos of inf
+        raise NumericDomain(f"invalid operation: {exc}") from exc
 
 
 def _eval(e, p, memo):
@@ -750,27 +759,6 @@ def _eval(e, p, memo):
 
 _FUNCS = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "log": math.log,
           "abs": abs, "sign": lambda u: float((u > 0.0) - (u < 0.0))}
-
-
-def compile_numeric(e):
-    """``evaluate_numeric`` for one expression as a function generated from
-    ``emit_numeric``'s statements.  When any operation fails, the tree walk
-    runs again to raise exactly the exception ``evaluate_numeric`` raises, so
-    domain errors, unbound variables and oversized rationals surface at call
-    time with the same class and message.  The function is cached on the
-    node."""
-    fn = getattr(e, "_fn", None)
-    if fn is None:
-        lines, consts = [], {}
-        out = emit_numeric(e, {}, lines, consts)
-        body = "".join(f"        {line}\n" for line in lines)
-        src = (f"def _numeric(p):\n    try:\n{body}        return {out}\n"
-               f"    except _Rerun:\n        return evaluate_numeric(_e, p)\n")
-        ns = dict(NUMERIC_NS, evaluate_numeric=evaluate_numeric, _e=e, **consts)
-        exec(compile(src, "<compile_numeric>", "exec"), ns)
-        fn = ns["_numeric"]
-        object.__setattr__(e, "_fn", fn)
-    return fn
 
 
 class _Escape(ArithmeticError):

@@ -1,7 +1,7 @@
 """Numeric verification layer and the executable identity catalog.
 
 Every sampled check (``numeric_check``, the finite-difference check of each
-dL/dz, numeric ``noether.check_conservation``) samples by one rule:
+dL/dz, ``noether.check_conservation``) samples by one rule:
 
 - the stream is a ``random.Random`` seeded from the problem's numeric
   settings, so two runs with the same seed produce byte-identical reports;
@@ -20,18 +20,19 @@ dL/dz, numeric ``noether.check_conservation``) samples by one rule:
   The first NaN deviation is the worst and stays, so the check fails.
 
 Each check runs as one generated kernel (``_Kernel``): a single function
-whose statements come from ``expr.emit_numeric``, the generator behind
-``compile_numeric``.  It draws every coordinate into a local, tests the
-guards inline, computes each distinct subtree once per point and keeps the
-worst deviation and its witness in locals; the witness dict is built once,
-at the end.  The finite-difference checks of a problem share one kernel:
-L is computed once per point, and each coordinate's branch adds dL/dz and
-the subtrees of L that contain the shifted coordinate.  A kernel performs
+whose statements come from ``expr.emit_numeric``.  It draws every
+coordinate into a local, tests the guards inline, computes each distinct
+subtree once per point and keeps the worst deviation and its witness in
+locals; the witness dict is built once, at the end.  The finite-difference
+checks of a problem share one kernel: L is computed once per point, and
+each coordinate's branch adds dL/dz and the subtrees of L that contain the
+shifted coordinate.  A kernel performs
 the rule's operations, each a (subtree, point) evaluation, on the same
 values, so values, witnesses and stream state are the rule's bit for bit.
 When one raises, the kernel returns the point it was at, whose draws are
 done as the rule's are; ``_raise_at`` evaluates that point's guards and
-expressions in the rule's order and raises the rule's first error.
+expressions in the rule's order with the tree walk ``expr.evaluate_numeric``
+and raises the rule's first error, in the tree walk's words.
 """
 
 from __future__ import annotations
@@ -128,7 +129,7 @@ def _raise_at(pt, guards, evals):
         g.holds(pt)
     for e, z, step in evals:
         try:
-            ex.compile_numeric(e)({**pt, z: pt[z] + step} if z else pt)
+            ex.evaluate_numeric(e, {**pt, z: pt[z] + step} if z else pt)
         except NumericDomain as err:
             raise NumericDomain(f"{err} at point {_round_point(pt)}") from err
     raise AssertionError(f"a kernel raised at {pt}, but its replay did not")
@@ -484,9 +485,8 @@ def run_identity_catalog(problem, seed=None, samples=None, tol=None):
         for sname, sdecl in solutions:
             name = f"noether-conservation[{vname_},{sname}]"
             # one residual serves both verdicts
-            numrep = check_conservation(cur, sdecl.section, mode="numeric",
-                                        samples=samples, tol=tol, seed=seed,
-                                        box=num.box)
+            numrep = check_conservation(cur, sdecl.section, samples=samples,
+                                        tol=tol, seed=seed, box=num.box)
             exact = numrep.residual.is_zero()
             if not exact and decl.check == "numeric":
                 ok, detail = numrep.conserved, "numeric fallback"

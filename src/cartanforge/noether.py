@@ -10,8 +10,8 @@ vertical Z the divergence term drops and the test is just (j1 Z) L = 0).
 (j1 Z) L is j1 Z contracted with the Lagrangian's table of partials,
 `Lagrangian.partials`.
 The conserved current is the n-form i(j1 Z) Theta_L; along a solution
-section its pullback is closed, which is checked either symbolically or by
-seeded sampling.
+section its pullback is closed.  The residual d of that pullback is checked
+by seeded sampling; its ``is_zero()`` is the symbolic verdict.
 """
 
 from __future__ import annotations
@@ -76,16 +76,15 @@ def noether_current(lag, Z):
 @dataclass(frozen=True)
 class ConservationReport:
     conserved: bool
-    mode: str
     residual: object       # d of the pulled-back current, a base-space form
     max_dev: float = 0.0
     witness: dict = field(default_factory=dict, compare=False)
 
 
-def check_conservation(current, phi: SectionE, mode="symbolic",
-                       samples=100, tol=1e-9, seed=0, box=None):
+def check_conservation(current, phi: SectionE, samples=100, tol=1e-9, seed=0,
+                       box=None):
     """d[(j1 phi)^* J] along the section; zero iff the current is conserved.
-    The numeric mode samples the base coordinates in `box` (name ->
+    Its coefficients are sampled over the base coordinates in `box` (name ->
     (lo, hi), [-1, 1] where it declares none)."""
     from .harness import sample_worst  # harness imports this module
     lag = current.lagrangian
@@ -93,13 +92,13 @@ def check_conservation(current, phi: SectionE, mode="symbolic",
         raise ChartMismatch("section lives on a different chart")
     psi = prolong_section(phi)
     residual = exterior_d(pullback_by_section(psi, current.J))
-    if mode == "symbolic" or residual.is_zero():
+    if residual.is_zero():
         # an exact zero deviates by 0.0 at every point: nothing to sample
-        return ConservationReport(residual.is_zero(), mode, residual)
+        return ConservationReport(True, residual)
     worst, witness = sample_worst(
         [(c, ex.ZERO) for c in residual.coeffs.values()],
         random.Random(seed), lag.chart.base_names, box or {}, (), samples)
-    return ConservationReport(worst <= tol, "numeric", residual, worst, witness)
+    return ConservationReport(worst <= tol, residual, worst, witness)
 
 
 @dataclass(frozen=True)

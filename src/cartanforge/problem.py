@@ -176,7 +176,7 @@ class Guard:
     threshold: float
 
     def holds(self, point):
-        v = ex.compile_numeric(self.expr)(point)
+        v = ex.evaluate_numeric(self.expr, point)
         return v > self.threshold if self.op == ">" else v < self.threshold
 
 
@@ -440,12 +440,14 @@ def build_problem(tree):
         box[entry[0]] = (float(entry[1]), float(entry[2]))
     guards = tuple(parse_guard(chart, g)
                    for g in _strings(num, "numeric", "require"))
+    d = NumericSettings     # each field's default
     numeric = NumericSettings(
-        seed=_value(num, "numeric", "seed", int, 20240808),
-        samples=_sample_count(num, "samples", 100),
-        tol=float(_value(num, "numeric", "tol", float, 1e-9)),
-        tol_fd=float(_value(num, "numeric", "tol_fd", float, 1e-6)),
-        symmetry_samples=_sample_count(num, "symmetry_samples", 200),
+        seed=_value(num, "numeric", "seed", int, d.seed),
+        samples=_sample_count(num, "samples", d.samples),
+        tol=float(_value(num, "numeric", "tol", float, d.tol)),
+        tol_fd=float(_value(num, "numeric", "tol_fd", float, d.tol_fd)),
+        symmetry_samples=_sample_count(num, "symmetry_samples",
+                                       d.symmetry_samples),
         box=box,
         guards=guards)
 

@@ -99,3 +99,43 @@ def wild_expr(r, names, depth=2):
 
 def sample_point(r, names, lo=-1.0, hi=1.0):
     return {n: r.uniform(lo, hi) for n in sorted(names)}
+
+
+# Inputs for the numeric evaluators: each is (expression, points).
+NUMERIC_NAMES = ["x", "y", "z"]
+
+
+def smooth_corpus(seed):
+    """60 smooth expressions of depth 4, each with four points on [-1, 1]."""
+    r = rng(seed)
+    for _ in range(60):
+        e = smooth_expr(r, NUMERIC_NAMES, depth=4)
+        yield e, [sample_point(r, NUMERIC_NAMES) for _ in range(4)]
+
+
+def repeated_subtree():
+    """Structurally equal subtrees built separately, at 50 points."""
+    x, y = ex.var("x"), ex.var("y")
+    s1 = ex.func("sin", ex.add(x, ex.mul(ex.rat(1, 3), y)))
+    s2 = ex.func("sin", ex.add(ex.mul(ex.rat(1, 3), y), x))
+    e = ex.add(ex.mul(s1, ex.func("cos", s2)), ex.func("exp", s1),
+               ex.pow_(ex.add(s2, ex.rat(2)), Fraction(1, 2)))
+    r = rng(5)
+    return e, [sample_point(r, NUMERIC_NAMES) for _ in range(50)]
+
+
+def deep_tree():
+    """x + 1/3 and sin alternating 300 levels deep, at x = 0.3."""
+    e = ex.var("x")
+    for i in range(300):
+        e = ex.func("sin", e) if i % 2 else ex.add(e, ex.rat(1, 3))
+    return e, [{"x": 0.3}]
+
+
+def shared_dag():
+    """add(sin(e), cos(e)) nested 20 times over x, at x = 0.3: 2^20 paths
+    through 41 distinct nodes."""
+    e = ex.var("x")
+    for _ in range(20):
+        e = ex.add(ex.func("sin", e), ex.func("cos", e))
+    return e, [{"x": 0.3}]

@@ -220,6 +220,26 @@ L = "log(q) + 1/2*d(q,t)^2"
     assert "log of non-positive value" in err and "at point {" in err
 
 
+def test_sampled_inf_minus_inf_names_point(tmp_path, capsys):
+    # every product overflows to inf on this box: inf - inf in the sum
+    f = tmp_path / "inf.toml"
+    f.write_text("""
+[bundle]
+base = ["t"]
+fiber = ["q"]
+
+[lagrangian]
+L = "q*d(q,t) - q*t"
+
+[numeric]
+box = [["t", 1e200, 1e201], ["q", 1e200, 1e201], ["d(q,t)", 1e200, 1e201]]
+""")
+    code, out, err = run(capsys, "verify", str(f))
+    assert code == 2 and out == ""
+    assert err.startswith("error: invalid operation: -inf + inf in fsum"
+                          " at point {")
+
+
 @pytest.mark.parametrize("table, body, what", [
     ("vectorfield.v", "fiber = 5", "vectorfield v fiber"),
     ("section.s", 'components = "t"', "section s"),

@@ -1,4 +1,14 @@
-"""compile_numeric against the evaluate_numeric tree walk, bit for bit."""
+"""The statements `emit_numeric` writes, which the sampling kernels run,
+against the `evaluate_numeric` tree walk, bit for bit.
+
+`emitted` compiles an expression's statements into one function, as a
+kernel holds them but without the kernel's replay.  Where the walk returns
+a value, the statements return the same bits.  Where the walk raises, they
+raise one of the classes a kernel catches (`NUMERIC_NS["_Rerun"]`); the
+kernel then replays its point through the walk, so the error's class and
+message are the walk's.  The inputs whose point a box can draw also run
+through a kernel in `test_sampling_kernel.py`, error text included.
+"""
 
 import math
 import time
@@ -13,7 +23,19 @@ import randgen
 
 
 x, y, z = ex.var("x"), ex.var("y"), ex.var("z")
-NAMES = ["x", "y", "z"]
+NAMES = randgen.NUMERIC_NAMES
+RERUN = ex.NUMERIC_NS["_Rerun"]
+
+
+def emitted(e):
+    """`e`'s statements from `emit_numeric` as a function of the point."""
+    lines, consts = [], {}
+    out = ex.emit_numeric(e, {}, lines, consts)
+    body = "".join(f"    {line}\n" for line in lines)
+    ns = dict(ex.NUMERIC_NS, **consts)
+    exec(compile(f"def f(p):\n{body}    return {out}\n", "<emitted>", "exec"),
+         ns)
+    return ns["f"]
 
 
 def outcome(fn):
@@ -25,18 +47,22 @@ def outcome(fn):
 
 
 def same(e, pt):
+    """The walk's outcome at `pt`, once the statements have matched it: the
+    same bits, or a raise where the walk raises."""
     ref = outcome(lambda: ex.evaluate_numeric(e, pt))
-    assert outcome(lambda: ex.compile_numeric(e)(pt)) == ref, ex.to_text(e)
+    try:
+        got = emitted(e)(pt).hex()
+    except RERUN:
+        got = "raised"
+    assert got == (ref if isinstance(ref, str) else "raised"), ex.to_text(e)
     return ref
 
 
 @pytest.mark.parametrize("seed", [11, 12, 13, 14])
 def test_random_corpus_bit_identical(seed):
-    r = randgen.rng(seed)
-    for _ in range(60):
-        e = randgen.smooth_expr(r, NAMES, depth=4)
-        for _ in range(4):
-            assert isinstance(same(e, randgen.sample_point(r, NAMES)), str)
+    for e, points in randgen.smooth_corpus(seed):
+        for pt in points:
+            assert isinstance(same(e, pt), str)
 
 
 def test_special_points_match():
@@ -45,7 +71,8 @@ def test_special_points_match():
     for _ in range(40):
         e = randgen.smooth_expr(r, NAMES, depth=3)
         for v in specials:
-            same(e, {"x": v, "y": 0.5, "z": -0.25})
+            got = same(e, {"x": v, "y": 0.5, "z": -0.25})
+            assert isinstance(got, str) or got[0] is NumericDomain
 
 
 @pytest.mark.parametrize("e, pt, cls", [
@@ -61,14 +88,25 @@ def test_special_points_match():
     (ex.mul(ex.Rat(Fraction(-(10 ** 400), 7)), x), {"x": 1.0}, NumericDomain),
     (ex.func("exp", x), {"x": 1000.0}, NumericDomain),          # overflow
     (ex.pow_(x, 400), {"x": 1e10}, NumericDomain),
+    (ex.sub(x, y), {"x": math.inf, "y": math.inf}, NumericDomain),  # fsum
+    (ex.func("sin", x), {"x": -math.inf}, NumericDomain),
 ])
 def test_domain_failures_raise_the_same_class(e, pt, cls):
-    fn = ex.compile_numeric(e)      # compiling never evaluates
-    with pytest.raises(cls) as ref:
+    fn = emitted(e)      # compiling never evaluates
+    with pytest.raises(cls):
         ex.evaluate_numeric(e, pt)
-    with pytest.raises(cls) as got:
+    with pytest.raises(RERUN):
         fn(pt)
-    assert str(got.value) == str(ref.value)
+
+
+def test_invalid_operations_are_domain_errors():
+    with pytest.raises(NumericDomain, match=r"^invalid operation: -inf \+ inf "
+                                            r"in fsum$"):
+        ex.evaluate_numeric(ex.sub(x, y), {"x": math.inf, "y": math.inf})
+    for fname in ("sin", "cos"):
+        with pytest.raises(NumericDomain,
+                           match="^invalid operation: math domain error$"):
+            ex.evaluate_numeric(ex.func(fname, x), {"x": math.inf})
 
 
 def test_large_but_finite_rational_compiles_to_its_float():
@@ -78,33 +116,23 @@ def test_large_but_finite_rational_compiles_to_its_float():
 
 def test_repeated_subtree():
     # structurally equal subtrees built separately share one local
-    s1 = ex.func("sin", ex.add(x, ex.mul(ex.rat(1, 3), y)))
-    s2 = ex.func("sin", ex.add(ex.mul(ex.rat(1, 3), y), x))
-    e = ex.add(ex.mul(s1, ex.func("cos", s2)), ex.func("exp", s1),
-               ex.pow_(ex.add(s2, ex.rat(2)), Fraction(1, 2)))
-    r = randgen.rng(5)
-    for _ in range(50):
-        same(e, randgen.sample_point(r, NAMES))
+    e, points = randgen.repeated_subtree()
+    lines = []
+    ex.emit_numeric(e, {}, lines, {})
+    assert sum("_sin(" in line for line in lines) == 1
+    for pt in points:
+        assert isinstance(same(e, pt), str)
 
 
 def test_tree_300_levels_deep():
-    e = x
-    for i in range(300):
-        e = ex.func("sin", e) if i % 2 else ex.add(e, ex.rat(1, 3))
-    assert same(e, {"x": 0.3}) == ex.evaluate_numeric(e, {"x": 0.3}).hex()
+    e, [pt] = randgen.deep_tree()
+    assert same(e, pt) == emitted(e)(pt).hex()
 
 
 def test_tree_walk_evaluates_each_shared_subtree_once():
-    # 2^20 paths through 41 distinct nodes: a walk over every path takes
-    # seconds, one over the distinct nodes milliseconds
-    e = x
-    for _ in range(20):
-        e = ex.add(ex.func("sin", e), ex.func("cos", e))
+    # a walk over every path takes seconds, one over the distinct nodes
+    # milliseconds
+    e, [pt] = randgen.shared_dag()
     start = time.perf_counter()
-    assert same(e, {"x": 0.3}) == ex.compile_numeric(e)({"x": 0.3}).hex()
+    assert same(e, pt) == emitted(e)(pt).hex()
     assert time.perf_counter() - start < 0.5
-
-
-def test_function_is_cached_on_the_node():
-    e = ex.add(ex.pow_(x, 2), ex.func("cos", y))
-    assert ex.compile_numeric(e) is ex.compile_numeric(e)

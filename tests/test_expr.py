@@ -453,15 +453,19 @@ def test_intern_table_keeps_no_dead_node_alive():
 
 
 def test_node_in_a_cycle_does_not_evict_its_successor():
-    # compile_numeric caches a function whose namespace refers back to the
-    # node, so a dropped node stays until the cyclic collector clears it
+    # a dropped node that cyclic garbage refers to stays until the cyclic
+    # collector clears that garbage
     factors = (ex.var("p"), ex.func("sin", ex.var("q")))
+    gc.collect()
     e = ex.Mul(factors)
-    ex.compile_numeric(e)
-    del e
+    probe = weakref.ref(e)
+    cycle = [e]
+    cycle.append(cycle)
+    del e, cycle
     # rebuilt before the collection: the same node, and it stays interned
     e = ex.Mul(factors)
-    assert ex.compile_numeric(e)({"p": 2.0, "q": 0.0}) == 0.0
+    assert probe() is e
+    assert ex.evaluate_numeric(e, {"p": 2.0, "q": 0.0}) == 0.0
     gc.collect()
     assert ex.Mul(factors) is e
 

@@ -225,10 +225,11 @@ def test_solve_solutions_satisfy_the_equations():
             continue
         for _ in range(3):
             pt = randgen.sample_point(r, TWO.jet_coords() + prob.unknowns)
-            pt.update({u: ex.compile_numeric(e)(pt) for u, e in sol.pivots.items()})
+            pt.update({u: ex.evaluate_numeric(e, pt)
+                       for u, e in sol.pivots.items()})
             scale = 1 + max(map(abs, pt.values()))
             for eq in prob.equations.values():
-                assert abs(ex.compile_numeric(eq)(pt)) <= 1e-9 * scale
+                assert abs(ex.evaluate_numeric(eq, pt)) <= 1e-9 * scale
 
 
 def assert_el_routes_agree(lag):

@@ -1,8 +1,8 @@
 """The generated sampling kernels against the per-point path, bit for bit.
 
 The reference here samples point by point, by the harness's rule:
-`draw_point`, one compiled function per expression and a dict per point,
-each point's expressions evaluated in the rule's order.  Every check must
+`draw_point`, the tree walk `evaluate_numeric` and a dict per point, each
+point's expressions evaluated in the rule's order.  Every check must
 give the same worst deviation (by float.hex), the same witness and the same
 stream state afterwards, or raise the same error with the stream left in
 the same state.
@@ -57,20 +57,20 @@ def reference(deviation, rng, names, box, guards, samples):
 
 
 def pairs_deviation(pairs):
-    fns = [(ex.compile_numeric(a), ex.compile_numeric(b)) for a, b in pairs]
-    return lambda pt: largest(abs(a(pt) - b(pt)) for a, b in fns)
+    return lambda pt: largest(abs(ex.evaluate_numeric(a, pt)
+                                  - ex.evaluate_numeric(b, pt))
+                              for a, b in pairs)
 
 
 def fd_deviation(L, dL, z):
-    L, dL = ex.compile_numeric(L), ex.compile_numeric(dL)
-
     def dev(pt):
-        L(pt)
-        got = dL(pt)
+        ex.evaluate_numeric(L, pt)
+        got = ex.evaluate_numeric(dL, pt)
         hi, lo = dict(pt), dict(pt)
         hi[z] += 1e-5
         lo[z] -= 1e-5
-        want = (L(hi) - L(lo)) / (2 * 1e-5)
+        want = (ex.evaluate_numeric(L, hi)
+                - ex.evaluate_numeric(L, lo)) / (2 * 1e-5)
         return abs(got - want) / (1.0 + abs(want))
     return dev
 
@@ -154,16 +154,17 @@ def test_conservation_matches_the_per_point_path(seed):
                                                  {"q": ex.ONE}))
     section = ch.SectionE(mech, (ex.mul(ex.var("t"), randgen.smooth_expr(
         r, ["t"], depth=2)),))
-    coeffs = list(no.check_conservation(cur, section).residual.coeffs.values())
+    residual = no.check_conservation(cur, section, samples=1).residual
+    coeffs = list(residual.coeffs.values())
     assert coeffs
 
     def check(_):   # check_conservation seeds its own stream
-        rep = no.check_conservation(cur, section, mode="numeric", samples=30,
-                                    seed=seed, box={"t": (-2.0, 2.0)})
+        rep = no.check_conservation(cur, section, samples=30, seed=seed,
+                                    box={"t": (-2.0, 2.0)})
         return rep.max_dev, rep.witness
     # the residual's largest |c| at each point, as the check sampled it before
-    fns = [ex.compile_numeric(c) for c in coeffs]
-    old = lambda pt: largest(abs(c(pt)) for c in fns)   # noqa: E731
+    old = lambda pt: largest(abs(ex.evaluate_numeric(c, pt))   # noqa: E731
+                             for c in coeffs)
     assert outcome(check, seed)[0] == outcome(
         lambda rng: reference(old, rng, ["t"], {"t": (-2.0, 2.0)}, (), 30), seed)[0]
     pairs = [(c, ex.ZERO) for c in coeffs]
@@ -212,6 +213,67 @@ def test_a_domain_error_names_its_point(e):
     got = same(lambda rng: hz.finite_differences(lag, rng, {}, (), 20),
                lambda rng: fd_reference(lag, rng, {}, (), 20))
     assert got[0] == "error" and " at point {" in got[1]
+
+
+def at_points(e, points):
+    """`e` against zero in a kernel at each of `points`, each coordinate
+    drawn from a box (v, v), which draws v itself."""
+    pairs = [(e, ex.ZERO)]
+    for pt in points:
+        box = {n: (v, v) for n, v in pt.items()}
+        args = (sorted(box), box, (), 1)
+        same(lambda rng: hz.sample_worst(pairs, rng, *args),
+             lambda rng: reference(pairs_deviation(pairs), rng, *args))
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13, 14])
+def test_the_smooth_corpus_at_its_points(seed):
+    # test_compile_numeric.py's inputs, through a kernel
+    for e, points in randgen.smooth_corpus(seed):
+        at_points(e, points)
+
+
+def test_special_shapes_and_values_at_their_points():
+    for e, points in (randgen.repeated_subtree(), randgen.deep_tree(),
+                      randgen.shared_dag()):
+        at_points(e, points)
+    at_points(ex.mul(ex.Rat(Fraction(10 ** 400 + 1, 10 ** 399)), x),
+              [{"x": 0.75}])
+    r = randgen.rng(21)
+    for _ in range(40):   # the finite special values of test_compile_numeric
+        e = randgen.smooth_expr(r, randgen.NUMERIC_NAMES, depth=3)
+        at_points(e, [{"x": v, "y": 0.5, "z": -0.25}
+                      for v in (0.0, 1e300, 2.0, 1 / 3)])
+
+
+BIG = (1e200, 1e201)   # a product of two coordinates overflows to inf
+
+
+@pytest.mark.parametrize("e, box", [
+    (ex.div(ex.ONE, x), {"x": (0.0, 0.0)}),     # a box (v, v) draws v itself
+    (ex.pow_(x, Fraction(-1, 2)), {"x": (0.0, 0.0)}),
+    (ex.func("log", x), {"x": (0.0, 0.0)}),
+    (ex.func("log", x), {"x": (-1.0, -1.0)}),
+    (ex.func("sqrt", x), {"x": (-2.0, -2.0)}),
+    (ex.pow_(x, Fraction(3, 4)), {"x": (-1.0, -1.0)}),
+    (ex.add(x, ex.Rat(10 ** 400)), {"x": (1.0, 1.0)}),
+    (ex.mul(ex.Rat(Fraction(-(10 ** 400), 7)), x), {"x": (1.0, 1.0)}),
+    (ex.func("exp", x), {"x": (1000.0, 1000.0)}),
+    (ex.pow_(x, 400), {"x": (1e10, 1e10)}),
+    (ex.sub(ex.mul(x, y), ex.mul(x, ex.var("z"))),
+     {"x": BIG, "y": BIG, "z": BIG}),           # inf - inf in fsum
+    (ex.func("sin", ex.mul(x, y)), {"x": BIG, "y": BIG}),
+])
+def test_the_tree_walk_names_a_kernel_error(e, box):
+    # the replay's error is the walk's at the kernel's first point
+    pairs = [(e, ex.ZERO)]
+    args = (sorted(box), box, (), 3)
+    got = same(lambda rng: hz.sample_worst(pairs, rng, *args),
+               lambda rng: reference(pairs_deviation(pairs), rng, *args))
+    pt = hz.draw_point(random.Random(5), hz.intervals(box, box))
+    with pytest.raises(NumericDomain) as walk:
+        ex.evaluate_numeric(e, pt)
+    assert got == ("error", f"{walk.value} at point {hz._round_point(pt)}")
 
 
 def test_a_guard_that_fails_to_evaluate():
