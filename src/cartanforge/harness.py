@@ -70,6 +70,7 @@ from .lagrangian import (
     vartheta_intrinsic,
 )
 from .noether import check_conservation, noether_current, total_variation
+from .problem import NumericSettings
 
 
 @dataclass(frozen=True)
@@ -78,9 +79,9 @@ class IdentityCheck:
     lhs: object                 # Expr or Form
     rhs: object
     box: dict = field(default_factory=dict, compare=False)
-    samples: int = 100
-    tol: float = 1e-9
-    seed: int = 20240808
+    samples: int = NumericSettings.samples
+    tol: float = NumericSettings.tol
+    seed: int = NumericSettings.seed
     guards: tuple = ()
 
 

@@ -1,7 +1,8 @@
 """Lagrangian densities and the structures they induce.
 
 Everything is phrased against the chart's volume form dx^0 ^ ... ^ dx^n.
-The three canonical forms are built from the local expressions
+The coefficient tables of vartheta and Theta are written straight from the
+local expressions, and Omega is taken as -d Theta:
 
     vartheta = p^A_mu theta^A ^ i(d/dx^mu) omega,   p^A_mu = dL/dv^A_mu
     Theta    = vartheta + L omega
@@ -39,19 +40,11 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import expr as ex
-from .canonical import contact_form, vertical_endo_S, vertical_endo_V
+from .canonical import vertical_endo_S, vertical_endo_V
 from .chart import SectionE, v_name
 from .connection import JetField2, jetfield_contract, sopde_project
 from .errors import ChartMismatch, UnknownCoordinate
-from .forms import (
-    coordinate_field,
-    exterior_d,
-    interior,
-    jet_space,
-    volume_form,
-    wedge,
-    zero_form,
-)
+from .forms import Form, exterior_d, jet_space, volume_form
 
 
 @dataclass(frozen=True)
@@ -97,25 +90,30 @@ def vartheta_intrinsic(lag):
 
 
 def cartan_forms(lag):
-    """All three canonical forms, built from the display formula for
-    vartheta; the catalog compares it with `vartheta_intrinsic`.  Built once
-    per Lagrangian object and kept on it, like `partials`, so they live as
-    long as the Lagrangian does."""
+    """All three canonical forms, their tables written from the display
+    formula: with m base coordinates and y^A at jet index m + A,
+    theta^A ^ i(d/dx^mu) omega has (-1)^(mu+m-1) on the key (0..m-1 without
+    mu, m + A) and -v^A_mu on omega's.  The catalog compares vartheta with
+    `vartheta_intrinsic`.  Kept on the Lagrangian, like `partials`, so they
+    live as long as it does."""
     cf = lag.__dict__.get("cartan_forms")
     if cf is not None:
         return cf
     ch = lag.chart
     js = jet_space(ch)
-    om = volume_form(js)
-    vt = zero_form(js, ch.n_plus_1)
-    for y in ch.fiber_names:
-        th = contact_form(ch, y)
-        for x in ch.base_names:
+    m = ch.n_plus_1
+    om = tuple(range(m))
+    table, on_om = {}, []
+    for a, y in enumerate(ch.fiber_names):
+        for mu, x in enumerate(ch.base_names):
             p = lag.momentum(y, x)
             if p.is_zero():
                 continue
-            vt = vt + wedge(th, interior(coordinate_field(js, x), om)).scale(p)
-    big_theta = vt + om.scale(lag.L)
+            table[om[:mu] + om[mu + 1:] + (m + a,)] = (
+                p if (mu + m) % 2 else ex.mul(ex.MINUS_ONE, p))
+            on_om.append(ex.mul(ex.MINUS_ONE, ex.var(v_name(y, x)), p))
+    vt = Form(js, m, {**table, om: ex.add(*on_om)})
+    big_theta = Form(js, m, {**table, om: ex.add(lag.L, *on_om)})
     big_omega = exterior_d(big_theta).scale(ex.MINUS_ONE)
     cf = lag.__dict__["cartan_forms"] = CartanForms(vt, big_theta, big_omega)
     return cf

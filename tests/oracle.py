@@ -10,6 +10,12 @@ that agrees structurally with the library's is the very same node, and
 tests compare them with ``is``.  ``key`` is the sort key built recursively,
 as ``Expr.key`` built it on first use before keys were stored at intern
 time.
+
+``cartan_forms`` is the generic exterior-algebra route to the canonical
+forms, as ``lagrangian.cartan_forms`` took it before it wrote their
+coefficient tables from the display formula: one ``wedge`` of theta^A with
+``interior(d/dx^mu, omega)``, scaled by p^A_mu and summed, for every
+non-zero momentum.
 """
 
 import math
@@ -17,6 +23,8 @@ from fractions import Fraction
 
 from cartanforge import expr as ex
 from cartanforge import forms as fm
+from cartanforge import lagrangian as lg
+from cartanforge.canonical import contact_form
 from cartanforge.errors import DomainFunction, NumericDomain
 
 _F1 = Fraction(1)
@@ -277,3 +285,20 @@ def exterior_d(a):
                 dc = mul(ex.MINUS_ONE, dc)
             out[merged] = add(out.get(merged, ex.ZERO), dc)
     return fm.Form(sp, a.degree + 1, out)
+
+
+def cartan_forms(lag):
+    ch = lag.chart
+    js = fm.jet_space(ch)
+    om = fm.volume_form(js)
+    vt = fm.zero_form(js, ch.n_plus_1)
+    for y in ch.fiber_names:
+        th = contact_form(ch, y)
+        for x in ch.base_names:
+            p = lag.momentum(y, x)
+            if p.is_zero():
+                continue
+            vt = vt + fm.wedge(th, fm.interior(fm.coordinate_field(js, x), om)).scale(p)
+    big_theta = vt + om.scale(lag.L)
+    return lg.CartanForms(vt, big_theta,
+                          fm.exterior_d(big_theta).scale(ex.MINUS_ONE))

@@ -6,7 +6,7 @@ import pytest
 from cartanforge import expr as ex
 from cartanforge import harness as hz
 from cartanforge.errors import NumericDomain
-from cartanforge.problem import Guard, parse_problem
+from cartanforge.problem import Guard, NumericSettings, parse_problem
 
 PROBLEMS = os.path.join(os.path.dirname(__file__), "..", "problems")
 
@@ -19,6 +19,12 @@ def test_zero_equals_zero():
     chk = hz.IdentityCheck("zero", ex.ZERO, ex.ZERO)
     res = hz.numeric_check(chk)
     assert res.status == "pass" and res.max_dev == 0.0
+
+
+def test_identity_check_defaults_are_the_numeric_settings():
+    chk = hz.IdentityCheck("zero", ex.ZERO, ex.ZERO)
+    d = NumericSettings()
+    assert (chk.samples, chk.tol, chk.seed) == (d.samples, d.tol, d.seed)
 
 
 def test_derivative_vs_finite_difference():
