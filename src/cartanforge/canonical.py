@@ -17,8 +17,6 @@ property instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import expr as ex
 from .chart import SectionE, SectionJ1, total_derivative, v_name
 from .errors import ChartMismatch, NotOnEChart
@@ -41,6 +39,7 @@ from .forms import (
     wedge,
     zero_form,
 )
+from .record import Record, field
 
 
 def contact_form(chart, y):
@@ -84,8 +83,7 @@ def vertical_differential(phi: SectionE, at=None):
     return m
 
 
-@dataclass(frozen=True)
-class ContactReduction:
+class ContactReduction(Record):
     reduced: Form
     combination: dict = field(compare=False)  # fiber name -> Form
 
@@ -130,8 +128,7 @@ def contact_reduce(a):
     return ContactReduction(Form(sp, a.degree, reduced), combo)
 
 
-@dataclass(frozen=True)
-class HolonomyReport:
+class HolonomyReport(Record):
     holonomic: bool
     residuals: tuple  # one base-space 1-form per fiber coordinate
 
@@ -143,8 +140,7 @@ def is_holonomic(psi: SectionJ1):
     return HolonomyReport(all(r.is_zero() for r in res), res)
 
 
-@dataclass(frozen=True)
-class VerticalEndomorphism:
+class VerticalEndomorphism(Record):
     """Covector-slot representation of S, V, or their difference.
 
     One 1-form per fiber coordinate; the output slots are the fixed pattern

@@ -18,10 +18,10 @@ one chart (no atlases).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from . import expr as ex
 from .errors import DuplicateName, EmptyAxis, UnknownCoordinate
+from .record import Record
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -42,8 +42,7 @@ def w_name(y, x1, x2):
     return f"dd({y},{x1},{x2})"
 
 
-@dataclass(frozen=True)
-class JetChart:
+class JetChart(Record):
     base_names: tuple
     fiber_names: tuple
 
@@ -137,8 +136,7 @@ def _check_base_only(chart, e, what):
             f"{what} must depend on base coordinates only; found {sorted(extra)}")
 
 
-@dataclass(frozen=True)
-class SectionE:
+class SectionE(Record):
     """Section of the configuration bundle: y^A = phi^A(x)."""
     chart: JetChart
     components: tuple  # Expr per fiber name, base variables only
@@ -157,12 +155,11 @@ class SectionE:
         return dict(zip(self.chart.fiber_names, self.components))
 
 
-@dataclass(frozen=True)
-class SectionJ1:
+class SectionJ1(Record):
     """Section of the jet bundle over the base: (f^A(x), g^A_mu(x))."""
     chart: JetChart
     f: tuple            # Expr per fiber name
-    g: dict = field(compare=False)  # v-name -> Expr
+    g: dict  # v-name -> Expr
 
     def __post_init__(self):
         for c in self.f:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -62,6 +63,12 @@ def _samples(args, default):
     if args.samples < 1:
         raise InvalidArgument(f"--samples must be at least 1, got {args.samples}")
     return args.samples
+
+
+def _tol(args, default):
+    if args.tol is not None and not 0 <= args.tol < math.inf:
+        raise InvalidArgument(f"--tol must be finite and at least 0, got {args.tol}")
+    return default if args.tol is None else args.tol
 
 
 def _named(mapping, name, what):
@@ -188,8 +195,7 @@ def cmd_noether(problem, args):
         sdecl = _named(problem.sections, args.along, "section")
         # one residual serves both verdicts
         nrep = check_conservation(cur, sdecl.section, samples=samples,
-                                  tol=args.tol if args.tol is not None
-                                  else problem.numeric.tol,
+                                  tol=_tol(args, problem.numeric.tol),
                                   seed=args.seed if args.seed is not None
                                   else problem.numeric.seed,
                                   box=problem.numeric.box)
@@ -203,7 +209,8 @@ def cmd_noether(problem, args):
 
 def cmd_verify(problem, args):
     report = run_identity_catalog(problem, seed=args.seed,
-                                  samples=_samples(args, None), tol=args.tol)
+                                  samples=_samples(args, None),
+                                  tol=_tol(args, None))
     code = 0 if report.passed else 1
     if args.format == "json":
         return report.to_json(), code

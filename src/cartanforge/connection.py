@@ -12,8 +12,6 @@ test suite checks against an independent bracket computation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import expr as ex
 from .chart import SectionE, SectionJ1, v_name
 from .errors import ChartMismatch, UnknownCoordinate
@@ -26,12 +24,12 @@ from .forms import (
     total_space,
     zero_form,
 )
+from .record import Record
 
 
-@dataclass(frozen=True)
-class Connection:
+class Connection(Record):
     chart: object
-    gamma: dict = field(compare=False)  # (fiber name, base name) -> Expr
+    gamma: dict  # (fiber name, base name) -> Expr
 
     def __post_init__(self):
         ch = self.chart
@@ -99,8 +97,7 @@ def horizontal_split(conn, X):
     return VectorField(sp, hor), VectorField(sp, ver)
 
 
-@dataclass(frozen=True)
-class Curvature:
+class Curvature(Record):
     """Vertical-bundle-valued 2-form over the total space."""
     chart: object
     form: VectorValuedForm
@@ -183,12 +180,11 @@ def integral_residual(conn, phi: SectionE):
 # jet fields over the jet space
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class JetField2:
+class JetField2(Record):
     """Tables (F^A_rho, G^A_{rho,mu}) of a 1-jet field over the jet space."""
     chart: object
-    F: dict = field(compare=False)  # (fiber, base) -> Expr in (x, y, v)
-    G: dict = field(compare=False)  # (fiber, base rho, base mu) -> Expr
+    F: dict  # (fiber, base) -> Expr in (x, y, v)
+    G: dict  # (fiber, base rho, base mu) -> Expr
 
     def __post_init__(self):
         ch = self.chart

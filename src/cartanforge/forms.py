@@ -11,17 +11,15 @@ a form is zero iff its table is empty.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import expr as ex
 from .chart import JetChart
 from .errors import ChartMismatch, DegreeZero, MissingInverse
+from .record import Record, field
 
 BASE, TOTAL, JET = "base", "total", "jet"
 
 
-@dataclass(frozen=True)
-class Space:
+class Space(Record):
     chart: JetChart
     level: str
     coords: tuple
@@ -51,11 +49,10 @@ def _same_space(a, b):
                             f"({a.space.level} vs {b.space.level})")
 
 
-@dataclass(frozen=True)
-class Form:
+class Form(Record):
     space: Space
     degree: int
-    coeffs: dict = field(compare=False)  # increasing index tuple -> Expr
+    coeffs: dict  # increasing index tuple -> Expr
 
     def __post_init__(self):
         clean = {}
@@ -189,10 +186,9 @@ def exterior_d(a):
                                    for k, ps in parts.items()})
 
 
-@dataclass(frozen=True)
-class VectorField:
+class VectorField(Record):
     space: Space
-    comps: dict = field(compare=False)  # coordinate name -> Expr
+    comps: dict  # coordinate name -> Expr
 
     def __post_init__(self):
         clean = {}
@@ -275,8 +271,7 @@ def bracket(X, Y):
     return VectorField(X.space, out)
 
 
-@dataclass(frozen=True)
-class VectorValuedForm:
+class VectorValuedForm(Record):
     """A tuple of forms indexed by a frame (one entry per fiber coordinate)."""
     frame: str
     comps: tuple
@@ -298,8 +293,7 @@ class VectorValuedForm:
 # coordinate maps and pullback
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CoordMap:
+class CoordMap(Record):
     """A smooth map source -> target given by target-coordinate expressions.
 
     `components` maps every target coordinate name to an expression over the
@@ -399,8 +393,7 @@ def pullback_vvf(cm, vvf):
     return VectorValuedForm(vvf.frame, tuple(pullback(cm, f) for f in vvf.comps))
 
 
-@dataclass(frozen=True)
-class FiberedMap:
+class FiberedMap(Record):
     """Fiber-preserving self-map of the total space with declared base inverse.
 
     base_components: target base coordinate -> Expr in base coordinates.

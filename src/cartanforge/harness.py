@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import expr as ex
@@ -71,10 +70,10 @@ from .lagrangian import (
 )
 from .noether import check_conservation, noether_current, total_variation
 from .problem import NumericSettings
+from .record import Record, field
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(Record):
     name: str
     lhs: object                 # Expr or Form
     rhs: object
@@ -85,8 +84,7 @@ class IdentityCheck:
     guards: tuple = ()
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     name: str
     status: str                 # pass | fail | skip
     max_dev: object = None      # float for numeric checks
@@ -532,8 +530,7 @@ def _residual_text(res):
     return "; ".join(f"{k}: {ex.to_text(v)}" for k, v in sorted(res.items()))
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(Record):
     entries: tuple
 
     @property

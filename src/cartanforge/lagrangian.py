@@ -36,7 +36,6 @@ dd(y,x,x') or the jet field's unknowns G(y,x_rho,x_mu).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import expr as ex
@@ -45,10 +44,10 @@ from .chart import SectionE, v_name
 from .connection import JetField2, jetfield_contract, sopde_project
 from .errors import ChartMismatch, UnknownCoordinate
 from .forms import Form, exterior_d, jet_space, volume_form
+from .record import Record, field
 
 
-@dataclass(frozen=True)
-class Lagrangian:
+class Lagrangian(Record):
     chart: object
     L: object  # Expr over the jet coordinates
 
@@ -77,8 +76,7 @@ class Lagrangian:
         return self.partials[v_name(y, x)]
 
 
-@dataclass(frozen=True)
-class CartanForms:
+class CartanForms(Record):
     vartheta: object
     theta: object   # Poincare-Cartan (n+1)-form
     omega: object   # Poincare-Cartan (n+2)-form
@@ -123,8 +121,7 @@ def cartan_forms(lag):
 # Euler-Lagrange system for sections
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ELSystem:
+class ELSystem(Record):
     chart: object
     components: dict = field(compare=False)  # fiber name -> Expr
 
@@ -178,8 +175,7 @@ def derive_el(lag):
 # energy density and the Legendre difference
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EnergyDensity:
+class EnergyDensity(Record):
     chart: object
     connection: object
     E: object  # Expr over the jet coordinates
@@ -241,8 +237,7 @@ def _g_slots(ch):
             for xr in ch.base_names for xm in ch.base_names]
 
 
-@dataclass(frozen=True)
-class JetFieldReport:
+class JetFieldReport(Record):
     is_sopde: bool
     omega_residual: object          # the contracted Poincare-Cartan form
     reduced_residuals: dict = field(compare=False)
@@ -253,8 +248,7 @@ class JetFieldReport:
                 and all(v.is_zero() for v in self.curvature_residuals.values()))
 
 
-@dataclass(frozen=True)
-class LinearSolveReport:
+class LinearSolveReport(Record):
     rank: int
     consistent: bool
     pivots: dict = field(compare=False)    # unknown -> Expr over frees + chart
@@ -264,8 +258,7 @@ class LinearSolveReport:
         return self.consistent and not self.free
 
 
-@dataclass(frozen=True)
-class ELJetProblem:
+class ELJetProblem(Record):
     """Reduced equations for a second-order ansatz with the G-table unknown.
 
     Each equation is affine in the symbols G(y,x_rho,x_mu); `solve` reads

@@ -17,7 +17,6 @@ by seeded sampling; its ``is_zero()`` is the symbolic verdict.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from . import expr as ex
 from .canonical import contact_basis, contact_reduce, prolong_vectorfield
@@ -34,10 +33,10 @@ from .forms import (
     volume_form,
 )
 from .lagrangian import cartan_forms
+from .record import Record, field
 
 
-@dataclass(frozen=True)
-class SymmetryReport:
+class SymmetryReport(Record):
     variation: object      # delta_Z L
     is_symmetry: bool
     prolonged: object      # j1 Z
@@ -57,8 +56,7 @@ def total_variation(lag, Z):
     return SymmetryReport(delta, delta.is_zero(), j1)
 
 
-@dataclass(frozen=True)
-class NoetherCurrent:
+class NoetherCurrent(Record):
     lagrangian: object
     generator: object      # Z on the total space
     prolonged: object      # j1 Z
@@ -73,8 +71,7 @@ def noether_current(lag, Z):
     return NoetherCurrent(lag, Z, j1, interior(j1, theta_l))
 
 
-@dataclass(frozen=True)
-class ConservationReport:
+class ConservationReport(Record):
     conserved: bool
     residual: object       # d of the pulled-back current, a base-space form
     max_dev: float = 0.0
@@ -101,8 +98,7 @@ def check_conservation(current, phi: SectionE, samples=100, tol=1e-9, seed=0,
     return ConservationReport(worst <= tol, residual, worst, witness)
 
 
-@dataclass(frozen=True)
-class NoetherJetReport:
+class NoetherJetReport(Record):
     conserved: bool
     residual: object       # i(Y) d(xi - i(X) Theta_L)
 

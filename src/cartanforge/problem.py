@@ -14,7 +14,7 @@ Tables of expressions are nested arrays in fiber-major order: connection
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
 
 from . import expr as ex
 from .chart import SectionE, make_chart
@@ -27,6 +27,7 @@ from .errors import (
 )
 from .forms import FiberedMap, VectorField, total_space
 from .lagrangian import Lagrangian
+from .record import Record, field
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +170,7 @@ def parse_toml_subset(text):
 # problem model
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Guard:
+class Guard(Record):
     expr: object
     op: str         # '>' or '<'
     threshold: float
@@ -192,8 +192,7 @@ def parse_guard(chart, text):
     raise ParseError(f"guard {text!r} needs '>' or '<'")
 
 
-@dataclass(frozen=True)
-class NumericSettings:
+class NumericSettings(Record):
     seed: int = 20240808
     samples: int = 100
     tol: float = 1e-9
@@ -203,34 +202,29 @@ class NumericSettings:
     guards: tuple = ()
 
 
-@dataclass(frozen=True)
-class VectorFieldDecl:
+class VectorFieldDecl(Record):
     vf: VectorField
     symmetry: object = None   # True/False expectation, or None
     check: str = "symbolic"   # or "numeric"
 
 
-@dataclass(frozen=True)
-class SectionDecl:
+class SectionDecl(Record):
     section: SectionE
     solution: object = None   # True/False expectation, or None
 
 
-@dataclass(frozen=True)
-class JetFieldDecl:
+class JetFieldDecl(Record):
     jf: JetField2
     el_solution: object = None
     integral_sections: tuple = ()
 
 
-@dataclass(frozen=True)
-class DiffeoDecl:
+class DiffeoDecl(Record):
     diffeo: FiberedMap
     symmetry: object = None
 
 
-@dataclass(frozen=True)
-class Problem:
+class Problem(Record):
     chart: object
     lagrangian: Lagrangian
     connections: dict = field(default_factory=dict, compare=False)
@@ -271,6 +265,14 @@ def _sample_count(num, key, default):
     if n < 1:
         raise ParseError(f"numeric.{key}: expected at least 1, found {n}")
     return n
+
+
+def _tolerance(num, key, default):
+    """numeric.<key>, finite and at least 0: a negative one fails every check."""
+    t = float(_value(num, "numeric", key, float, default))
+    if not 0 <= t < math.inf:
+        raise ParseError(f"numeric.{key}: expected finite and at least 0, found {t}")
+    return t
 
 
 def _strings(body, table, key, default=()):
@@ -444,8 +446,8 @@ def build_problem(tree):
     numeric = NumericSettings(
         seed=_value(num, "numeric", "seed", int, d.seed),
         samples=_sample_count(num, "samples", d.samples),
-        tol=float(_value(num, "numeric", "tol", float, d.tol)),
-        tol_fd=float(_value(num, "numeric", "tol_fd", float, d.tol_fd)),
+        tol=_tolerance(num, "tol", d.tol),
+        tol_fd=_tolerance(num, "tol_fd", d.tol_fd),
         symmetry_samples=_sample_count(num, "symmetry_samples",
                                        d.symmetry_samples),
         box=box,

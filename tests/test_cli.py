@@ -276,6 +276,18 @@ def test_samples_below_one_exit_2(capsys, cmd, extra, samples):
     assert "--samples must be at least 1" in err
 
 
+@pytest.mark.parametrize("cmd, extra", [
+    ("verify", []),
+    ("noether", ["--vectorfield", "translation_q", "--along", "parabola"]),
+])
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+def test_tol_negative_or_not_finite_exit_2(capsys, cmd, extra, tol):
+    code, out, err = run(capsys, cmd, prob("free_particle.toml"), *extra,
+                         "--tol", tol)
+    assert code == 2 and out == ""
+    assert "--tol must be finite and at least 0" in err
+
+
 def test_noether_honours_tol_zero(tmp_path, capsys):
     # the problem's own tol admits the parabola's residual (max_dev 2.0);
     # an explicit --tol 0 must not fall back to it
@@ -359,6 +371,12 @@ L = {L}
      "numeric.samples: expected at least 1, found 0"),
     ({"tail": "[numeric]\nsymmetry_samples = -3"},
      "numeric.symmetry_samples: expected at least 1, found -3"),
+    ({"tail": "[numeric]\ntol = -1.0"},
+     "numeric.tol: expected finite and at least 0, found -1.0"),
+    ({"tail": "[numeric]\ntol_fd = -1.0"},
+     "numeric.tol_fd: expected finite and at least 0, found -1.0"),
+    ({"tail": "[numeric]\ntol_fd = 1e999"},
+     "numeric.tol_fd: expected finite and at least 0, found inf"),
     ({"tail": '[numeric]\nbox = [["q", "a", 1]]'},
      "numeric.box: expected [\"name\", lo, hi] entries, found ['q', 'a', 1]"),
     ({"tail": '[numeric]\nrequire = "q > 1"'},
@@ -372,7 +390,8 @@ L = {L}
     ({"L": "5"}, "lagrangian.L: expected a string, found int"),
     ({"base": "5"}, "bundle.base: expected an array, found int"),
     ({"base": '"tx"'}, "bundle.base: expected an array, found str"),
-], ids=["seed", "samples", "samples-zero", "symmetry-samples-negative", "box",
+], ids=["seed", "samples", "samples-zero", "symmetry-samples-negative",
+        "tol-negative", "tol-fd-negative", "tol-fd-infinite", "box",
         "require", "numeric", "connection", "check", "solution", "L",
         "base-int", "base-str"])
 def test_value_of_wrong_type_exits_2(tmp_path, capsys, edit, message):
