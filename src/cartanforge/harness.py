@@ -1,7 +1,12 @@
 """Numeric verification layer and the executable identity catalog.
 
-Every sampled check (``numeric_check``, the finite-difference check of each
-dL/dz, ``noether.check_conservation``) samples by one rule:
+Zero tests share one function, ``zero_verdict``: a structural zero passes
+at once; anything else is sampled, and passes within tol with the detail
+``numeric zero (seed S, N points)``.  The catalog's theorems (``cartan-*``,
+``energy-*``, ``legendre-*``, ``curvature-*``, ``diffeo-*``) and
+``noether.check_conservation`` sample so, ``symmetry[...]`` only under
+``check = "numeric"``.  Every sampled check (``zero_verdict``,
+``numeric_check``, the finite-difference check of dL/dz) samples by one rule:
 
 - the stream is a ``random.Random`` seeded from the problem's numeric
   settings, so two runs with the same seed produce byte-identical reports;
@@ -26,9 +31,9 @@ subtree once per point and keeps the worst deviation and its witness in
 locals; the witness dict is built once, at the end.  The finite-difference
 checks of a problem share one kernel: L is computed once per point, and
 each coordinate's branch adds dL/dz and the subtrees of L that contain the
-shifted coordinate.  A kernel performs
-the rule's operations, each a (subtree, point) evaluation, on the same
-values, so values, witnesses and stream state are the rule's bit for bit.
+shifted coordinate.  A kernel performs the rule's operations, each a
+(subtree, point) evaluation, on the same values, so values, witnesses and
+stream state are the rule's bit for bit.
 When one raises, the kernel returns the point it was at, whose draws are
 done as the rule's are; ``_raise_at`` evaluates that point's guards and
 expressions in the rule's order with the tree walk ``expr.evaluate_numeric``
@@ -273,6 +278,23 @@ def sample_worst(pairs, rng, names, box, guards, samples):
                       [(e, None, 0.0) for pair in pairs for e in pair])
 
 
+def zero_verdict(x, seed, box, guards, samples, tol, names=()):
+    """(ok, max_dev, witness, detail): is `x`, an Expr, a Form or a list of
+    them, zero?  The module's zero test, sampling on ``random.Random(seed)``
+    and drawing `names` besides the variables of `x`."""
+    coeffs = [c for e in (x if isinstance(x, list) else [x]) for c in
+              (e.coeffs.values() if isinstance(e, Form) else (e,))
+              if not c.is_zero()]
+    if not coeffs:
+        return True, 0.0, {}, ""
+    worst, witness = sample_worst(
+        [(c, ex.ZERO) for c in coeffs], random.Random(seed),
+        set(names).union(*map(ex.free_vars, coeffs)), box, guards, samples)
+    ok = worst <= tol
+    word = "zero" if ok else "nonzero"
+    return ok, worst, witness, f"numeric {word} (seed {seed}, {samples} points)"
+
+
 def numeric_check(check: IdentityCheck):
     """Sample both sides; pass iff the worst deviation stays within tol."""
     lhs, rhs = check.lhs, check.rhs
@@ -347,7 +369,13 @@ def finite_differences(lag, rng, box, guards, samples):
 
 def _sym(name, ok, detail=""):
     return CheckResult(name, "pass" if ok else "fail",
-                       0.0 if ok else None, {}, detail)
+                       0.0 if ok else None, {}, "" if ok else detail)
+
+
+def _structural(name, residuals):
+    """Pass iff every (key, residual) is zero; a fail names the first key."""
+    bad = next((k for k, r in residuals if not r.is_zero()), None)
+    return _sym(name, bad is None, f"non-zero residual {bad}")
 
 
 def _skip(name, why):
@@ -377,6 +405,16 @@ def run_identity_catalog(problem, seed=None, samples=None, tol=None):
     lag = problem.lagrangian
     entries = []
 
+    def theorem(name, x):
+        # an identity: a structural non-zero is sampled before it fails
+        try:
+            ok, worst, wit, how = zero_verdict(x, seed, num.box, num.guards,
+                                               samples, tol)
+        except NumericDomain as err:
+            ok, worst, wit, how = False, None, {}, str(err)
+        entries.append(CheckResult(name, "pass" if ok else "fail", worst, wit,
+                                   _nan(worst, how)))
+
     # finite-difference validation of the table of dL/dz that every
     # construction reads
     fds = finite_differences(lag, random.Random(seed), num.box, num.guards,
@@ -389,16 +427,14 @@ def run_identity_catalog(problem, seed=None, samples=None, tol=None):
     # canonical forms: both construction paths and closedness of the
     # Poincare-Cartan sequence
     cf = cartan_forms(lag)
-    ok = (cf.vartheta - vartheta_intrinsic(lag)).is_zero()
-    entries.append(_sym("cartan-intrinsic-vs-display", ok,
-                        "" if ok else "vartheta construction paths disagree"))
-    entries.append(_sym("cartan-domega-closed",
-                        exterior_d(cf.omega).is_zero()))
+    theorem("cartan-intrinsic-vs-display", cf.vartheta - vartheta_intrinsic(lag))
+    theorem("cartan-domega-closed", exterior_d(cf.omega))
 
     # contact annihilation for every declared section
     for sname, decl in sorted(problem.sections.items()):
-        ok = is_holonomic(prolong_section(decl.section)).holonomic
-        entries.append(_sym(f"contact-annihilation[{sname}]", ok))
+        res = is_holonomic(prolong_section(decl.section)).residuals
+        entries.append(_structural(f"contact-annihilation[{sname}]", zip(
+            (f"theta^{y}" for y in ch.fiber_names), res)))
 
     # energy and Legendre identities need at least one connection
     if problem.connections:
@@ -407,27 +443,21 @@ def run_identity_catalog(problem, seed=None, samples=None, tol=None):
             # the declared connection, then its three seeded shifts
             energies = [energy_density(lag, c) for c in
                         (conn, *(conn.shift(t) for t in gammas))]
-            ok = all((energy_intrinsic(lag, e.connection) - e.density()).is_zero()
-                     for e in energies)
-            entries.append(_sym(f"energy-intrinsic-vs-display[{cname}]", ok,
-                                "" if ok else "energy construction paths disagree"))
-            e0 = energies[0]
-            ok = all((volume_form(jet_space(ch)).scale(ex.sub(e1.E, e0.E))
-                      - legendre_difference(lag, table)).is_zero()
-                     for e1, table in zip(energies[1:], gammas))
-            entries.append(_sym(f"legendre-linearity[{cname}]", ok))
+            theorem(f"energy-intrinsic-vs-display[{cname}]", [
+                energy_intrinsic(lag, e.connection) - e.density()
+                for e in energies])
+            theorem(f"legendre-linearity[{cname}]", [
+                volume_form(jet_space(ch)).scale(ex.sub(e1.E, energies[0].E))
+                - legendre_difference(lag, table)
+                for e1, table in zip(energies[1:], gammas)])
 
-            frame = conn.horizontal_frame()
-            R = curvature(conn)
-            okc = True
-            for i, xm in enumerate(ch.base_names):
-                for j in range(i + 1, ch.n_plus_1):
-                    br = bracket(frame[i], frame[j])
-                    for y in ch.fiber_names:
-                        okc = okc and ex.sub(
-                            R.coefficient(y, xm, ch.base_names[j]),
-                            br.component(y)).is_zero()
-            entries.append(_sym(f"curvature-bracket[{cname}]", okc))
+            frame, R = conn.horizontal_frame(), curvature(conn)
+            theorem(f"curvature-bracket[{cname}]", [
+                ex.sub(R.coefficient(y, xm, xn), br.component(y))
+                for i, xm in enumerate(ch.base_names)
+                for j, xn in enumerate(ch.base_names) if i < j
+                for br in (bracket(frame[i], frame[j]),)
+                for y in ch.fiber_names])
     else:
         for name in ("energy-intrinsic-vs-display", "legendre-linearity",
                      "curvature-bracket"):
@@ -440,14 +470,12 @@ def run_identity_catalog(problem, seed=None, samples=None, tol=None):
             continue
         res = el.residuals_along(decl.section)
         vanished = all(r.is_zero() for r in res.values())
-        name = f"el-solution[{sname}]"
         if decl.solution:
-            entries.append(_sym(name, vanished,
-                                "" if vanished else _residual_text(res)))
+            entries.append(_sym(f"el-solution[{sname}]", vanished,
+                                _residual_text(res)))
         else:
             entries.append(_sym(f"el-control[{sname}]", not vanished,
-                                "control section unexpectedly solves the equations"
-                                if vanished else ""))
+                                "control section unexpectedly solves the equations"))
 
     # symmetries and conservation
     sym_fields = []
@@ -459,20 +487,14 @@ def run_identity_catalog(problem, seed=None, samples=None, tol=None):
         rep = total_variation(lag, decl.vf)
         name = f"symmetry[{vname_}]"
         if decl.check == "numeric" and not rep.is_symmetry:
-            nres = numeric_check(IdentityCheck(
-                name, rep.variation, ex.ZERO, box=num.box,
-                samples=num.symmetry_samples, tol=num.tol, seed=num.seed,
-                guards=num.guards))
-            got = nres.status == "pass"
-            entries.append(CheckResult(name,
-                                       "pass" if got == bool(decl.symmetry) else "fail",
-                                       nres.max_dev, nres.witness,
-                                       _nan(nres.max_dev, "numeric fallback")))
+            got, worst, wit, _ = zero_verdict(rep.variation, num.seed, num.box,
+                                              num.guards, num.symmetry_samples, num.tol)
+            entries.append(CheckResult(name, "pass" if got == bool(decl.symmetry) else "fail",
+                                       worst, wit, _nan(worst, "numeric fallback")))
         else:
             got = rep.is_symmetry
             entries.append(_sym(name, got == bool(decl.symmetry),
-                                "" if got == bool(decl.symmetry)
-                                else f"delta = {ex.to_text(rep.variation)}"))
+                                f"delta = {ex.to_text(rep.variation)}"))
         if decl.symmetry and got:
             sym_fields.append((vname_, decl))
     if not any_symmetry_decl:
@@ -486,14 +508,11 @@ def run_identity_catalog(problem, seed=None, samples=None, tol=None):
             # one residual serves both verdicts
             numrep = check_conservation(cur, sdecl.section, samples=samples,
                                         tol=tol, seed=seed, box=num.box)
-            exact = numrep.residual.is_zero()
-            if not exact and decl.check == "numeric":
-                ok, detail = numrep.conserved, "numeric fallback"
-            else:
-                ok, detail = exact and numrep.conserved, ""
-            entries.append(CheckResult(name, "pass" if ok else "fail",
-                                       numrep.max_dev, numrep.witness,
-                                       _nan(numrep.max_dev, detail)))
+            sampled = decl.check == "numeric" and not numrep.residual.is_zero()
+            ok = numrep.conserved if sampled else numrep.residual.is_zero()
+            entries.append(CheckResult(
+                name, "pass" if ok else "fail", numrep.max_dev, numrep.witness,
+                _nan(numrep.max_dev, "numeric fallback" if sampled else "")))
 
     # declared jet fields
     prob_el = jetfield_el(lag)
@@ -502,26 +521,23 @@ def run_identity_catalog(problem, seed=None, samples=None, tol=None):
             continue
         rep = prob_el.check(decl.jf)
         ok = rep.solves() == bool(decl.el_solution)
-        detail = "" if ok else (
-            f"sopde={rep.is_sopde} omega_residual={rep.omega_residual.describe()}")
-        entries.append(_sym(f"jetfield-el[{jname}]", ok, detail))
+        entries.append(_sym(f"jetfield-el[{jname}]", ok, "" if ok else (
+            f"sopde={rep.is_sopde} omega_residual={rep.omega_residual.describe()}")))
         for sname in decl.integral_sections:
-            sdecl = problem.sections[sname]
-            psi = prolong_section(sdecl.section)
-            fr, gr = integral_residual2(decl.jf, psi)
-            okk = all(v.is_zero() for v in (*fr.values(), *gr.values()))
-            entries.append(_sym(f"jetfield-integral[{jname},{sname}]", okk))
+            fr, gr = integral_residual2(
+                decl.jf, prolong_section(problem.sections[sname].section))
+            entries.append(_structural(
+                f"jetfield-integral[{jname},{sname}]",
+                ((f"{g}({','.join(k)})", r)
+                 for g, res in (("F", fr), ("G", gr)) for k, r in res.items())))
 
     # declared diffeomorphisms preserve the contact module
     for dname, decl in sorted(problem.diffeos.items()):
         cm = prolong_diffeo(decl.diffeo)
-        ok = all(contact_reduce(pullback(cm, th)).reduced.is_zero()
-                 for th in contact_basis(ch))
-        entries.append(_sym(f"diffeo-contact[{dname}]", ok))
+        theorem(f"diffeo-contact[{dname}]", [
+            contact_reduce(pullback(cm, th)).reduced for th in contact_basis(ch)])
         if decl.symmetry:
-            pulled = pullback(cm, cf.theta)
-            entries.append(_sym(f"diffeo-symmetry[{dname}]",
-                                (pulled - cf.theta).is_zero()))
+            theorem(f"diffeo-symmetry[{dname}]", pullback(cm, cf.theta) - cf.theta)
 
     return SuiteReport(tuple(entries))
 

@@ -10,13 +10,12 @@ vertical Z the divergence term drops and the test is just (j1 Z) L = 0).
 (j1 Z) L is j1 Z contracted with the Lagrangian's table of partials,
 `Lagrangian.partials`.
 The conserved current is the n-form i(j1 Z) Theta_L; along a solution
-section its pullback is closed.  The residual d of that pullback is checked
-by seeded sampling; its ``is_zero()`` is the symbolic verdict.
+section its pullback is closed.  ``check_conservation`` decides that with
+the catalog's one zero test, ``harness.zero_verdict``, drawing the base
+coordinates; the residual's ``is_zero()`` is the symbolic verdict.
 """
 
 from __future__ import annotations
-
-import random
 
 from . import expr as ex
 from .canonical import contact_basis, contact_reduce, prolong_vectorfield
@@ -83,19 +82,14 @@ def check_conservation(current, phi: SectionE, samples=100, tol=1e-9, seed=0,
     """d[(j1 phi)^* J] along the section; zero iff the current is conserved.
     Its coefficients are sampled over the base coordinates in `box` (name ->
     (lo, hi), [-1, 1] where it declares none)."""
-    from .harness import sample_worst  # harness imports this module
+    from .harness import zero_verdict  # harness imports this module
     lag = current.lagrangian
     if phi.chart != lag.chart:
         raise ChartMismatch("section lives on a different chart")
-    psi = prolong_section(phi)
-    residual = exterior_d(pullback_by_section(psi, current.J))
-    if residual.is_zero():
-        # an exact zero deviates by 0.0 at every point: nothing to sample
-        return ConservationReport(True, residual)
-    worst, witness = sample_worst(
-        [(c, ex.ZERO) for c in residual.coeffs.values()],
-        random.Random(seed), lag.chart.base_names, box or {}, (), samples)
-    return ConservationReport(worst <= tol, residual, worst, witness)
+    residual = exterior_d(pullback_by_section(prolong_section(phi), current.J))
+    ok, worst, witness, _ = zero_verdict(residual, seed, box or {}, (),
+                                         samples, tol, lag.chart.base_names)
+    return ConservationReport(ok, residual, worst, witness)
 
 
 class NoetherJetReport(Record):

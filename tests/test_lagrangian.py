@@ -7,6 +7,7 @@ from cartanforge import chart as ch
 from cartanforge import connection as cn
 from cartanforge import expr as ex
 from cartanforge import forms as fm
+from cartanforge import harness as hz
 from cartanforge import lagrangian as lg
 from cartanforge.problem import parse_problem
 
@@ -490,7 +491,8 @@ def test_omega_is_closed():
     # root of a sum: the canonical form does not know that
     # t*(3 + t)^(-1/2) + 3*(3 + t)^(-1/2) is (3 + t)^(1/2), so for ROOT (32)
     # and the ninth of the table's Lagrangians (41) d Omega vanishes only in
-    # value
+    # value; the catalog's zero test passes both by sampling, and the
+    # relative check below is its reference
     r = randgen.rng(815)
     in_value_only = []
     for i, lag in enumerate(cartan_lagrangians()):
@@ -503,4 +505,7 @@ def test_omega_is_closed():
             for c in d_omega.coeffs.values():
                 scale = sum(abs(ex.evaluate_numeric(t, pt)) for t in c.terms)
                 assert abs(ex.evaluate_numeric(c, pt)) <= 1e-12 * scale
+        ok, worst, _, detail = hz.zero_verdict(d_omega, 815, {}, (), 100, 1e-9)
+        assert ok and 0.0 < worst <= 1e-9, (i, worst)
+        assert detail == "numeric zero (seed 815, 100 points)"
     assert in_value_only == [32, 41]

@@ -1,6 +1,17 @@
+import os
+
 import pytest
 
+from cartanforge import chart as ch
 from cartanforge import cli
+from cartanforge import expr as ex
+from cartanforge import forms as fm
+from cartanforge import harness as hz
+from cartanforge.errors import NumericDomain
+from cartanforge.problem import Guard, parse_problem
+
+PROBLEMS = os.path.join(os.path.dirname(__file__), "..", "problems")
+MECH = ch.make_chart(["t"], ["q"])
 
 # L is 1/2*d(q,t)^2 in value: the bracket is zero, but the canonical form
 # does not know that t/sqrt(3 + t) + 3/sqrt(3 + t) is sqrt(3 + t), so the
@@ -51,3 +62,134 @@ def test_symmetry_check_modes_are_pinned(tmp_path, capsys, check, code, line):
     # check = "numeric" samples the variation; the default stays strict
     got = verify(tmp_path, capsys, ROOTED + check)
     assert got == (code, PINNED_HEAD + line, "")
+
+
+# d Omega vanishes only in value: its third partials meet sqrt(3 + t)
+EXP_ROOT = """
+[bundle]
+base = ["t"]
+fiber = ["q"]
+
+[lagrangian]
+L = "exp(d(q,t)*q*sqrt(3 + t))"
+"""
+
+
+def test_theorem_closes_numerically_where_the_canonical_form_cannot(
+        tmp_path, capsys):
+    code, out, _ = verify(tmp_path, capsys, EXP_ROOT)
+    assert code == 0
+    assert ("[PASS] cartan-domega-closed  max_dev=2.776e-16"
+            "  (numeric zero (seed 20240808, 100 points))\n") in out
+    # the detail names the run's seed and sample count
+    code, out, _ = verify(tmp_path, capsys, EXP_ROOT, "--seed", "7",
+                          "--samples", "20")
+    assert code == 0 and "(numeric zero (seed 7, 20 points))" in out
+
+
+def test_structural_zero_is_not_sampled():
+    x = ex.var("x")
+    zero = fm.Form(fm.jet_space(MECH), 1, {})
+    for arg in (ex.ZERO, zero, [zero, ex.sub(x, x)]):
+        assert hz.zero_verdict(arg, 1, {}, (), 10, 1e-9) == (True, 0.0, {}, "")
+
+
+def test_nonzero_form_fails_with_its_witness():
+    q, t = ex.var("q"), ex.var("t")
+    form = fm.Form(fm.jet_space(MECH), 1, {(0,): ex.sub(q, ex.pow_(q, 2)),
+                                           (1,): ex.ZERO})
+    ok, worst, witness, detail = hz.zero_verdict(
+        [form, ex.sub(t, t)], 3, {"q": (0.0, 2.0)}, (), 200, 1e-9)
+    assert not ok and worst > 0.5 and set(witness) == {"q"}
+    assert abs(witness["q"] - 2.0) < 0.6   # |q - q^2| peaks at the edge
+    assert detail == "numeric nonzero (seed 3, 200 points)"
+
+
+def test_names_are_drawn_besides_the_variables():
+    # a constant residual still draws the base coordinates it lives on
+    ok, worst, witness, _ = hz.zero_verdict(ex.rat(2), 5, {}, (), 4, 1e-9,
+                                            names=("t",))
+    assert not ok and worst == 2.0 and set(witness) == {"t"}
+
+
+def test_unsatisfiable_guard_is_a_domain_error():
+    q = ex.var("q")
+    with pytest.raises(NumericDomain, match="could not draw"):
+        hz.zero_verdict(q, 1, {}, (Guard(q, ">", 5.0),), 10, 1e-9)
+
+
+def test_theorem_domain_error_is_a_fail_entry(tmp_path, capsys, monkeypatch):
+    # a theorem whose fallback leaves its domain fails with the error's
+    # text, and verify goes on to the other checks (exit 1, not 2)
+    path = os.path.join(PROBLEMS, "free_particle.toml")
+    want = [e.name for e in hz.run_identity_catalog(parse_problem(path)).entries]
+    real = hz.vartheta_intrinsic
+    shifted = ex.func("log", ex.sub(ex.var("q"), ex.rat(5)))
+    monkeypatch.setattr(hz, "vartheta_intrinsic",
+                        lambda lag: real(lag).scale(ex.add(ex.ONE, shifted)))
+    code = cli.main(["verify", path])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert [line.split()[1] for line in out.splitlines()[:-1]] == want
+    line, = [s for s in out.splitlines() if "cartan-intrinsic" in s]
+    assert line.startswith("[FAIL] cartan-intrinsic-vs-display  "
+                           "(log of non-positive value")
+    assert "at point {" in line
+    assert sum("[FAIL]" in s for s in out.splitlines()) == 1
+
+
+JETFIELD = """
+[bundle]
+base = ["t"]
+fiber = ["q"]
+
+[lagrangian]
+L = "1/2*d(q,t)^2 - 1/2*q^2"
+
+[section.sine]
+components = ["sin(t)"]
+solution = true
+
+[section.drifting]
+components = ["t"]
+
+[jetfield.dynamics]
+F = [["d(q,t)"]]
+G = [[["-q"]]]
+el_solution = true
+integral_sections = ["sine", "drifting"]
+"""
+
+
+def test_structural_fails_name_their_first_nonzero_residual(
+        tmp_path, capsys, monkeypatch):
+    code, out, _ = verify(tmp_path, capsys, JETFIELD)
+    assert code == 1
+    assert "[PASS] jetfield-integral[dynamics,sine]  max_dev=0.000e+00\n" in out
+    assert ("[FAIL] jetfield-integral[dynamics,drifting]"
+            "  (non-zero residual G(q,t,t))\n") in out
+    # a prolongation that is not holonomic fails contact annihilation
+    real = hz.prolong_section
+
+    def slanted(phi):
+        psi = real(phi)
+        return ch.SectionJ1(psi.chart, psi.f,
+                            {k: ex.add(v, ex.ONE) for k, v in psi.g.items()})
+    monkeypatch.setattr(hz, "prolong_section", slanted)
+    code, out, _ = verify(tmp_path, capsys, JETFIELD)
+    assert ("[FAIL] contact-annihilation[sine]"
+            "  (non-zero residual theta^q)\n") in out
+
+
+@pytest.mark.parametrize("name", sorted(
+    f[:-5] for f in os.listdir(PROBLEMS) if f.endswith(".toml")))
+def test_corpus_closes_structurally(name, monkeypatch):
+    # every corpus verdict closes on the canonical form: a regression there
+    # must not hide behind the numeric fallback
+    def unexpected(*args):
+        raise AssertionError("a corpus zero test sampled")
+    monkeypatch.setattr(hz, "sample_worst", unexpected)
+    rep = hz.run_identity_catalog(
+        parse_problem(os.path.join(PROBLEMS, name + ".toml")), samples=25)
+    assert rep.passed
+    assert not [e.name for e in rep.entries if "numeric zero" in e.detail]
