@@ -39,7 +39,7 @@ from .forms import (
     wedge,
     zero_form,
 )
-from .record import Record, field
+from .record import Record
 
 
 def contact_form(chart, y):
@@ -85,7 +85,7 @@ def vertical_differential(phi: SectionE, at=None):
 
 class ContactReduction(Record):
     reduced: Form
-    combination: dict = field(compare=False)  # fiber name -> Form
+    combination: dict  # fiber name -> Form
 
 
 def contact_reduce(a):

@@ -58,15 +58,6 @@ class JetChart(Record):
         """First-jet names, fiber-major: all mu for y^0, then y^1, ..."""
         return tuple(v_name(y, x) for y in self.fiber_names for x in self.base_names)
 
-    def w_names(self):
-        """Symmetric second-jet names, one per fiber and base pair mu <= nu."""
-        out = []
-        for y in self.fiber_names:
-            for i, x1 in enumerate(self.base_names):
-                for x2 in self.base_names[i:]:
-                    out.append(w_name(y, x1, x2))
-        return tuple(out)
-
     def e_coords(self):
         return self.base_names + self.fiber_names
 
@@ -168,13 +159,6 @@ class SectionJ1(Record):
             if name not in self.g:
                 raise UnknownCoordinate(f"missing jet-section component {name}")
             _check_base_only(self.chart, self.g[name], "a jet-section g component")
-
-    def __eq__(self, other):
-        return (isinstance(other, SectionJ1) and self.chart == other.chart
-                and self.f == other.f and self.g == other.g)
-
-    def __hash__(self):
-        return hash((self.chart, self.f, tuple(sorted(self.g.items()))))
 
     def substitution(self):
         out = dict(zip(self.chart.fiber_names, self.f))

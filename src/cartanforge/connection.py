@@ -46,13 +46,6 @@ class Connection(Record):
                 table[(y, x)] = g
         object.__setattr__(self, "gamma", table)
 
-    def __eq__(self, other):
-        return (isinstance(other, Connection) and self.chart == other.chart
-                and self.gamma == other.gamma)
-
-    def __hash__(self):
-        return hash((self.chart, tuple(sorted(self.gamma.items()))))
-
     def shift(self, gamma_table):
         """The connection nabla + gamma; the difference of two connections
         is always such a purely fiber-valued, v-independent table."""
@@ -203,14 +196,6 @@ class JetField2(Record):
                     gtab[(y, xr, xm)] = g
         object.__setattr__(self, "F", ftab)
         object.__setattr__(self, "G", gtab)
-
-    def __eq__(self, other):
-        return (isinstance(other, JetField2) and self.chart == other.chart
-                and self.F == other.F and self.G == other.G)
-
-    def __hash__(self):
-        return hash((self.chart, tuple(sorted(self.F.items())),
-                     tuple(sorted(self.G.items()))))
 
     def horizontal_frame(self):
         """H_mu = d/dx^mu + F^A_mu d/dy^A + G^A_{rho,mu} d/dv^A_rho."""

@@ -14,7 +14,7 @@ from __future__ import annotations
 from . import expr as ex
 from .chart import JetChart
 from .errors import ChartMismatch, DegreeZero, MissingInverse
-from .record import Record, field
+from .record import Record
 
 BASE, TOTAL, JET = "base", "total", "jet"
 
@@ -68,14 +68,6 @@ class Form(Record):
 
     def is_zero(self):
         return not self.coeffs
-
-    def __eq__(self, other):
-        return (isinstance(other, Form) and self.space == other.space
-                and self.degree == other.degree and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.space, self.degree, tuple(sorted(self.coeffs.items(),
-                                                           key=lambda kv: kv[0]))))
 
     def __add__(self, other):
         _same_space(self, other)
@@ -198,13 +190,6 @@ class VectorField(Record):
                 clean[name] = c
         object.__setattr__(self, "comps", clean)
 
-    def __eq__(self, other):
-        return (isinstance(other, VectorField) and self.space == other.space
-                and self.comps == other.comps)
-
-    def __hash__(self):
-        return hash((self.space, tuple(sorted(self.comps.items()))))
-
     def component(self, name):
         return self.comps.get(name, ex.ZERO)
 
@@ -301,7 +286,7 @@ class CoordMap(Record):
     """
     source: Space
     target: Space
-    components: dict = field(compare=False)
+    components: dict
 
     def __post_init__(self):
         comps = dict(self.components)
@@ -402,9 +387,9 @@ class FiberedMap(Record):
     symbolic inverse of the base part (identity may be omitted).
     """
     chart: JetChart
-    base_components: dict = field(compare=False)
-    fiber_components: dict = field(compare=False)
-    base_inverse: dict = field(compare=False, default=None)
+    base_components: dict
+    fiber_components: dict
+    base_inverse: dict = None
 
     def __post_init__(self):
         from .errors import NotFiberPreserving

@@ -82,7 +82,7 @@ class IdentityCheck(Record):
     name: str
     lhs: object                 # Expr or Form
     rhs: object
-    box: dict = field(default_factory=dict, compare=False)
+    box: dict = field(default_factory=dict)
     samples: int = NumericSettings.samples
     tol: float = NumericSettings.tol
     seed: int = NumericSettings.seed
@@ -93,7 +93,7 @@ class CheckResult(Record):
     name: str
     status: str                 # pass | fail | skip
     max_dev: object = None      # float for numeric checks
-    witness: dict = field(default_factory=dict, compare=False)
+    witness: dict = field(default_factory=dict)
     detail: str = ""
 
     def as_json_obj(self):
@@ -405,13 +405,16 @@ def run_identity_catalog(problem, seed=None, samples=None, tol=None):
     lag = problem.lagrangian
     entries = []
 
+    def verdict(x, n):
+        # a domain error while sampling fails the entry, with its text
+        try:
+            return zero_verdict(x, seed, num.box, num.guards, n, tol)
+        except NumericDomain as err:
+            return None, None, {}, str(err)
+
     def theorem(name, x):
         # an identity: a structural non-zero is sampled before it fails
-        try:
-            ok, worst, wit, how = zero_verdict(x, seed, num.box, num.guards,
-                                               samples, tol)
-        except NumericDomain as err:
-            ok, worst, wit, how = False, None, {}, str(err)
+        ok, worst, wit, how = verdict(x, samples)
         entries.append(CheckResult(name, "pass" if ok else "fail", worst, wit,
                                    _nan(worst, how)))
 
@@ -487,10 +490,11 @@ def run_identity_catalog(problem, seed=None, samples=None, tol=None):
         rep = total_variation(lag, decl.vf)
         name = f"symmetry[{vname_}]"
         if decl.check == "numeric" and not rep.is_symmetry:
-            got, worst, wit, _ = zero_verdict(rep.variation, num.seed, num.box,
-                                              num.guards, num.symmetry_samples, num.tol)
-            entries.append(CheckResult(name, "pass" if got == bool(decl.symmetry) else "fail",
-                                       worst, wit, _nan(worst, "numeric fallback")))
+            # got is None after a domain error, which fails either way
+            got, worst, wit, how = verdict(rep.variation, num.symmetry_samples)
+            entries.append(CheckResult(
+                name, "pass" if got == bool(decl.symmetry) else "fail", worst,
+                wit, _nan(worst, how if got is None else "numeric fallback")))
         else:
             got = rep.is_symmetry
             entries.append(_sym(name, got == bool(decl.symmetry),
@@ -506,8 +510,12 @@ def run_identity_catalog(problem, seed=None, samples=None, tol=None):
         for sname, sdecl in solutions:
             name = f"noether-conservation[{vname_},{sname}]"
             # one residual serves both verdicts
-            numrep = check_conservation(cur, sdecl.section, samples=samples,
-                                        tol=tol, seed=seed, box=num.box)
+            try:
+                numrep = check_conservation(cur, sdecl.section, samples=samples,
+                                            tol=tol, seed=seed, box=num.box)
+            except NumericDomain as err:
+                entries.append(CheckResult(name, "fail", None, {}, str(err)))
+                continue
             sampled = decl.check == "numeric" and not numrep.residual.is_zero()
             ok = numrep.conserved if sampled else numrep.residual.is_zero()
             entries.append(CheckResult(

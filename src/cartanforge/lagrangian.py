@@ -44,7 +44,7 @@ from .chart import SectionE, v_name
 from .connection import JetField2, jetfield_contract, sopde_project
 from .errors import ChartMismatch, UnknownCoordinate
 from .forms import Form, exterior_d, jet_space, volume_form
-from .record import Record, field
+from .record import Record
 
 
 class Lagrangian(Record):
@@ -123,7 +123,7 @@ def cartan_forms(lag):
 
 class ELSystem(Record):
     chart: object
-    components: dict = field(compare=False)  # fiber name -> Expr
+    components: dict  # fiber name -> Expr
 
     def residuals_along(self, phi: SectionE):
         """Substitute a section and its first and second derivatives."""
@@ -240,8 +240,8 @@ def _g_slots(ch):
 class JetFieldReport(Record):
     is_sopde: bool
     omega_residual: object          # the contracted Poincare-Cartan form
-    reduced_residuals: dict = field(compare=False)
-    curvature_residuals: dict = field(compare=False)
+    reduced_residuals: dict
+    curvature_residuals: dict
 
     def solves(self):
         return (self.is_sopde and self.omega_residual.is_zero()
@@ -251,11 +251,8 @@ class JetFieldReport(Record):
 class LinearSolveReport(Record):
     rank: int
     consistent: bool
-    pivots: dict = field(compare=False)    # unknown -> Expr over frees + chart
+    pivots: dict  # unknown -> Expr over frees + chart
     free: tuple = ()
-
-    def is_unique(self):
-        return self.consistent and not self.free
 
 
 class ELJetProblem(Record):
@@ -269,7 +266,7 @@ class ELJetProblem(Record):
     """
     lagrangian: Lagrangian
     unknowns: tuple
-    equations: dict = field(compare=False)  # fiber name -> Expr
+    equations: dict  # fiber name -> Expr
 
     def solve(self):
         lag = self.lagrangian

@@ -74,7 +74,7 @@ class ConservationReport(Record):
     conserved: bool
     residual: object       # d of the pulled-back current, a base-space form
     max_dev: float = 0.0
-    witness: dict = field(default_factory=dict, compare=False)
+    witness: dict = field(default_factory=dict)
 
 
 def check_conservation(current, phi: SectionE, samples=100, tol=1e-9, seed=0,

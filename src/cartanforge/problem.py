@@ -198,7 +198,7 @@ class NumericSettings(Record):
     tol: float = 1e-9
     tol_fd: float = 1e-6
     symmetry_samples: int = 200
-    box: dict = field(default_factory=dict, compare=False)   # var -> (lo, hi)
+    box: dict = field(default_factory=dict)   # var -> (lo, hi)
     guards: tuple = ()
 
 
@@ -227,11 +227,11 @@ class DiffeoDecl(Record):
 class Problem(Record):
     chart: object
     lagrangian: Lagrangian
-    connections: dict = field(default_factory=dict, compare=False)
-    vectorfields: dict = field(default_factory=dict, compare=False)
-    sections: dict = field(default_factory=dict, compare=False)
-    jetfields: dict = field(default_factory=dict, compare=False)
-    diffeos: dict = field(default_factory=dict, compare=False)
+    connections: dict = field(default_factory=dict)
+    vectorfields: dict = field(default_factory=dict)
+    sections: dict = field(default_factory=dict)
+    jetfields: dict = field(default_factory=dict)
+    diffeos: dict = field(default_factory=dict)
     numeric: NumericSettings = NumericSettings()
 
 

@@ -1,8 +1,8 @@
 """Frozen records without `dataclasses`: no code is generated, so import
 is cheap. Fields are the class annotations, in order; a class attribute or
-`field(default_factory=...)` is a default. Records compare and hash the
-fields not marked `field(compare=False)`, and only against the exact same
-class; a class that defines `__eq__` and `__hash__` keeps its own.
+`field(default_factory=...)` is a default. Records compare and hash every
+field, and only against the exact same class; a field annotated `dict`
+enters as the set of its items, so insertion order does not matter.
 Assignment and deletion raise."""
 
 from operator import attrgetter
@@ -14,34 +14,36 @@ _set = object.__setattr__
 
 
 class field:
-    def __init__(self, *, compare=True, default=_MISSING, default_factory=None):
-        self.compare, self.default, self.default_factory = (
-            compare, default, default_factory)
+    def __init__(self, *, default_factory):
+        self.default_factory = default_factory
 
 
 class Record:
     def __init_subclass__(cls):
-        names = tuple(cls.__dict__.get("__annotations__", ()))
-        if not names:
+        kinds = cls.__dict__.get("__annotations__", {})
+        if not kinds:
             return                      # a subclass keeps its base's fields
-        cls._fields, cls._defaults, compared = names, {}, []
+        cls._fields = names = tuple(kinds)
+        cls._defaults = {}
         for n in names:
             spec = cls.__dict__.get(n, _MISSING)
-            if not isinstance(spec, field):
-                spec = field(default=spec)
-            elif spec.default is _MISSING:
+            if isinstance(spec, field):
                 delattr(cls, n)
-            else:
-                setattr(cls, n, spec.default)
-            if spec.default_factory or spec.default is not _MISSING:
-                cls._defaults[n] = (spec.default_factory
-                                    or (lambda d=spec.default: d))
-            if spec.compare:
-                compared.append(n)
-        # the tuple of compared values, as a dataclass compares and hashes
-        cls._key = staticmethod(attrgetter(*compared) if len(compared) > 1
-                                else lambda r: tuple(getattr(r, n)
-                                                     for n in compared))
+                cls._defaults[n] = spec.default_factory
+            elif spec is not _MISSING:
+                cls._defaults[n] = lambda d=spec: d
+        # the tuple of field values, as a dataclass compares and hashes
+        get = (attrgetter(*names) if len(names) > 1
+               else lambda r: (getattr(r, names[0]),))
+        # a dict enters as its item set; a record with no dict field keeps
+        # the C-level getter, as `Space` and `JetChart` compare in hot loops
+        tables = [kinds[n] in (dict, "dict") for n in names]
+        if any(tables):
+            cls._key = staticmethod(lambda r: tuple(
+                frozenset(v.items()) if t and v is not None else v
+                for t, v in zip(tables, get(r))))
+        else:
+            cls._key = staticmethod(get)
 
     def __init__(self, *args, **kwargs):
         names = self._fields

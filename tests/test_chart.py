@@ -25,7 +25,6 @@ def test_make_chart_mechanics():
 def test_make_chart_wave():
     c = wave()
     assert c.v_names() == ("d(u,x0)", "d(u,x1)")
-    assert c.w_names() == ("dd(u,x0,x0)", "dd(u,x0,x1)", "dd(u,x1,x1)")
 
 
 def test_make_chart_rejects_duplicates():

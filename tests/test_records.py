@@ -1,8 +1,9 @@
 """The semantics every record class of the package keeps: construction by
 position and by keyword, fresh default tables, equality and hashing over
-the compared fields of one exact class, immutability, the repr text, and
-copy and pickle round trips."""
+every field of one exact class (a table by its items), immutability, the
+repr text, and copy and pickle round trips."""
 
+import ast
 import copy
 import os
 import pickle
@@ -20,6 +21,7 @@ from cartanforge import harness as hn
 from cartanforge import lagrangian as lg
 from cartanforge import noether as no
 from cartanforge import problem as pb
+from cartanforge.record import field
 
 HERE = os.path.dirname(__file__)
 PROBLEM = pb.parse_problem(os.path.join(HERE, "..", "problems",
@@ -174,52 +176,101 @@ def assert_differ(a, b):
     assert a != b and not a == b
 
 
-def test_equality_and_hash_ignore_uncompared_fields():
-    assert_same(hn.CheckResult("a", "pass", witness={"t": 1.0}),
-                hn.CheckResult("a", "pass"))
-    assert_differ(hn.CheckResult("a", "pass"), hn.CheckResult("a", "fail"))
-    assert_same(lg.ELSystem(MECH, {"q": Q}), lg.ELSystem(MECH, {}))
-    assert_differ(lg.ELSystem(MECH, {}),
-                  lg.ELSystem(ch.make_chart(["x"], ["q"]), {}))
-    assert_same(lg.LinearSolveReport(1, True, {"g": T}, ("h",)),
-                lg.LinearSolveReport(1, True, {}, ("h",)))
-    assert_differ(lg.LinearSolveReport(1, True, {}, ("h",)),
-                  lg.LinearSolveReport(1, True, {}, ()))
+def reordered(x):
+    """`x` rebuilt with every table field in reverse insertion order."""
+    return type(x)(*(dict(reversed(v.items())) if isinstance(v, dict) else v
+                     for v in values(x)))
+
+
+def test_tables_compare_by_their_items(instances):
+    for x in instances:
+        assert_same(reordered(x), x)
+    form = fm.Form(fm.total_space(MECH), 1, {(0,): T, (1,): Q})
+    assert list(reordered(form).coeffs) == [(1,), (0,)]
+    assert_same(reordered(form), form)
+
+
+def test_equality_compares_every_field():
+    sp = fm.total_space(MECH)
+    zero = fm.zero_form(sp, 1)
+    f = {("q", "t"): ex.var("d(q,t)")}
+    g = {("q", "t", "t"): Q}
+    ident = fm.FiberedMap(MECH, {"t": T}, {"q": Q})
     shear = fm.FiberedMap(MECH, {"t": T}, {"q": MECH.parse("q + t^2")})
     shift = fm.FiberedMap(MECH, {"t": MECH.parse("t + 1")}, {"q": Q},
                           {"t": MECH.parse("t - 1")})
-    assert_same(shear, shift)
-    assert_differ(shear, fm.FiberedMap(ch.make_chart(["x"], ["q"]),
-                                       {"x": ex.var("x")}, {"q": Q}))
-    assert_same(pb.NumericSettings(box={"t": (0.0, 1.0)}),
-                pb.NumericSettings())
-    assert_differ(pb.NumericSettings(tol=1.0), pb.NumericSettings())
-    assert_same(PROBLEM, pb.Problem(MECH, LAG, numeric=PROBLEM.numeric))
-    assert_same(hn.IdentityCheck("n", T, Q, {"t": (0.0, 1.0)}),
-                hn.IdentityCheck("n", T, Q))
-    assert_differ(hn.IdentityCheck("n", T, Q), hn.IdentityCheck("n", T, T))
+    # each pair differs in one field only, most often a table
+    pairs = [
+        (fm.Form(sp, 1, {(0,): T, (1,): Q}), fm.Form(sp, 1, {(0,): T})),
+        (fm.VectorField(sp, {"t": T, "q": Q}), fm.VectorField(sp, {"t": T})),
+        (ch.SectionJ1(MECH, (T,), {"d(q,t)": ex.ONE}),
+         ch.SectionJ1(MECH, (T,), {"d(q,t)": T})),
+        (cn.Connection(MECH, {("q", "t"): Q}),
+         cn.Connection(MECH, {("q", "t"): T})),
+        (cn.JetField2(MECH, f, g), cn.JetField2(MECH, f, {})),
+        (cn.JetField2(MECH, f, g), cn.JetField2(MECH, {}, g)),
+        (ident, shear),
+        (ident, fm.FiberedMap(MECH, {"t": T}, {"q": Q}, {"t": T})),
+        (shift, fm.FiberedMap(MECH, shift.base_components, {"q": Q},
+                              {"t": MECH.parse("t + 1")})),
+        (ident.total_map(), shear.total_map()),
+        (ca.ContactReduction(zero, {"q": zero}), ca.ContactReduction(zero, {})),
+        (lg.ELSystem(MECH, {"q": Q}), lg.ELSystem(MECH, {"q": T})),
+        (lg.ELSystem(MECH, {}), lg.ELSystem(ch.make_chart(["x"], ["q"]), {})),
+        (lg.JetFieldReport(True, zero, {"q": T}, {}),
+         lg.JetFieldReport(True, zero, {}, {})),
+        (lg.JetFieldReport(True, zero, {}, {"q": T}),
+         lg.JetFieldReport(True, zero, {}, {})),
+        (lg.LinearSolveReport(1, True, {"g": T}, ("h",)),
+         lg.LinearSolveReport(1, True, {}, ("h",))),
+        (lg.LinearSolveReport(1, True, {}, ("h",)),
+         lg.LinearSolveReport(1, True, {}, ())),
+        (lg.ELJetProblem(LAG, (), {"q": Q}), lg.ELJetProblem(LAG, (), {})),
+        (no.ConservationReport(True, zero, 0.0, {"t": 1.0}),
+         no.ConservationReport(True, zero)),
+        (pb.NumericSettings(box={"t": (0.0, 1.0)}), pb.NumericSettings()),
+        (pb.NumericSettings(tol=1.0), pb.NumericSettings()),
+        (PROBLEM, pb.Problem(MECH, LAG, numeric=PROBLEM.numeric)),
+        (hn.IdentityCheck("n", T, Q, {"t": (0.0, 1.0)}),
+         hn.IdentityCheck("n", T, Q)),
+        (hn.IdentityCheck("n", T, Q), hn.IdentityCheck("n", T, T)),
+        (hn.CheckResult("a", "pass", witness={"t": 1.0}),
+         hn.CheckResult("a", "pass")),
+        (hn.CheckResult("a", "pass"), hn.CheckResult("a", "fail")),
+    ]
+    for a, b in pairs:
+        assert_differ(a, b)
+        assert_same(a, reordered(a))
 
 
-def test_own_equality_compares_the_tables():
-    sp = fm.total_space(MECH)
-    a = fm.Form(sp, 1, {(0,): T, (1,): Q})
-    assert_same(a, fm.Form(sp, 1, {(1,): Q, (0,): T}))
-    assert_differ(a, fm.Form(sp, 1, {(0,): T}))
-    v = fm.VectorField(sp, {"t": T, "q": Q})
-    assert_same(v, fm.VectorField(sp, {"q": Q, "t": T}))
-    assert_differ(v, fm.VectorField(sp, {"t": T}))
-    g = {"d(q,t)": ex.ONE}
-    s = ch.SectionJ1(MECH, (T,), g)
-    assert_same(s, ch.SectionJ1(MECH, (T,), dict(g)))
-    assert_differ(s, ch.SectionJ1(MECH, (T,), {"d(q,t)": T}))
-    c = cn.Connection(MECH, {("q", "t"): Q})
-    assert_same(c, cn.Connection(MECH, {("q", "t"): Q}))
-    assert_differ(c, cn.Connection(MECH, {("q", "t"): T}))
-    f = {("q", "t"): ex.var("d(q,t)")}
-    j = cn.JetField2(MECH, f, {("q", "t", "t"): Q})
-    assert_same(j, cn.JetField2(MECH, dict(f), {("q", "t", "t"): Q}))
-    assert_differ(j, cn.JetField2(MECH, f, {}))
-    assert_differ(j, cn.JetField2(MECH, {}, {("q", "t", "t"): Q}))
+def test_different_diffeos_stay_apart_in_a_set():
+    x = fm.FiberedMap(MECH, {"t": T}, {"q": Q})
+    y = fm.FiberedMap(MECH, {"t": T}, {"q": MECH.parse("2*q + t")})
+    assert len({x, y}) == 2
+    assert {x, y} == {y, fm.FiberedMap(MECH, {"t": T}, {"q": Q})}
+
+
+def test_only_record_defines_equality():
+    # one equality rule: no class of the package writes its own
+    pkg = os.path.join(HERE, "..", "src", "cartanforge")
+    owners = []
+    for name in sorted(os.listdir(pkg)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(pkg, name)) as fh:
+            tree = ast.parse(fh.read())
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            defined = {n.name for n in cls.body if isinstance(
+                n, (ast.FunctionDef, ast.AsyncFunctionDef))}
+            defined |= {t.id for n in cls.body if isinstance(n, ast.Assign)
+                        for t in n.targets if isinstance(t, ast.Name)}
+            if defined & {"__eq__", "__hash__"}:
+                owners.append(f"{name}:{cls.name}")
+    assert owners == ["record.py:Record"]
+    with pytest.raises(TypeError):
+        field(default_factory=dict, compare=False)
 
 
 def test_equality_needs_the_exact_same_class():

@@ -1,3 +1,4 @@
+import json
 import os
 
 import pytest
@@ -136,6 +137,76 @@ def test_theorem_domain_error_is_a_fail_entry(tmp_path, capsys, monkeypatch):
                            "(log of non-positive value")
     assert "at point {" in line
     assert sum("[FAIL]" in s for s in out.splitlines()) == 1
+
+
+# sqrt(t) leaves its domain at the first draw of t in [-1, 1]
+ROOT_SECTION = """
+[bundle]
+base = ["t"]
+fiber = ["q"]
+
+[lagrangian]
+L = "1/2*d(q,t)^2"
+
+[vectorfield.shift]
+fiber = ["1"]
+symmetry = true
+
+[section.root]
+components = ["sqrt(t)"]
+solution = true
+"""
+
+ROOT_FIELD = """
+[bundle]
+base = ["t"]
+fiber = ["q"]
+
+[lagrangian]
+L = "1/2*d(q,t)^2"
+
+[vectorfield.grow]
+fiber = ["sqrt(t)"]
+symmetry = true
+check = "numeric"
+"""
+
+
+@pytest.mark.parametrize("text, name", [
+    (ROOT_SECTION, "noether-conservation[shift,root]"),
+    (ROOT_FIELD, "symmetry[grow]"),
+], ids=["conservation", "symmetry"])
+def test_sampled_domain_error_fails_its_entry(tmp_path, capsys, text, name):
+    # the conservation residual is sampled even under the strict check, to
+    # report its max_dev; a domain error there, or in the numeric symmetry
+    # fallback, fails that entry and verify lists every other one
+    code, out, err = verify(tmp_path, capsys, text)
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    assert lines[0].startswith("[PASS] finite-difference[dL/dt]")
+    assert lines[-1] == "FAILURES present"
+    line, = [s for s in lines if name in s]
+    assert line.startswith(f"[FAIL] {name}  (even root of negative value ")
+    assert "at point {" in line and "max_dev" not in line
+
+
+def test_numeric_symmetry_fallback_takes_the_run_seed_and_tol(
+        tmp_path, capsys):
+    rooted = ROOTED + 'check = "numeric"\n'
+    code, out, _ = verify(tmp_path, capsys, rooted, "--tol", "0")
+    assert code == 1
+    assert out.endswith("[FAIL] symmetry[time]  max_dev=8.327e-17"
+                        "  (numeric fallback)\nFAILURES present\n")
+
+    def witness(*argv):
+        code, out, _ = verify(tmp_path, capsys, rooted, "--format", "json",
+                              *argv)
+        assert code == 0
+        entry, = [e for e in json.loads(out)["suite"]
+                  if e["name"] == "symmetry[time]"]
+        return entry["witness"]
+    assert witness("--seed", "7") != witness()
+    assert witness("--seed", "7") == witness("--seed", "7")
 
 
 JETFIELD = """
