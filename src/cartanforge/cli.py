@@ -198,7 +198,8 @@ def cmd_noether(problem, args):
                                   tol=_tol(args, problem.numeric.tol),
                                   seed=args.seed if args.seed is not None
                                   else problem.numeric.seed,
-                                  box=problem.numeric.box)
+                                  box=problem.numeric.box,
+                                  guards=problem.numeric.guards)
         results.append(_result("conserved-symbolic",
                                str(nrep.residual.is_zero()).lower()))
         results.append(_result("conserved-numeric", str(nrep.conserved).lower(),

@@ -3,8 +3,8 @@
 Zero tests share one function, ``zero_verdict``: a structural zero passes
 at once; anything else is sampled, and passes within tol with the detail
 ``numeric zero (seed S, N points)``.  The catalog's theorems (``cartan-*``,
-``energy-*``, ``legendre-*``, ``curvature-*``, ``diffeo-*``) and
-``noether.check_conservation`` sample so, ``symmetry[...]`` only under
+``energy-*``, ``legendre-*``, ``curvature-*``, ``diffeo-*``) and the
+``noether-conservation[...]`` residuals sample so, ``symmetry[...]`` only under
 ``check = "numeric"``.  Every sampled check (``zero_verdict``,
 ``numeric_check``, the finite-difference check of dL/dz) samples by one rule:
 
@@ -73,7 +73,7 @@ from .lagrangian import (
     legendre_difference,
     vartheta_intrinsic,
 )
-from .noether import check_conservation, noether_current, total_variation
+from .noether import conservation_residual, noether_current, total_variation
 from .problem import NumericSettings
 from .record import Record, field
 
@@ -405,10 +405,10 @@ def run_identity_catalog(problem, seed=None, samples=None, tol=None):
     lag = problem.lagrangian
     entries = []
 
-    def verdict(x, n):
+    def verdict(x, n, names=()):
         # a domain error while sampling fails the entry, with its text
         try:
-            return zero_verdict(x, seed, num.box, num.guards, n, tol)
+            return zero_verdict(x, seed, num.box, num.guards, n, tol, names)
         except NumericDomain as err:
             return None, None, {}, str(err)
 
@@ -509,18 +509,17 @@ def run_identity_catalog(problem, seed=None, samples=None, tol=None):
         cur = noether_current(lag, decl.vf)
         for sname, sdecl in solutions:
             name = f"noether-conservation[{vname_},{sname}]"
-            # one residual serves both verdicts
-            try:
-                numrep = check_conservation(cur, sdecl.section, samples=samples,
-                                            tol=tol, seed=seed, box=num.box)
-            except NumericDomain as err:
-                entries.append(CheckResult(name, "fail", None, {}, str(err)))
-                continue
-            sampled = decl.check == "numeric" and not numrep.residual.is_zero()
-            ok = numrep.conserved if sampled else numrep.residual.is_zero()
+            # one residual serves both verdicts; conserved is None after a
+            # domain error, which fails either way
+            residual = conservation_residual(cur, sdecl.section)
+            conserved, worst, wit, how = verdict(residual, samples,
+                                                 ch.base_names)
+            sampled = decl.check == "numeric" and not residual.is_zero()
+            ok = conserved if sampled else residual.is_zero()
             entries.append(CheckResult(
-                name, "pass" if ok else "fail", numrep.max_dev, numrep.witness,
-                _nan(numrep.max_dev, "numeric fallback" if sampled else "")))
+                name, "pass" if ok else "fail", worst, wit, _nan(worst, (
+                    how if conserved is None
+                    else "numeric fallback" if sampled else ""))))
 
     # declared jet fields
     prob_el = jetfield_el(lag)

@@ -10,9 +10,10 @@ vertical Z the divergence term drops and the test is just (j1 Z) L = 0).
 (j1 Z) L is j1 Z contracted with the Lagrangian's table of partials,
 `Lagrangian.partials`.
 The conserved current is the n-form i(j1 Z) Theta_L; along a solution
-section its pullback is closed.  ``check_conservation`` decides that with
-the catalog's one zero test, ``harness.zero_verdict``, drawing the base
-coordinates; the residual's ``is_zero()`` is the symbolic verdict.
+section its pullback is closed: ``conservation_residual`` is zero.
+``check_conservation`` decides that with the catalog's one zero test,
+``harness.zero_verdict``, drawing the base coordinates; the residual's
+``is_zero()`` is the symbolic verdict.
 """
 
 from __future__ import annotations
@@ -77,18 +78,24 @@ class ConservationReport(Record):
     witness: dict = field(default_factory=dict)
 
 
-def check_conservation(current, phi: SectionE, samples=100, tol=1e-9, seed=0,
-                       box=None):
-    """d[(j1 phi)^* J] along the section; zero iff the current is conserved.
-    Its coefficients are sampled over the base coordinates in `box` (name ->
-    (lo, hi), [-1, 1] where it declares none)."""
-    from .harness import zero_verdict  # harness imports this module
-    lag = current.lagrangian
-    if phi.chart != lag.chart:
+def conservation_residual(current, phi: SectionE):
+    """d[(j1 phi)^* J] along the section, a base-space form; zero iff the
+    current is conserved."""
+    if phi.chart != current.lagrangian.chart:
         raise ChartMismatch("section lives on a different chart")
-    residual = exterior_d(pullback_by_section(prolong_section(phi), current.J))
-    ok, worst, witness, _ = zero_verdict(residual, seed, box or {}, (),
-                                         samples, tol, lag.chart.base_names)
+    return exterior_d(pullback_by_section(prolong_section(phi), current.J))
+
+
+def check_conservation(current, phi: SectionE, samples=100, tol=1e-9, seed=0,
+                       box=None, guards=()):
+    """The conservation residual, its coefficients sampled over the base
+    coordinates in `box` (name -> (lo, hi), [-1, 1] where it declares none)
+    at points the `guards` accept."""
+    from .harness import zero_verdict  # harness imports this module
+    residual = conservation_residual(current, phi)
+    ok, worst, witness, _ = zero_verdict(residual, seed, box or {}, guards,
+                                         samples, tol,
+                                         current.lagrangian.chart.base_names)
     return ConservationReport(ok, residual, worst, witness)
 
 

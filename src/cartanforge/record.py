@@ -1,8 +1,8 @@
 """Frozen records without `dataclasses`: no code is generated, so import
 is cheap. Fields are the class annotations, in order; a class attribute or
 `field(default_factory=...)` is a default. Records compare and hash every
-field, and only against the exact same class; a field annotated `dict`
-enters as the set of its items, so insertion order does not matter.
+field, and only against the exact same class; a dict value hashes as the
+set of its items, so, as for `==`, insertion order does not matter.
 Assignment and deletion raise."""
 
 from operator import attrgetter
@@ -20,11 +20,10 @@ class field:
 
 class Record:
     def __init_subclass__(cls):
-        kinds = cls.__dict__.get("__annotations__", {})
-        if not kinds:
+        names = tuple(cls.__dict__.get("__annotations__", ()))
+        if not names:
             return                      # a subclass keeps its base's fields
-        cls._fields = names = tuple(kinds)
-        cls._defaults = {}
+        cls._fields, cls._defaults = names, {}
         for n in names:
             spec = cls.__dict__.get(n, _MISSING)
             if isinstance(spec, field):
@@ -33,17 +32,8 @@ class Record:
             elif spec is not _MISSING:
                 cls._defaults[n] = lambda d=spec: d
         # the tuple of field values, as a dataclass compares and hashes
-        get = (attrgetter(*names) if len(names) > 1
-               else lambda r: (getattr(r, names[0]),))
-        # a dict enters as its item set; a record with no dict field keeps
-        # the C-level getter, as `Space` and `JetChart` compare in hot loops
-        tables = [kinds[n] in (dict, "dict") for n in names]
-        if any(tables):
-            cls._key = staticmethod(lambda r: tuple(
-                frozenset(v.items()) if t and v is not None else v
-                for t, v in zip(tables, get(r))))
-        else:
-            cls._key = staticmethod(get)
+        cls._key = staticmethod(attrgetter(*names) if len(names) > 1
+                                else lambda r: (getattr(r, names[0]),))
 
     def __init__(self, *args, **kwargs):
         names = self._fields
@@ -70,7 +60,9 @@ class Record:
         return self._key(self) == self._key(other)
 
     def __hash__(self):
-        return hash(self._key(self))
+        # dict equality ignores insertion order; its item set hashes so too
+        return hash(tuple(frozenset(v.items()) if type(v) is dict else v
+                          for v in self._key(self)))
 
     def __repr__(self):
         inner = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)

@@ -190,6 +190,24 @@ def test_sampled_domain_error_fails_its_entry(tmp_path, capsys, text, name):
     assert "at point {" in line and "max_dev" not in line
 
 
+def test_conservation_samples_only_where_the_guards_hold(tmp_path, capsys):
+    # the guard keeps sqrt(t) in its domain: the residual is sampled, and
+    # fails on its value, at t > 0 only; `noether --along` draws the same
+    guarded = ROOT_SECTION + '\n[numeric]\nrequire = ["t > 0"]\n'
+    code, out, err = verify(tmp_path, capsys, guarded)
+    assert code == 1 and err == "" and "even root" not in out
+    assert "[FAIL] noether-conservation[shift,root]  max_dev=1.083e+02\n" in out
+    code, out, _ = verify(tmp_path, capsys, guarded, "--format", "json")
+    entry, = [e for e in json.loads(out)["suite"]
+              if e["name"] == "noether-conservation[shift,root]"]
+    assert entry["witness"]["t"] > 0
+    code = cli.main(["noether", str(tmp_path / "problem.toml"),
+                     "--vectorfield", "shift", "--along", "root"])
+    out = capsys.readouterr()
+    assert code == 0 and out.err == ""
+    assert "conserved-numeric = false\n  max_dev: 108.3" in out.out
+
+
 def test_numeric_symmetry_fallback_takes_the_run_seed_and_tol(
         tmp_path, capsys):
     rooted = ROOTED + 'check = "numeric"\n'
