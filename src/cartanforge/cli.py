@@ -15,7 +15,6 @@ displacement (connections and displacement tables have the same shape).
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -34,6 +33,7 @@ from .problem import parse_problem
 
 def _render(payload, fmt):
     if fmt == "json":
+        import json   # only JSON output uses it
         return json.dumps(payload, sort_keys=True, indent=2)
     lines = []
     for r in payload.get("results", []):

@@ -36,9 +36,11 @@ denominator) pair of ints; nodes and ``Fraction`` coefficients are built
 only for the surviving terms, sorted once.  ``add`` collects its terms
 there; ``mul``'s expand pass and the product rule of ``differentiate`` put
 each product there through one monomial kernel, ``_mono_mul``, which merges
-same-base powers of a ``Var`` or ``Func`` and leaves any other collision to
-a full ``mul``.  Each merge (a pair of factors -> the merged factor) is
-memoized for one ``mul`` or ``sum_of_partials`` call.
+same-base powers of a ``Var`` or ``Func`` (``_merge``) and leaves any other
+collision to a full ``mul``.  Each merge (a pair of factors -> the merged
+factor) is memoized for one ``mul`` or ``sum_of_partials`` call, or for a
+whole ``exterior_d`` call, which passes one memo to every
+``sum_of_partials`` it makes.
 
 Differentiation of ``abs`` has no symbolic rule and raises, except through
 even roots: d sqrt(abs(u)) = u' * sign(u) / (2*sqrt(abs(u))), with ``sign``
@@ -52,7 +54,12 @@ terms (the powers of ``abs(G)`` and ``sign(G)`` in the Nambu string's
 Poincare-Cartan form) is worked out once; an exception is never stored.
 ``sum_of_partials`` takes one memo per variable from its caller, so
 ``exterior_d`` shares them across its whole call.  A memo kept for the
-process raised the Nambu ``verify``'s peak RSS 22 -> 47 MB.
+process raised the Nambu ``verify``'s peak RSS 22 -> 47 MB.  ``exterior_d``
+also memoizes the product rule of each (variable, monic part) that more
+than one of its terms differentiates (``product_rules``): the rule is built
+once as coefficient pairs and factor tuples, scaled into each term's
+accumulator, and dropped after its last use.  Other terms and other callers
+expand the product rule term by term.
 
 Numeric evaluation has two forms.  ``evaluate_numeric``, a walk over the
 DAG, gives single values and the text of every error (a domain failure is a
@@ -292,20 +299,17 @@ def _term(n, d, fs):
     return Mul((Rat(Fraction(n, d)),) + fs)
 
 
-def _mono_mul(fa, fb, merges):
-    """The factor tuple of the product of two factor tuples, or None when
-    ``mul`` must fold it: a sum factor, or a shared base other than a Var or
-    Func (``pow_`` can fold it to a rational, a sum or a base that merges
-    again).  Same-base powers of a Var or Func merge by adding exponents,
-    once per pair of factors in the caller's `merges` memo."""
-    if not fa or not fb:
-        fs = fa or fb
-        return None if Add in map(type, fs) else fs
-    by_base = {}
-    for f in fa + fb:   # a base occurs at most once in each tuple
+def _merge(by_base, fs, merges):
+    """Merge the factors `fs` into `by_base` (base -> factor) in place, or
+    return False when ``mul`` must fold the product: a sum factor, or a
+    shared base other than a Var or Func (``pow_`` can fold it to a
+    rational, a sum or a base that merges again).  Same-base powers of a Var
+    or Func merge by adding exponents, once per pair of factors in the
+    caller's `merges` memo.  A base occurs at most once in `fs`."""
+    for f in fs:
         kind = type(f)
         if kind is Add:
-            return None
+            return False
         b = f.base if kind is Pow else f
         g = by_base.get(b)
         if g is None:
@@ -317,8 +321,25 @@ def _mono_mul(fa, fb, merges):
                                         + (g.exponent if g is not b else _F1))
             by_base[b] = m
         else:
-            return None
+            return False
+    return True
+
+
+def _monic(by_base):
+    """The sorted factor tuple of a merged base map."""
     return tuple(sorted([f for f in by_base.values() if f is not ONE], key=_KEY))
+
+
+def _mono_mul(fa, fb, merges):
+    """The factor tuple of the product of two factor tuples, or None when
+    ``mul`` must fold it (see ``_merge``)."""
+    if not fa or not fb:
+        fs = fa or fb
+        return None if Add in map(type, fs) else fs
+    by_base = {}
+    if _merge(by_base, fa, merges) and _merge(by_base, fb, merges):
+        return _monic(by_base)
+    return None
 
 
 def _put(acc, n, d, fs, t=None):
@@ -611,9 +632,11 @@ def _diff(e, x, memo):
     return d
 
 
-def _diff_into(acc, e, x, memo, merges, c=None):
+def _diff_into(acc, e, x, memo, merges, c=None, rules=None):
     """Add c * de/dx (c None for 1, else a reduced pair) to acc; the product
-    rule multiplies each term of a factor's derivative into the others."""
+    rule multiplies each term of a factor's derivative into the others.  A
+    term whose (x, monic part) is in `rules` scales that pair's rule, built
+    at its first use and dropped after its last."""
     for t in e.terms if type(e) is Add else (e,):
         if type(t) is not Mul:
             _collect(acc, _diff(t, x, memo), c)
@@ -622,6 +645,18 @@ def _diff_into(acc, e, x, memo, merges, c=None):
             continue
         tn, td, fs = _split_coeff(t)
         cn, cd = (tn, td) if c is None else _qmul(tn, td, *c)
+        rule = None if rules is None else rules.get((x, fs))
+        if rule is not None:
+            if rule[1] is None:
+                rule[1:] = _product_rule(fs, x, memo, merges)
+            rule[0] -= 1
+            if not rule[0]:
+                del rules[x, fs]
+            for un, ud, p in rule[1]:
+                _put(acc, *_qmul(cn, cd, un, ud), p)
+            for others, u in rule[2]:
+                _collect(acc, mul(Rat(Fraction(tn, td)), *others, u), c)
+            continue
         for i, f in enumerate(fs):
             df = _diff(f, x, memo)
             if df is ZERO:
@@ -636,13 +671,54 @@ def _diff_into(acc, e, x, memo, merges, c=None):
                     _put(acc, *_qmul(cn, cd, un, ud), p)
 
 
-def sum_of_partials(parts, memos):
+def _product_rule(fs, x, memo, merges):
+    """d(fs)/dx for a monic part `fs`, as (numerator, denominator, factor
+    tuple) products the monomial kernel merged and (cofactors, term) pairs
+    it declined, which a full ``mul`` folds.  Each cofactor's base map is
+    built once and copied for every term of its factor's derivative."""
+    products, declined = [], []
+    for i, f in enumerate(fs):
+        df = _diff(f, x, memo)
+        if df is ZERO:
+            continue
+        others = fs[:i] + fs[i + 1:]
+        base = {}
+        if not _merge(base, others, merges):
+            base = None
+        for u in df.terms if type(df) is Add else (df,):
+            un, ud, ufs = _split_coeff(u)
+            if base is not None:
+                by_base = dict(base)
+                if _merge(by_base, ufs, merges):
+                    products.append((un, ud, _monic(by_base)))
+                    continue
+            declined.append((others, u))
+    return products, declined
+
+
+def product_rules(parts):
+    """The product rules worth building once for the (s, e, x) in `parts`:
+    each (x, monic part) that more than one term of an e depending on x
+    differentiates -> [uses, None, None], for ``sum_of_partials``."""
+    uses = {}
+    for _, e, x in parts:
+        for t in e.terms if type(e) is Add else (e,):
+            if type(t) is Mul and x in t.fvs():
+                k = x, _split_coeff(t)[2]
+                uses[k] = uses.get(k, 0) + 1
+    return {k: [n, None, None] for k, n in uses.items() if n > 1}
+
+
+def sum_of_partials(parts, memos, merges=None, rules=None):
     """Canonical sum of s * de/dx over (s, e, x) in `parts`, s an integer,
     in one accumulator; `memos` maps each x to a ``_diff`` memo the caller
-    shares."""
-    acc, merges = {}, {}
+    shares, `merges` is a merge memo it may share, and `rules` comes from
+    ``product_rules`` over every part the caller passes."""
+    acc = {}
+    if merges is None:
+        merges = {}
     for s, e, x in parts:
-        _diff_into(acc, e, x, memos[x], merges, None if s == 1 else (s, 1))
+        _diff_into(acc, e, x, memos[x], merges, None if s == 1 else (s, 1), rules)
     return _sum(acc)
 
 

@@ -164,8 +164,10 @@ def wedge(a, b):
 
 def exterior_d(a):
     """d of a form.  Contributions are grouped by output key, and each
-    output coefficient is built in one accumulator, one key at a time, with
-    one derivative memo per coordinate for the whole call."""
+    output coefficient is built in one accumulator, one key at a time.  One
+    derivative memo per coordinate, one merge memo and the product rules of
+    the (coordinate, monic part) pairs that recur among the terms serve the
+    whole call."""
     sp = a.space
     parts = {}   # output key -> [(sign, coefficient, coordinate)]
     for key, c in a.coeffs.items():
@@ -173,8 +175,9 @@ def exterior_d(a):
             if i not in key and name in ex.free_vars(c):
                 sign, merged = _merge_keys((i,), key)
                 parts.setdefault(merged, []).append((sign, c, name))
-    memos = {name: {} for name in sp.coords}
-    return Form(sp, a.degree + 1, {k: ex.sum_of_partials(ps, memos)
+    memos, merges = {name: {} for name in sp.coords}, {}
+    rules = ex.product_rules(p for ps in parts.values() for p in ps)
+    return Form(sp, a.degree + 1, {k: ex.sum_of_partials(ps, memos, merges, rules)
                                    for k, ps in parts.items()})
 
 

@@ -42,7 +42,6 @@ and raises the rule's first error, in the tree walk's words.
 
 from __future__ import annotations
 
-import json
 import random
 from fractions import Fraction
 
@@ -575,5 +574,6 @@ class SuiteReport(Record):
         return "\n".join(lines)
 
     def to_json(self):
+        import json   # only JSON output uses it
         return json.dumps({"suite": [e.as_json_obj() for e in self.entries]},
                           sort_keys=True, indent=2)

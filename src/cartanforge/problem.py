@@ -438,8 +438,14 @@ def build_problem(tree):
                 or not all(_is_a(b, float) for b in entry[1:])):
             raise ParseError('numeric.box: expected ["name", lo, hi] entries, '
                              f"found {entry!r}")
-        chart.canonical_name(entry[0])
-        box[entry[0]] = (float(entry[1]), float(entry[2]))
+        name, lo, hi = chart.canonical_name(entry[0]), float(entry[1]), float(entry[2])
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ParseError(f"numeric.box: expected finite bounds, found {entry!r}")
+        if lo > hi:
+            raise ParseError(f"numeric.box: expected lo <= hi, found {entry!r}")
+        if name in box:
+            raise ParseError(f"numeric.box: {name!r} is given twice, found {entry!r}")
+        box[name] = (lo, hi)
     guards = tuple(parse_guard(chart, g)
                    for g in _strings(num, "numeric", "require"))
     d = NumericSettings     # each field's default

@@ -402,3 +402,43 @@ def test_value_of_wrong_type_exits_2(tmp_path, capsys, edit, message):
     assert code == 2 and out == ""
     assert err.startswith(f"error: {message}\n")
     assert "Traceback" not in err
+
+
+def write_box(tmp_path, box):
+    f = tmp_path / "box.toml"
+    f.write_text(TYPED.format(head="", base='["t", "x"]', L='"1/2*d(q,t)^2"',
+                              tail=f"[numeric]\nbox = {box}"))
+    return str(f)
+
+
+@pytest.mark.parametrize("box, message", [
+    ('[["q", 0, 1e400]]', "expected finite bounds, found ['q', 0, inf]"),
+    ('[["q", -1e400, 0]]', "expected finite bounds, found ['q', -inf, 0]"),
+    ('[["q", 1, 0]]', "expected lo <= hi, found ['q', 1, 0]"),
+    ('[["q", 0, 1], ["t", 0, 1], ["q", -1, 2]]',
+     "'q' is given twice, found ['q', -1, 2]"),
+    ('[["dd(q,t,x)", 0, 1], ["dd(q,x,t)", 0, 1]]',
+     "'dd(q,t,x)' is given twice, found ['dd(q,x,t)', 0, 1]"),
+], ids=["infinite-hi", "infinite-lo", "reversed", "twice", "twice-spelled-apart"])
+def test_malformed_box_entry_exits_2(tmp_path, capsys, box, message):
+    # an infinite bound made every finite-difference check fail with a NaN
+    # deviation; a reversed interval or a repeated name passed silently
+    code, out, err = run(capsys, "verify", write_box(tmp_path, box))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: numeric.box: {message}\n")
+
+
+def test_zero_width_box_is_legal(tmp_path, capsys):
+    code, out, _ = run(capsys, "verify", write_box(tmp_path, '[["q", 0.5, 0.5]]'))
+    assert code == 0 and "[FAIL]" not in out
+
+
+def test_import_leaves_json_unloaded():
+    # json is imported by the JSON renderers only; -S keeps any site-packages
+    # .pth file from importing it first
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    code = "import sys, cartanforge, cartanforge.cli; print('json' in sys.modules)"
+    out = subprocess.run([sys.executable, "-S", "-c", code], cwd=src,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

@@ -177,13 +177,51 @@ def test_exterior_d_is_the_oracle_d(seed):
     assert nonzero >= 2
 
 
-@pytest.mark.parametrize("name", ["wave_1p1", "maxwell", "polyakov_string"])
+CORPUS = ["free_particle", "harmonic_oscillator", "wave_1p1", "maxwell",
+          "polyakov_string", "nambu_string"]
+
+
+def corpus_forms(name):
+    return cartan_forms(parse_problem(os.path.join(PROBLEMS, name + ".toml")).lagrangian)
+
+
+@pytest.mark.parametrize("name", CORPUS)
 def test_exterior_d_of_theta_is_the_oracle_d(name):
-    lag = parse_problem(os.path.join(PROBLEMS, name + ".toml")).lagrangian
-    theta = cartan_forms(lag).theta
+    theta = corpus_forms(name).theta
     got = fm.exterior_d(theta)
     assert not got.is_zero()
     assert_same_form(got, oracle.exterior_d(theta))
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_exterior_d_of_omega_is_the_oracle_d(name):
+    # zero: the product rules of Omega's recurring monic parts cancel
+    omega = corpus_forms(name).omega
+    got = fm.exterior_d(omega)
+    assert got.is_zero()
+    assert_same_form(got, oracle.exterior_d(omega))
+
+
+def test_a_memoized_product_rule_falls_back_to_mul(monkeypatch):
+    # sqrt(x+y)*log(x+y) recurs under dw and d(w,x): its x-derivative term
+    # (x+y)^-1 collides with the sum base of sqrt(x+y), which the monomial
+    # kernel declines, so the memoized rule keeps it for a full mul
+    t = ex.mul(ex.func("sqrt", S), ex.func("log", S))
+    form = fm.Form(XY, 1, {(2,): ex.add(t, ex.pow_(x, 2)),
+                           (3,): ex.add(ex.mul(ex.rat(-2, 3), t), ex.var("w"))})
+    built = []
+
+    def product_rule(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    real = ex._product_rule
+    monkeypatch.setattr(ex, "_product_rule", product_rule)
+    got = fm.exterior_d(form)
+    monkeypatch.undo()
+    assert built and all(declined for _, declined in built)
+    assert_same_form(got, oracle.exterior_d(form))
+    assert not got.is_zero()
 
 
 def test_exterior_d_raises_on_bare_abs_every_time():
@@ -262,6 +300,38 @@ def _nodes(e, seen):
         seen.add(e)
         for c in ex._children(e):
             _nodes(c, seen)
+
+
+def test_nambu_d_omega_merges_and_differentiates_once(monkeypatch):
+    # counts, not timings: the call-wide merge memo runs pow_ 80 times
+    # (3,108 with one memo per output coefficient), and each recurring
+    # (coordinate, monic part) builds its product rule once, so 6,882
+    # products reach the monomial kernel one by one (17,430 with no rules)
+    omega = corpus_forms("nambu_string").omega
+    calls = dict.fromkeys(["pow_", "_mono_mul", "_product_rule"], 0)
+    recurring = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    def product_rules(parts):
+        rules = real_rules(parts)
+        recurring.append(len(rules))
+        return rules
+
+    real_rules = ex.product_rules
+    for name in calls:
+        monkeypatch.setattr(ex, name, counted(name, getattr(ex, name)))
+    monkeypatch.setattr(ex, "product_rules", product_rules)
+    fm.exterior_d(omega)
+    monkeypatch.undo()
+    [built] = recurring
+    assert 500 < built == calls["_product_rule"]
+    assert calls["pow_"] < 300
+    assert calls["_mono_mul"] < 10_000
 
 
 @pytest.mark.parametrize("name", ["polyakov_string", "nambu_string"])
