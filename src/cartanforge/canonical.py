@@ -42,13 +42,18 @@ from .forms import (
 from .record import Record
 
 
+def _dy_minus(chart, y, slope):
+    """The jet-space 1-form dy - slope[(y, x)] dx^x summed over the base."""
+    js = jet_space(chart)
+    table = {(js.index(y),): ex.ONE}
+    for x in chart.base_names:
+        table[(js.index(x),)] = ex.mul(ex.MINUS_ONE, slope[(y, x)])
+    return Form(js, 1, table)
+
+
 def contact_form(chart, y):
     """theta^A = dy^A - v^A_mu dx^mu for the fiber coordinate y."""
-    js = jet_space(chart)
-    th = d_coord(js, y)
-    for x in chart.base_names:
-        th = th - d_coord(js, x).scale(ex.var(v_name(y, x)))
-    return th
+    return _dy_minus(chart, y, {(y, x): ex.var(v_name(y, x)) for x in chart.base_names})
 
 
 def contact_basis(chart):
@@ -112,19 +117,16 @@ def contact_reduce(a):
     rewritten = replace_covectors(a, sp, to_contact.get)
 
     reduced = {}
-    combo = {y: zero_form(sp, a.degree - 1) for y in ch.fiber_names}
+    combo = {y: {} for y in ch.fiber_names}
     for key, c in rewritten.coeffs.items():
         pos = next((p for p, idx in enumerate(key) if idx in fiber_idx), None)
         if pos is None:
             reduced[key] = c
             continue
-        y = fiber_idx[key[pos]]
-        rest = key[:pos] + key[pos + 1:]
-        sign = ex.rat((-1) ** pos)
-        piece = Form(sp, a.degree - 1, {rest: ex.mul(sign, c)})
-        combo[y] = combo[y] + piece
-    combo = {y: replace_covectors(f, sp, from_contact.get)
-             for y, f in combo.items()}
+        rest = key[:pos] + key[pos + 1:]   # y's slot and rest give key: set once
+        combo[fiber_idx[key[pos]]][rest] = ex.mul(ex.rat((-1) ** pos), c)
+    combo = {y: replace_covectors(Form(sp, a.degree - 1, t), sp, from_contact.get)
+             for y, t in combo.items()}
     return ContactReduction(Form(sp, a.degree, reduced), combo)
 
 
@@ -170,15 +172,16 @@ class VerticalEndomorphism(Record):
         js = jet_space(ch)
         dL = exterior_d(scalar_form(js, lag_expr))
         omega = volume_form(js)
-        total = zero_form(js, ch.n_plus_1)
+        out = {}
         for y, cov in zip(ch.fiber_names, self.covectors):
             for x in ch.base_names:
                 slot = interior(coordinate_field(js, v_name(y, x)), dL).as_scalar()
                 if slot.is_zero():
                     continue
-                total = total + wedge(cov, interior(coordinate_field(js, x),
-                                                    omega)).scale(slot)
-        return total
+                piece = wedge(cov, interior(coordinate_field(js, x), omega))
+                for k, c in piece.coeffs.items():
+                    out.setdefault(k, []).append(ex.mul(slot, c))
+        return Form(js, ch.n_plus_1, {k: ex.add(*ts) for k, ts in out.items()})
 
 
 def vertical_endo_V(chart):
@@ -188,14 +191,8 @@ def vertical_endo_V(chart):
 def vertical_endo_S(chart, connection):
     if connection.chart != chart:
         raise ChartMismatch("connection lives on a different chart")
-    js = jet_space(chart)
-    covs = []
-    for y in chart.fiber_names:
-        cov = d_coord(js, y)
-        for x in chart.base_names:
-            cov = cov - d_coord(js, x).scale(connection.gamma[(y, x)])
-        covs.append(cov)
-    return VerticalEndomorphism("S", chart, tuple(covs))
+    covs = tuple(_dy_minus(chart, y, connection.gamma) for y in chart.fiber_names)
+    return VerticalEndomorphism("S", chart, covs)
 
 
 def prolong_vectorfield(Z: VectorField):

@@ -115,23 +115,21 @@ def curvature(conn):
     ch = conn.chart
     sp = total_space(ch)
     declared = set(ch.e_coords())
+
+    def lift(mu, g):
+        """The terms of dg/dx^mu + Gamma^A_mu dg/dy^A."""
+        return [ex.differentiate(g, mu, declared=declared)] + [
+            ex.mul(conn.gamma[(a, mu)], ex.differentiate(g, a, declared=declared))
+            for a in ch.fiber_names]
+
     comps = []
     for b in ch.fiber_names:
         table = {}
         for i, xm in enumerate(ch.base_names):
-            for j in range(i + 1, ch.n_plus_1):
-                xe = ch.base_names[j]
-                c = ex.sub(ex.differentiate(conn.gamma[(b, xe)], xm, declared=declared),
-                           ex.differentiate(conn.gamma[(b, xm)], xe, declared=declared))
-                for a in ch.fiber_names:
-                    c = ex.add(c, ex.mul(conn.gamma[(a, xm)],
-                                         ex.differentiate(conn.gamma[(b, xe)], a,
-                                                          declared=declared)))
-                    c = ex.sub(c, ex.mul(conn.gamma[(a, xe)],
-                                         ex.differentiate(conn.gamma[(b, xm)], a,
-                                                          declared=declared)))
-                if not c.is_zero():
-                    table[(sp.index(xm), sp.index(xe))] = c
+            for xe in ch.base_names[i + 1:]:   # Form drops a zero
+                table[(sp.index(xm), sp.index(xe))] = ex.add(
+                    *lift(xm, conn.gamma[(b, xe)]),
+                    *(ex.mul(ex.MINUS_ONE, t) for t in lift(xe, conn.gamma[(b, xm)])))
         comps.append(Form(sp, 2, table))
     return Curvature(ch, VectorValuedForm("d/dy", tuple(comps)))
 

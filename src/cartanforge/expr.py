@@ -40,7 +40,14 @@ same-base powers of a ``Var`` or ``Func`` (``_merge``) and leaves any other
 collision to a full ``mul``.  Each merge (a pair of factors -> the merged
 factor) is memoized for one ``mul`` or ``sum_of_partials`` call, or for a
 whole ``exterior_d`` call, which passes one memo to every
-``sum_of_partials`` it makes.
+``sum_of_partials`` it makes.  Each call re-collects its operands, so a
+sum of many parts is one ``add(*parts)`` call, not a fold; an ``add`` of
+one operand other than ZERO, or a ``mul`` of one factor with rational part
+1, returns it as is.  ``add`` is associative on canonical forms, ``mul`` is
+not (for s = sqrt(2), ``mul(mul(s, s), s)`` is 2*sqrt(2) and ``mul(s, s,
+s)`` is sqrt(2)^3), so the parser multiplies left to right.  A rational
+past MAX_RAT_BITS raises ExpressionTooLarge where its node would be
+interned, or in ``pow_`` before it is computed.
 
 Differentiation of ``abs`` has no symbolic rule and raises, except through
 even roots: d sqrt(abs(u)) = u' * sign(u) / (2*sqrt(abs(u))), with ``sign``
@@ -89,6 +96,12 @@ FUNCTIONS = ("sin", "cos", "exp", "log", "abs", "sign")
 # Most terms the expand pass of `mul` may build from one product of sums;
 # an integer power of a sum counts all of its expansions together.
 MAX_EXPANSION = 10_000
+
+# Most bits of a rational's numerator or denominator (about 4,200 digits,
+# inside the 4,300 digits Python converts to text by default), and most
+# characters of a number's mantissa in expression text.
+MAX_RAT_BITS = 14_000
+_MAX_LITERAL = 4_300
 
 # Names the parser treats as syntax rather than ordinary identifiers.
 RESERVED_NAMES = frozenset(FUNCTIONS) | {"sqrt", "d", "dd", "a", "b"}
@@ -178,6 +191,13 @@ def _intern(cls, k, *fields):
 _KEY = attrgetter("_skey")
 
 
+def _rational_text(v):
+    """The text of a new node's rational, which must fit MAX_RAT_BITS."""
+    if max(v.numerator.bit_length(), v.denominator.bit_length()) > MAX_RAT_BITS:
+        raise ExpressionTooLarge(f"a rational would pass {MAX_RAT_BITS} bits")
+    return str(v)
+
+
 class Rat(Expr):
     __slots__ = ("value",)
 
@@ -188,7 +208,7 @@ class Rat(Expr):
         return _intern(cls, (0, value.numerator, value.denominator), value)
 
     def _make_key(self):
-        return (0, str(self.value), ())
+        return (0, _rational_text(self.value), ())
 
 
 class Var(Expr):
@@ -223,7 +243,7 @@ class Pow(Expr):
                              exponent.denominator), base, exponent)
 
     def _make_key(self):
-        return (3, str(self.exponent), (self.base._skey,))
+        return (3, _rational_text(self.exponent), (self.base._skey,))
 
 
 class Mul(Expr):
@@ -382,8 +402,11 @@ def _sum(acc):
 
 def add(*terms):
     """Canonical sum: flatten, merge like terms, sort, drop zeros."""
+    live = [t for t in terms if t is not ZERO]
+    if len(live) == 1:   # canonical already
+        return live[0]
     acc = {}
-    for t in terms:
+    for t in live:
         _collect(acc, t)
     return _sum(acc)
 
@@ -404,10 +427,11 @@ def mul(*factors):
     if coeff == 0:
         return ZERO
 
+    if len(flat) == 1 and coeff == 1:   # canonical already
+        return flat[0]
     if len(flat) == 1 and isinstance(flat[0], Add):
         # a rational times a sum: rescale the terms, which stay as they are
-        return _sum(_collect({}, flat[0], None if coeff == 1 else (
-            coeff.numerator, coeff.denominator)))
+        return _sum(_collect({}, flat[0], (coeff.numerator, coeff.denominator)))
     sums = [f for f in flat if isinstance(f, Add)]
     if sums:
         # expand pass: a product the monomial kernel declines is a full mul
@@ -507,6 +531,9 @@ def pow_(base, exponent):
         if e.denominator == 1:
             if v == 0 and e < 0:
                 raise NumericDomain("0 raised to a negative power")
+            bits = max(abs(v.numerator), v.denominator).bit_length()
+            if (bits - 1) * abs(e.numerator) >= MAX_RAT_BITS:   # a lower bound
+                raise ExpressionTooLarge(f"{v}^{e} would pass {MAX_RAT_BITS} bits")
             return Rat(v ** e.numerator) if e > 0 else Rat(Fraction(1) / v ** (-e.numerator))
         if v >= 0:
             root = _nth_root_exact(v, e.denominator)
@@ -1016,6 +1043,7 @@ class _Tokens:
                     j += 1
                     while j < n and t[j].isdigit():
                         j += 1
+                m = j   # the mantissa's end
                 if j < n and t[j] in "eE":
                     k = j + 1
                     if k < n and t[k] in "+-":
@@ -1024,6 +1052,10 @@ class _Tokens:
                         j = k + 1
                         while j < n and t[j].isdigit():
                             j += 1
+                # Fraction(text) converts every digit and builds 10^|exp| first
+                if m - i > _MAX_LITERAL or j - m > 6:
+                    raise ParseError(f"number of {j - i} characters is too large",
+                                     *self._loc(i))
                 self.toks.append(("num", t[i:j], i))
                 i = j
                 continue
@@ -1081,18 +1113,14 @@ def parse(text, validate=None):
 
 
 def _parse_expr(toks, val):
-    negate = False
-    if toks.peek()[0] == "-":
-        toks.next()
-        negate = True
-    e = _parse_term(toks, val)
-    if negate:
-        e = mul(MINUS_ONE, e)
-    while toks.peek()[0] in ("+", "-"):
-        op = toks.next()[0]
+    op = toks.next()[0] if toks.peek()[0] == "-" else "+"
+    terms = []
+    while True:
         t = _parse_term(toks, val)
-        e = add(e, t) if op == "+" else sub(e, t)
-    return e
+        terms.append(t if op == "+" else mul(MINUS_ONE, t))
+        if toks.peek()[0] not in ("+", "-"):
+            return add(*terms)
+        op = toks.next()[0]
 
 
 def _parse_term(toks, val):

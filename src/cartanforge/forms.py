@@ -155,11 +155,9 @@ def wedge(a, b):
     for k1, c1 in a.coeffs.items():
         for k2, c2 in b.coeffs.items():
             sign, key = _merge_keys(k1, k2)
-            if sign == 0:
-                continue
-            term = ex.mul(ex.rat(sign), c1, c2)
-            out[key] = ex.add(out.get(key, ex.ZERO), term)
-    return Form(a.space, a.degree + b.degree, out)
+            if sign:
+                out.setdefault(key, []).append(ex.mul(ex.rat(sign), c1, c2))
+    return Form(a.space, a.degree + b.degree, {k: ex.add(*ts) for k, ts in out.items()})
 
 
 def exterior_d(a):
@@ -200,7 +198,7 @@ class VectorField(Record):
         """Directional derivative of a scalar: X(f)."""
         declared = set(self.space.coords)
         return ex.add(*(ex.mul(c, ex.differentiate(e, name, declared=declared))
-                        for name, c in self.comps.items())) if self.comps else ex.ZERO
+                        for name, c in self.comps.items()))
 
     def __add__(self, other):
         _same_space(self, other)
@@ -235,9 +233,8 @@ def interior(X, a):
             if comp.is_zero():
                 continue
             rest = key[:pos] + key[pos + 1:]
-            term = ex.mul(ex.rat((-1) ** pos), comp, c)
-            out[rest] = ex.add(out.get(rest, ex.ZERO), term)
-    return Form(a.space, a.degree - 1, out)
+            out.setdefault(rest, []).append(ex.mul(ex.rat((-1) ** pos), comp, c))
+    return Form(a.space, a.degree - 1, {k: ex.add(*ts) for k, ts in out.items()})
 
 
 def lie_derivative(X, a):

@@ -190,12 +190,9 @@ def energy_density(lag, conn):
     ch = lag.chart
     if conn.chart != ch:
         raise ChartMismatch("connection lives on a different chart")
-    e = ex.mul(ex.MINUS_ONE, lag.L)
-    for y in ch.fiber_names:
-        for x in ch.base_names:
-            e = ex.add(e, ex.mul(lag.momentum(y, x),
-                                 ex.sub(ex.var(v_name(y, x)),
-                                        conn.gamma[(y, x)])))
+    e = ex.add(ex.mul(ex.MINUS_ONE, lag.L), *(
+        ex.mul(lag.momentum(y, x), ex.sub(ex.var(v_name(y, x)), conn.gamma[(y, x)]))
+        for y in ch.fiber_names for x in ch.base_names))
     return EnergyDensity(ch, conn, e)
 
 
@@ -212,15 +209,15 @@ def legendre_difference(lag, gamma_table):
     energy density under nabla -> nabla + gamma for any base connection."""
     ch = lag.chart
     allowed = set(ch.e_coords())
-    total = ex.ZERO
+    terms = []
     for y in ch.fiber_names:
         for x in ch.base_names:
             g = gamma_table.get((y, x), ex.ZERO)
             if ex.free_vars(g) - allowed:
                 raise UnknownCoordinate(
                     f"gamma[{y},{x}] must not depend on jet coordinates")
-            total = ex.sub(total, ex.mul(g, lag.momentum(y, x)))
-    return volume_form(jet_space(ch)).scale(total)
+            terms.append(ex.mul(ex.MINUS_ONE, ex.mul(g, lag.momentum(y, x))))
+    return volume_form(jet_space(ch)).scale(ex.add(*terms))
 
 
 # ---------------------------------------------------------------------------
@@ -308,11 +305,9 @@ class ELJetProblem(Record):
         pivots = {}
         for i, col in pivot_cols:
             coeffs, rhs = rows[i]
-            expr = rhs
-            for c in range(nuns):
-                if c == col or coeffs[c].is_zero():
-                    continue
-                expr = ex.sub(expr, ex.mul(coeffs[c], ex.var(self.unknowns[c])))
+            expr = ex.add(rhs, *(
+                ex.mul(ex.MINUS_ONE, ex.mul(coeffs[c], ex.var(self.unknowns[c])))
+                for c in range(nuns) if c != col and not coeffs[c].is_zero()))
             pivots[self.unknowns[col]] = ex.div(expr, coeffs[col])
         return LinearSolveReport(len(pivot_cols), consistent, pivots, free)
 

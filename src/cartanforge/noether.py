@@ -48,11 +48,10 @@ def total_variation(lag, Z):
     if Z.space != total_space(ch):
         raise NotOnEChart("symmetry generators live on the total space")
     j1 = prolong_vectorfield(Z)
-    delta = ex.add(*(ex.mul(c, lag.partials[n]) for n, c in j1.comps.items()))
     declared = set(ch.e_coords())
-    for x in ch.base_names:
-        delta = ex.add(delta, ex.mul(
-            lag.L, ex.differentiate(Z.component(x), x, declared=declared)))
+    delta = ex.add(*(ex.mul(c, lag.partials[n]) for n, c in j1.comps.items()), *(
+        ex.mul(lag.L, ex.differentiate(Z.component(x), x, declared=declared))
+        for x in ch.base_names))
     return SymmetryReport(delta, delta.is_zero(), j1)
 
 

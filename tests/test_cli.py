@@ -310,26 +310,62 @@ def test_noether_honours_samples_one(capsys):
     assert code == 0 and "conserved-numeric = true" in out
 
 
-def test_large_power_of_a_sum_exits_2_quickly(tmp_path):
-    f = tmp_path / "power.toml"
-    f.write_text("""
+def write_lagrangian(tmp_path, L):
+    f = tmp_path / "lagrangian.toml"
+    f.write_text(f"""
 [bundle]
 base = ["t"]
 fiber = ["q"]
 
 [lagrangian]
-L = "(d(q,t) + q + t)^1000"
+L = "{L}"
 """)
+    return str(f)
+
+
+def verify_in_subprocess(path):
+    """(seconds, process) of `verify path` in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=os.path.join(
         os.path.dirname(__file__), "..", "src"))
     start = time.monotonic()
     proc = subprocess.run([sys.executable, "-m", "cartanforge.cli", "verify",
-                           str(f)], env=env, capture_output=True, text=True,
+                           path], env=env, capture_output=True, text=True,
                           timeout=60)
-    assert time.monotonic() - start < 5
+    return time.monotonic() - start, proc
+
+
+def test_large_power_of_a_sum_exits_2_quickly(tmp_path):
+    took, proc = verify_in_subprocess(
+        write_lagrangian(tmp_path, "(d(q,t) + q + t)^1000"))
+    assert took < 5
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith("error: expansion would build")
     assert "Traceback" not in proc.stderr
+
+
+def test_large_power_of_a_rational_exits_2_quickly(tmp_path):
+    # refused before the 1.6-Gbit power is computed
+    took, proc = verify_in_subprocess(
+        write_lagrangian(tmp_path, "3^1000000000*d(q,t)^2"))
+    assert took < 5
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == f"error: 3^1000000000 would pass {ex.MAX_RAT_BITS} bits\n"
+
+
+@pytest.mark.parametrize("L, message", [
+    ("2^20000*d(q,t)^2", f"error: 2^20000 would pass {ex.MAX_RAT_BITS} bits"),
+    ("7" * 5000 + "*d(q,t)^2",
+     "error: number of 5000 characters is too large (line 1, col 1)"),
+    ("1e-5000*d(q,t)^2", f"error: a rational would pass {ex.MAX_RAT_BITS} bits"),
+    ("1e-99999999*d(q,t)^2",
+     "error: number of 11 characters is too large (line 1, col 1)"),
+    ("d(q,t)^" + "2" * 5000,
+     "error: number of 5000 characters is too large (line 1, col 8)"),
+], ids=["power", "literal", "scientific", "long-exponent", "exponent"])
+def test_oversized_rational_exits_2(tmp_path, capsys, L, message):
+    code, out, err = run(capsys, "verify", write_lagrangian(tmp_path, L))
+    assert code == 2 and out == ""
+    assert err == message + "\n"
 
 
 

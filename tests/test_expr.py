@@ -1,6 +1,9 @@
+import ast
 import copy
+import functools
 import gc
 import math
+import os
 import pickle
 import weakref
 
@@ -163,6 +166,81 @@ def test_rational_times_sum_matches_termwise(c):
         assert ex.mul(s, k) == want
         checked += 1
     assert checked > 20
+
+
+# -- one accumulator per sum ---------------------------------------------------
+
+def _sum_operands(seed):
+    """Smooth and wild expressions, and roots and powers of sums."""
+    r = randgen.rng(seed)
+    pool = [e for e, _ in randgen.smooth_corpus(seed)]
+    pool += [randgen.wild_expr(r, ["x", "y", "z"]) for _ in range(60)]
+    for _ in range(20):
+        s = randgen.nonzero_poly(r, ["x", "y"], max_degree=2, terms=3)
+        pool += [ex.pow_(s, ex.Fraction(1, 2)), ex.pow_(s, -1), ex.pow_(s, 2)]
+    return r, pool
+
+
+@pytest.mark.parametrize("seed", [51, 52])
+def test_one_add_call_is_the_left_fold(seed):
+    r, pool = _sum_operands(seed)
+    for _ in range(300):
+        ts = r.choices(pool, k=r.randint(2, 6))
+        assert ex.add(*ts) is functools.reduce(ex.add, ts)
+        negated = [ts[0]] + [ex.mul(ex.MINUS_ONE, t) for t in ts[1:]]
+        assert ex.add(*negated) is functools.reduce(ex.sub, ts)
+
+
+def test_a_lone_operand_is_returned_as_is():
+    _, pool = _sum_operands(53)
+    for e in pool + [ex.ZERO, ex.ONE, ex.rat(-3, 2), x]:
+        assert ex.add(e) is e
+        assert ex.add(ex.ZERO, e, ex.ZERO) is e
+        assert ex.mul(e, ex.ONE) is e
+        assert ex.mul(ex.rat(2), e, ex.rat(1, 2)) is e
+
+
+def test_parser_multiplies_left_to_right():
+    # mul is not associative on powers of a rational: both are canonical
+    s = ex.func("sqrt", ex.rat(2))
+    folded = ex.mul(ex.mul(s, s), s)
+    assert ex.to_text(folded) == "2*sqrt(2)"
+    assert ex.to_text(ex.mul(s, s, s)) == "sqrt(2)^3"
+    assert ex.parse("sqrt(2)*sqrt(2)*sqrt(2)") is folded
+
+
+def test_no_loop_in_the_package_folds_a_sum():
+    # a sum of many parts is one ex.add call, not x = add(x, ...) per part
+    pkg = os.path.join(os.path.dirname(__file__), "..", "src", "cartanforge")
+
+    def folds(name, value):
+        if isinstance(value, ast.IfExp):
+            return folds(name, value.body) or folds(name, value.orelse)
+        if isinstance(value, ast.BinOp):
+            return (isinstance(value.op, (ast.Add, ast.Sub))
+                    and isinstance(value.left, ast.Name) and value.left.id == name)
+        if isinstance(value, ast.Call):
+            f = value.func
+            called = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", "")
+            return called in ("add", "sub") and any(
+                isinstance(a, ast.Name) and a.id == name for a in value.args)
+        return False
+
+    sites = set()
+    for fname in sorted(os.listdir(pkg)):
+        if not fname.endswith(".py"):
+            continue
+        with open(os.path.join(pkg, fname)) as fh:
+            tree = ast.parse(fh.read())
+        for loop in ast.walk(tree):
+            if not isinstance(loop, (ast.For, ast.While)):
+                continue
+            for node in ast.walk(loop):
+                if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                        and isinstance(node.targets[0], ast.Name)
+                        and folds(node.targets[0].id, node.value)):
+                    sites.add(f"{fname}:{node.lineno}")
+    assert sorted(sites) == []
 
 
 # -- expansion bound -----------------------------------------------------------
