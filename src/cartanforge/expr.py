@@ -40,14 +40,8 @@ same-base powers of a ``Var`` or ``Func`` (``_merge``) and leaves any other
 collision to a full ``mul``.  Each merge (a pair of factors -> the merged
 factor) is memoized for one ``mul`` or ``sum_of_partials`` call, or for a
 whole ``exterior_d`` call, which passes one memo to every
-``sum_of_partials`` it makes.  Each call re-collects its operands, so a
-sum of many parts is one ``add(*parts)`` call, not a fold; an ``add`` of
-one operand other than ZERO, or a ``mul`` of one factor with rational part
-1, returns it as is.  ``add`` is associative on canonical forms, ``mul`` is
-not (for s = sqrt(2), ``mul(mul(s, s), s)`` is 2*sqrt(2) and ``mul(s, s,
-s)`` is sqrt(2)^3), so the parser multiplies left to right.  A rational
-past MAX_RAT_BITS raises ExpressionTooLarge where its node would be
-interned, or in ``pow_`` before it is computed.
+``sum_of_partials`` it makes.  A sum of many parts is one ``add(*parts)``
+call, not a fold (README, "Symbolic kernels").
 
 Differentiation of ``abs`` has no symbolic rule and raises, except through
 even roots: d sqrt(abs(u)) = u' * sign(u) / (2*sqrt(abs(u))), with ``sign``
@@ -97,11 +91,9 @@ FUNCTIONS = ("sin", "cos", "exp", "log", "abs", "sign")
 # an integer power of a sum counts all of its expansions together.
 MAX_EXPANSION = 10_000
 
-# Most bits of a rational's numerator or denominator (about 4,200 digits,
-# inside the 4,300 digits Python converts to text by default), and most
-# characters of a number's mantissa in expression text.
+# Most bits of a rational's numerator or denominator: about 4,200 digits,
+# inside the 4,300 digits Python converts to text by default.
 MAX_RAT_BITS = 14_000
-_MAX_LITERAL = 4_300
 
 # Names the parser treats as syntax rather than ordinary identifiers.
 RESERVED_NAMES = frozenset(FUNCTIONS) | {"sqrt", "d", "dd", "a", "b"}
@@ -402,11 +394,8 @@ def _sum(acc):
 
 def add(*terms):
     """Canonical sum: flatten, merge like terms, sort, drop zeros."""
-    live = [t for t in terms if t is not ZERO]
-    if len(live) == 1:   # canonical already
-        return live[0]
     acc = {}
-    for t in live:
+    for t in terms:
         _collect(acc, t)
     return _sum(acc)
 
@@ -427,11 +416,10 @@ def mul(*factors):
     if coeff == 0:
         return ZERO
 
-    if len(flat) == 1 and coeff == 1:   # canonical already
-        return flat[0]
     if len(flat) == 1 and isinstance(flat[0], Add):
         # a rational times a sum: rescale the terms, which stay as they are
-        return _sum(_collect({}, flat[0], (coeff.numerator, coeff.denominator)))
+        return _sum(_collect({}, flat[0], None if coeff == 1 else (
+            coeff.numerator, coeff.denominator)))
     sums = [f for f in flat if isinstance(f, Add)]
     if sums:
         # expand pass: a product the monomial kernel declines is a full mul
@@ -1053,7 +1041,7 @@ class _Tokens:
                         while j < n and t[j].isdigit():
                             j += 1
                 # Fraction(text) converts every digit and builds 10^|exp| first
-                if m - i > _MAX_LITERAL or j - m > 6:
+                if m - i > 4_300 or j - m > 6:
                     raise ParseError(f"number of {j - i} characters is too large",
                                      *self._loc(i))
                 self.toks.append(("num", t[i:j], i))

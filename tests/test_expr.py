@@ -191,7 +191,9 @@ def test_one_add_call_is_the_left_fold(seed):
         assert ex.add(*negated) is functools.reduce(ex.sub, ts)
 
 
-def test_a_lone_operand_is_returned_as_is():
+def test_a_canonical_operand_is_its_own_sum_and_product():
+    # add and mul of one canonical operand (ZERO or a rational part 1 aside)
+    # rebuild the same interned node
     _, pool = _sum_operands(53)
     for e in pool + [ex.ZERO, ex.ONE, ex.rat(-3, 2), x]:
         assert ex.add(e) is e
@@ -210,36 +212,56 @@ def test_parser_multiplies_left_to_right():
 
 
 def test_no_loop_in_the_package_folds_a_sum():
-    # a sum of many parts is one ex.add call, not x = add(x, ...) per part
+    # a sum of many parts is one ex.add call, not one step per part:
+    # x = add(x, ...), x = x + ..., x += piece, d[k] = add(d.get(k, ...), ...)
     pkg = os.path.join(os.path.dirname(__file__), "..", "src", "cartanforge")
+    pairwise = {"Form.__add__", "VectorField.__add__"}   # one add per key
 
-    def folds(name, value):
+    def grows(value, same):
         if isinstance(value, ast.IfExp):
-            return folds(name, value.body) or folds(name, value.orelse)
-        if isinstance(value, ast.BinOp):
-            return (isinstance(value.op, (ast.Add, ast.Sub))
-                    and isinstance(value.left, ast.Name) and value.left.id == name)
+            return grows(value.body, same) or grows(value.orelse, same)
+        if isinstance(value, ast.BinOp):   # a count + 1 is no sum
+            return (isinstance(value.op, (ast.Add, ast.Sub)) and same(value.left)
+                    and not isinstance(value.right, ast.Constant))
         if isinstance(value, ast.Call):
             f = value.func
             called = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", "")
-            return called in ("add", "sub") and any(
-                isinstance(a, ast.Name) and a.id == name for a in value.args)
+            return called in ("add", "sub") and any(map(same, value.args))
         return False
+
+    def fold(node):
+        if isinstance(node, ast.AugAssign):   # not a count, a list or text
+            return (isinstance(node.target, ast.Name)
+                    and isinstance(node.op, (ast.Add, ast.Sub))
+                    and isinstance(node.value, (ast.Name, ast.Call,
+                                                ast.Attribute, ast.Subscript)))
+        if not (isinstance(node, ast.Assign) and len(node.targets) == 1):
+            return False
+        t = node.targets[0]
+        if isinstance(t, ast.Name):
+            return grows(node.value, lambda a: isinstance(a, ast.Name) and a.id == t.id)
+        if isinstance(t, ast.Subscript):
+            d, k = ast.dump(t.value), ast.dump(t.slice)
+            return grows(node.value, lambda a: (
+                isinstance(a, ast.Call) and isinstance(a.func, ast.Attribute)
+                and a.func.attr == "get" and ast.dump(a.func.value) == d
+                and bool(a.args) and ast.dump(a.args[0]) == k))
+        return False
+
+    def scan(node, owner, in_loop, fname, sites):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            owner = f"{owner}.{node.name}" if owner else node.name
+        in_loop = in_loop or isinstance(node, (ast.For, ast.While))
+        if in_loop and fold(node) and owner not in pairwise:
+            sites.add(f"{fname}:{node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            scan(child, owner, in_loop, fname, sites)
 
     sites = set()
     for fname in sorted(os.listdir(pkg)):
-        if not fname.endswith(".py"):
-            continue
-        with open(os.path.join(pkg, fname)) as fh:
-            tree = ast.parse(fh.read())
-        for loop in ast.walk(tree):
-            if not isinstance(loop, (ast.For, ast.While)):
-                continue
-            for node in ast.walk(loop):
-                if (isinstance(node, ast.Assign) and len(node.targets) == 1
-                        and isinstance(node.targets[0], ast.Name)
-                        and folds(node.targets[0].id, node.value)):
-                    sites.add(f"{fname}:{node.lineno}")
+        if fname.endswith(".py"):
+            with open(os.path.join(pkg, fname)) as fh:
+                scan(ast.parse(fh.read()), "", False, fname, sites)
     assert sorted(sites) == []
 
 
