@@ -263,9 +263,6 @@ def main(argv=None):
     try:
         problem = parse_problem(args.problem)
         out, code = run_command(args.command, problem, args)
-    except FileNotFoundError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     except CartanforgeError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

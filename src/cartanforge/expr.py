@@ -34,14 +34,14 @@ Sums and products of canonical terms meet in one term accumulator, a dict
 from a term's factor tuple to its coefficient as a reduced (numerator,
 denominator) pair of ints; nodes and ``Fraction`` coefficients are built
 only for the surviving terms, sorted once.  ``add`` collects its terms
-there; ``mul``'s expand pass and the product rule of ``differentiate`` put
-each product there through one monomial kernel, ``_mono_mul``, which merges
-same-base powers of a ``Var`` or ``Func`` (``_merge``) and leaves any other
-collision to a full ``mul``.  Each merge (a pair of factors -> the merged
-factor) is memoized for one ``mul`` or ``sum_of_partials`` call, or for a
-whole ``exterior_d`` call, which passes one memo to every
-``sum_of_partials`` it makes.  A sum of many parts is one ``add(*parts)``
-call, not a fold (README, "Symbolic kernels").
+there; ``mul``'s expand pass (``_mono_mul``) and the product rule of
+``differentiate`` (``_product_rule``) put each product there through one
+merge kernel, ``_merge``, which merges same-base powers of a ``Var`` or
+``Func`` and leaves any other collision to a full ``mul``.  Each merge (a
+pair of factors -> the merged factor) is memoized for one ``mul`` or
+``sum_of_partials`` call, or for a whole ``exterior_d`` call, which passes
+one memo to every ``sum_of_partials`` it makes.  A sum of many parts is one
+``add(*parts)`` call, not a fold (README, "Symbolic kernels").
 
 Differentiation of ``abs`` has no symbolic rule and raises, except through
 even roots: d sqrt(abs(u)) = u' * sign(u) / (2*sqrt(abs(u))), with ``sign``
@@ -53,14 +53,13 @@ jump at 0 is ignored; numeric checks sample away from it with guards).
 ``Func`` nodes to their result for one call, so an atom repeated across
 terms (the powers of ``abs(G)`` and ``sign(G)`` in the Nambu string's
 Poincare-Cartan form) is worked out once; an exception is never stored.
-``sum_of_partials`` takes one memo per variable from its caller, so
-``exterior_d`` shares them across its whole call.  A memo kept for the
-process raised the Nambu ``verify``'s peak RSS 22 -> 47 MB.  ``exterior_d``
-also memoizes the product rule of each (variable, monic part) that more
-than one of its terms differentiates (``product_rules``): the rule is built
-once as coefficient pairs and factor tuples, scaled into each term's
-accumulator, and dropped after its last use.  Other terms and other callers
-expand the product rule term by term.
+``differentiate``'s memo also keeps the product rule of each monic part
+it meets, under the factor tuple: built once as coefficient pairs and
+factor tuples, and scaled into the accumulator of every term with that
+monic part.  ``sum_of_partials`` takes one memo per variable from its
+caller, so ``exterior_d`` shares them, rules included, across its whole
+call.  A memo kept for the process raised the Nambu ``verify``'s peak RSS
+22 -> 47 MB.
 
 Numeric evaluation has two forms.  ``evaluate_numeric``, a walk over the
 DAG, gives single values and the text of every error (a domain failure is a
@@ -313,16 +312,13 @@ def _term(n, d, fs):
 
 def _merge(by_base, fs, merges):
     """Merge the factors `fs` into `by_base` (base -> factor) in place, or
-    return False when ``mul`` must fold the product: a sum factor, or a
-    shared base other than a Var or Func (``pow_`` can fold it to a
-    rational, a sum or a base that merges again).  Same-base powers of a Var
-    or Func merge by adding exponents, once per pair of factors in the
-    caller's `merges` memo.  A base occurs at most once in `fs`."""
+    return False when ``mul`` must fold the product: a shared base other
+    than a Var or Func (``pow_`` can fold it to a rational, a sum or a base
+    that merges again).  Same-base powers of a Var or Func merge by adding
+    exponents, once per pair of factors in the caller's `merges` memo.  A
+    base occurs at most once in `fs`, and no factor is a sum."""
     for f in fs:
-        kind = type(f)
-        if kind is Add:
-            return False
-        b = f.base if kind is Pow else f
+        b = f.base if type(f) is Pow else f
         g = by_base.get(b)
         if g is None:
             by_base[b] = f
@@ -346,8 +342,7 @@ def _mono_mul(fa, fb, merges):
     """The factor tuple of the product of two factor tuples, or None when
     ``mul`` must fold it (see ``_merge``)."""
     if not fa or not fb:
-        fs = fa or fb
-        return None if Add in map(type, fs) else fs
+        return fa or fb
     by_base = {}
     if _merge(by_base, fa, merges) and _merge(by_base, fb, merges):
         return _monic(by_base)
@@ -369,9 +364,7 @@ def _put(acc, n, d, fs, t=None):
 def _collect(acc, e, c=None):
     """Add c * e (c None for 1, else a reduced pair) to acc; return acc."""
     for t in e.terms if type(e) is Add else (e,):
-        if type(t) is Add:   # pow_ folding can leave a sum as a term
-            _collect(acc, t, c)
-        elif t is not ZERO:
+        if t is not ZERO:
             n, d, fs = _split_coeff(t)
             if c is None:
                 _put(acc, n, d, fs, t)
@@ -633,7 +626,8 @@ def differentiate(e, name, declared=None):
 
 
 def _diff(e, x, memo):
-    # memo: Pow/Func node -> derivative, for this call's variable only
+    # memo, for this call's variable only: Pow/Func node -> derivative, and
+    # a product term's factor tuple -> its product rule (_diff_into)
     if x not in e.fvs():
         return ZERO
     if isinstance(e, Var):
@@ -647,11 +641,10 @@ def _diff(e, x, memo):
     return d
 
 
-def _diff_into(acc, e, x, memo, merges, c=None, rules=None):
-    """Add c * de/dx (c None for 1, else a reduced pair) to acc; the product
-    rule multiplies each term of a factor's derivative into the others.  A
-    term whose (x, monic part) is in `rules` scales that pair's rule, built
-    at its first use and dropped after its last."""
+def _diff_into(acc, e, x, memo, merges, c=None):
+    """Add c * de/dx (c None for 1, else a reduced pair) to acc.  A product
+    term scales the product rule of its monic part, which `memo` keeps under
+    the factor tuple for the rest of the call."""
     for t in e.terms if type(e) is Add else (e,):
         if type(t) is not Mul:
             _collect(acc, _diff(t, x, memo), c)
@@ -660,30 +653,14 @@ def _diff_into(acc, e, x, memo, merges, c=None, rules=None):
             continue
         tn, td, fs = _split_coeff(t)
         cn, cd = (tn, td) if c is None else _qmul(tn, td, *c)
-        rule = None if rules is None else rules.get((x, fs))
-        if rule is not None:
-            if rule[1] is None:
-                rule[1:] = _product_rule(fs, x, memo, merges)
-            rule[0] -= 1
-            if not rule[0]:
-                del rules[x, fs]
-            for un, ud, p in rule[1]:
-                _put(acc, *_qmul(cn, cd, un, ud), p)
-            for others, u in rule[2]:
-                _collect(acc, mul(Rat(Fraction(tn, td)), *others, u), c)
-            continue
-        for i, f in enumerate(fs):
-            df = _diff(f, x, memo)
-            if df is ZERO:
-                continue
-            others = fs[:i] + fs[i + 1:]
-            for u in df.terms if type(df) is Add else (df,):
-                un, ud, ufs = _split_coeff(u)
-                p = _mono_mul(others, ufs, merges)
-                if p is None:
-                    _collect(acc, mul(Rat(Fraction(tn, td)), *others, u), c)
-                else:
-                    _put(acc, *_qmul(cn, cd, un, ud), p)
+        rule = memo.get(fs)
+        if rule is None:
+            rule = memo[fs] = _product_rule(fs, x, memo, merges)
+        products, declined = rule
+        for un, ud, p in products:
+            _put(acc, *_qmul(cn, cd, un, ud), p)
+        for others, u in declined:
+            _collect(acc, mul(Rat(Fraction(tn, td)), *others, u), c)
 
 
 def _product_rule(fs, x, memo, merges):
@@ -711,29 +688,15 @@ def _product_rule(fs, x, memo, merges):
     return products, declined
 
 
-def product_rules(parts):
-    """The product rules worth building once for the (s, e, x) in `parts`:
-    each (x, monic part) that more than one term of an e depending on x
-    differentiates -> [uses, None, None], for ``sum_of_partials``."""
-    uses = {}
-    for _, e, x in parts:
-        for t in e.terms if type(e) is Add else (e,):
-            if type(t) is Mul and x in t.fvs():
-                k = x, _split_coeff(t)[2]
-                uses[k] = uses.get(k, 0) + 1
-    return {k: [n, None, None] for k, n in uses.items() if n > 1}
-
-
-def sum_of_partials(parts, memos, merges=None, rules=None):
+def sum_of_partials(parts, memos, merges=None):
     """Canonical sum of s * de/dx over (s, e, x) in `parts`, s an integer,
     in one accumulator; `memos` maps each x to a ``_diff`` memo the caller
-    shares, `merges` is a merge memo it may share, and `rules` comes from
-    ``product_rules`` over every part the caller passes."""
+    shares, and `merges` is a merge memo it may share."""
     acc = {}
     if merges is None:
         merges = {}
     for s, e, x in parts:
-        _diff_into(acc, e, x, memos[x], merges, None if s == 1 else (s, 1), rules)
+        _diff_into(acc, e, x, memos[x], merges, None if s == 1 else (s, 1))
     return _sum(acc)
 
 

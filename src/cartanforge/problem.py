@@ -20,6 +20,7 @@ from . import expr as ex
 from .chart import SectionE, make_chart
 from .connection import Connection, JetField2
 from .errors import (
+    CartanforgeError,
     DuplicateDefinition,
     MissingArgument,
     ParseError,
@@ -188,7 +189,7 @@ def parse_guard(chart, text):
                 thr = float(right.strip())
             except ValueError:
                 raise ParseError(f"guard threshold {right.strip()!r} is not a number")
-            return Guard(chart.parse(left.strip()), op, thr)
+            return Guard(_parse_at(chart, "numeric.require", left.strip()), op, thr)
     raise ParseError(f"guard {text!r} needs '>' or '<'")
 
 
@@ -291,6 +292,14 @@ def _tables(tree, group):
     return {n: _value(named, group, n, dict) for n in sorted(named)}
 
 
+def _parse_at(chart, where, text):
+    """chart.parse(text); a ParseError names `where`, the table and key."""
+    try:
+        return chart.parse(text)
+    except ParseError as err:
+        raise ParseError(f"{where}: {err}") from None
+
+
 def _expr_rows(chart, rows, what, shape):
     """Parse a nested array of expression strings, checking its shape."""
     if not isinstance(rows, list):
@@ -303,7 +312,7 @@ def _expr_rows(chart, rows, what, shape):
         if len(shape) == 1:
             if not isinstance(row, str):
                 raise ParseError(f"{what}: expected expression strings")
-            out.append(chart.parse(row))
+            out.append(_parse_at(chart, what, row))
         else:
             out.append(_expr_rows(chart, row, what, shape[1:]))
     return out
@@ -313,7 +322,7 @@ def _build_connection(chart, body, name):
     rows = body.get("gamma")
     if rows is None:
         raise MissingArgument(f"[connection.{name}] needs a gamma table")
-    table = _expr_rows(chart, rows, f"connection {name}",
+    table = _expr_rows(chart, rows, f"connection.{name}.gamma",
                        (chart.n_fields, chart.n_plus_1))
     gamma = {}
     for yi, y in enumerate(chart.fiber_names):
@@ -325,8 +334,8 @@ def _build_connection(chart, body, name):
 def _build_vectorfield(chart, body, name):
     base = body.get("base", ["0"] * chart.n_plus_1)
     fiber = body.get("fiber", ["0"] * chart.n_fields)
-    alphas = _expr_rows(chart, base, f"vectorfield {name} base", (chart.n_plus_1,))
-    betas = _expr_rows(chart, fiber, f"vectorfield {name} fiber", (chart.n_fields,))
+    alphas = _expr_rows(chart, base, f"vectorfield.{name}.base", (chart.n_plus_1,))
+    betas = _expr_rows(chart, fiber, f"vectorfield.{name}.fiber", (chart.n_fields,))
     comps = {}
     allowed = set(chart.e_coords())
     for x, a in zip(chart.base_names, alphas):
@@ -350,7 +359,7 @@ def _build_section(chart, body, name):
     comps = body.get("components")
     if comps is None:
         raise MissingArgument(f"[section.{name}] needs components")
-    parsed = _expr_rows(chart, comps, f"section {name}", (chart.n_fields,))
+    parsed = _expr_rows(chart, comps, f"section.{name}.components", (chart.n_fields,))
     return SectionDecl(SectionE(chart, tuple(parsed)),
                        _value(body, f"section.{name}", "solution", bool))
 
@@ -359,14 +368,14 @@ def _build_jetfield(chart, body, name):
     frows = body.get("F")
     if frows is None:
         raise MissingArgument(f"[jetfield.{name}] needs an F table")
-    ftab = _expr_rows(chart, frows, f"jetfield {name} F",
+    ftab = _expr_rows(chart, frows, f"jetfield.{name}.F",
                       (chart.n_fields, chart.n_plus_1))
     F = {(y, x): ftab[yi][xi]
          for yi, y in enumerate(chart.fiber_names)
          for xi, x in enumerate(chart.base_names)}
     G = {}
     if "G" in body:
-        gtab = _expr_rows(chart, body["G"], f"jetfield {name} G",
+        gtab = _expr_rows(chart, body["G"], f"jetfield.{name}.G",
                           (chart.n_fields, chart.n_plus_1, chart.n_plus_1))
         for yi, y in enumerate(chart.fiber_names):
             for ri, xr in enumerate(chart.base_names):
@@ -383,13 +392,13 @@ def _build_diffeo(chart, body, name):
     fiber = body.get("fiber")
     if fiber is None:
         raise MissingArgument(f"[diffeo.{name}] needs fiber components")
-    base_exprs = _expr_rows(chart, base, f"diffeo {name} base",
+    base_exprs = _expr_rows(chart, base, f"diffeo.{name}.base",
                             (chart.n_plus_1,))
-    fiber_exprs = _expr_rows(chart, fiber, f"diffeo {name} fiber",
+    fiber_exprs = _expr_rows(chart, fiber, f"diffeo.{name}.fiber",
                              (chart.n_fields,))
     inverse = None
     if "base_inverse" in body:
-        inv = _expr_rows(chart, body["base_inverse"], f"diffeo {name} inverse",
+        inv = _expr_rows(chart, body["base_inverse"], f"diffeo.{name}.base_inverse",
                          (chart.n_plus_1,))
         inverse = dict(zip(chart.base_names, inv))
     fmap = FiberedMap(chart,
@@ -412,7 +421,7 @@ def build_problem(tree):
                       "lagrangian", "L", str)
     if lag_text is None:
         raise ParseError("a [lagrangian] block with L is required")
-    lag = Lagrangian(chart, chart.parse(lag_text))
+    lag = Lagrangian(chart, _parse_at(chart, "lagrangian.L", lag_text))
 
     connections = {n: _build_connection(chart, body, n)
                    for n, body in _tables(tree, "connection").items()}
@@ -464,6 +473,12 @@ def build_problem(tree):
 
 
 def parse_problem(path):
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    """The Problem in the file at `path`; a file that cannot be read as
+    UTF-8 text is a CartanforgeError naming the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as err:
+        reason = err.strerror if isinstance(err, OSError) else "not UTF-8 text"
+        raise CartanforgeError(f"cannot read {path}: {reason}") from None
     return build_problem(parse_toml_subset(text))

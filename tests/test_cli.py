@@ -172,6 +172,19 @@ def test_parse_error_exit_code(tmp_path, capsys):
 def test_missing_file_exit_code(capsys):
     code, _, err = run(capsys, "verify", "/nonexistent/problem.toml")
     assert code == 2
+    assert err == "error: cannot read /nonexistent/problem.toml: No such file or directory\n"
+
+
+@pytest.mark.parametrize("kind, reason", [
+    ("directory", "Is a directory"), ("latin-1", "not UTF-8 text")])
+def test_unreadable_problem_path_exits_2(tmp_path, capsys, kind, reason):
+    path = tmp_path
+    if kind == "latin-1":
+        path = tmp_path / "latin1.toml"
+        path.write_bytes('[bundle]\nbase = ["t"]\n# caf\xe9\n'.encode("latin-1"))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: cannot read {path}: {reason}\n"
 
 
 def test_empty_problem_skips(tmp_path, capsys):
@@ -241,8 +254,8 @@ box = [["t", 1e200, 1e201], ["q", 1e200, 1e201], ["d(q,t)", 1e200, 1e201]]
 
 
 @pytest.mark.parametrize("table, body, what", [
-    ("vectorfield.v", "fiber = 5", "vectorfield v fiber"),
-    ("section.s", 'components = "t"', "section s"),
+    ("vectorfield.v", "fiber = 5", "vectorfield.v.fiber"),
+    ("section.s", 'components = "t"', "section.s.components"),
 ])
 def test_table_value_not_an_array_exits_2(tmp_path, capsys, table, body,
                                           what):
@@ -355,12 +368,12 @@ def test_large_power_of_a_rational_exits_2_quickly(tmp_path):
 @pytest.mark.parametrize("L, message", [
     ("2^20000*d(q,t)^2", f"error: 2^20000 would pass {ex.MAX_RAT_BITS} bits"),
     ("7" * 5000 + "*d(q,t)^2",
-     "error: number of 5000 characters is too large (line 1, col 1)"),
+     "error: lagrangian.L: number of 5000 characters is too large (line 1, col 1)"),
     ("1e-5000*d(q,t)^2", f"error: a rational would pass {ex.MAX_RAT_BITS} bits"),
     ("1e-99999999*d(q,t)^2",
-     "error: number of 11 characters is too large (line 1, col 1)"),
+     "error: lagrangian.L: number of 11 characters is too large (line 1, col 1)"),
     ("d(q,t)^" + "2" * 5000,
-     "error: number of 5000 characters is too large (line 1, col 8)"),
+     "error: lagrangian.L: number of 5000 characters is too large (line 1, col 8)"),
 ], ids=["power", "literal", "scientific", "long-exponent", "exponent"])
 def test_oversized_rational_exits_2(tmp_path, capsys, L, message):
     code, out, err = run(capsys, "verify", write_lagrangian(tmp_path, L))
@@ -438,6 +451,30 @@ def test_value_of_wrong_type_exits_2(tmp_path, capsys, edit, message):
     assert code == 2 and out == ""
     assert err.startswith(f"error: {message}\n")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"L": '"d(q,t) +"'}, "lagrangian.L: unexpected token '' (line 1, col 9)"),
+    ({"tail": '[connection.c]\ngamma = [["q)"]]'},
+     "connection.c.gamma: unexpected trailing input ')' (line 1, col 2)"),
+    ({"tail": '[vectorfield.v]\nbase = ["1"]\nfiber = ["q*"]'},
+     "vectorfield.v.fiber: unexpected token '' (line 1, col 3)"),
+    ({"tail": '[section.s]\ncomponents = ["sin("]'},
+     "section.s.components: unexpected token '' (line 1, col 5)"),
+    ({"tail": '[jetfield.j]\nF = [["1"]]\nG = [[["q^"]]]'},
+     "jetfield.j.G: expected 'num', found '' (line 1, col 3)"),
+    ({"tail": '[diffeo.f]\nfiber = ["q"]\nbase_inverse = ["t t"]'},
+     "diffeo.f.base_inverse: unexpected trailing input 't' (line 1, col 3)"),
+    ({"tail": '[numeric]\nrequire = ["q + > 1"]'},
+     "numeric.require: unexpected token '' (line 1, col 4)"),
+], ids=["L", "gamma", "vectorfield", "section", "jetfield", "diffeo", "require"])
+def test_parse_error_names_table_and_key(tmp_path, capsys, edit, message):
+    fields = {"head": "", "base": '["t"]', "L": '"1/2*d(q,t)^2"', "tail": ""}
+    f = tmp_path / "malformed.toml"
+    f.write_text(TYPED.format(**{**fields, **edit}))
+    code, out, err = run(capsys, "verify", str(f))
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
 
 
 def write_box(tmp_path, box):

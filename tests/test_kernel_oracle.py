@@ -17,6 +17,7 @@ import pytest
 from cartanforge import chart as ch
 from cartanforge import expr as ex
 from cartanforge import forms as fm
+from cartanforge import lagrangian as lg
 from cartanforge.errors import DomainFunction
 from cartanforge.lagrangian import cartan_forms
 from cartanforge.problem import parse_problem
@@ -304,12 +305,13 @@ def _nodes(e, seen):
 
 def test_nambu_d_omega_merges_and_differentiates_once(monkeypatch):
     # counts, not timings: the call-wide merge memo runs pow_ 80 times
-    # (3,108 with one memo per output coefficient), and each recurring
-    # (coordinate, monic part) builds its product rule once, so 6,882
-    # products reach the monomial kernel one by one (17,430 with no rules)
+    # (3,108 with one memo per output coefficient), and the derivative memo
+    # keeps each (coordinate, monic part)'s product rule for the whole call,
+    # so no rule is built twice and almost no product reaches the monomial
+    # kernel one by one (17,430 with no rules kept)
     omega = corpus_forms("nambu_string").omega
-    calls = dict.fromkeys(["pow_", "_mono_mul", "_product_rule"], 0)
-    recurring = []
+    calls = dict.fromkeys(["pow_", "_mono_mul"], 0)
+    built = []
 
     def counted(name, fn):
         def wrapper(*args):
@@ -317,21 +319,81 @@ def test_nambu_d_omega_merges_and_differentiates_once(monkeypatch):
             return fn(*args)
         return wrapper
 
-    def product_rules(parts):
-        rules = real_rules(parts)
-        recurring.append(len(rules))
-        return rules
+    def product_rule(fs, x, memo, merges):
+        built.append((x, fs))
+        return real_rule(fs, x, memo, merges)
 
-    real_rules = ex.product_rules
+    real_rule = ex._product_rule
     for name in calls:
         monkeypatch.setattr(ex, name, counted(name, getattr(ex, name)))
-    monkeypatch.setattr(ex, "product_rules", product_rules)
+    monkeypatch.setattr(ex, "_product_rule", product_rule)
     fm.exterior_d(omega)
     monkeypatch.undo()
-    [built] = recurring
-    assert 500 < built == calls["_product_rule"]
+    assert len(built) > 500
+    assert len(set(built)) == len(built)
     assert calls["pow_"] < 300
     assert calls["_mono_mul"] < 10_000
+
+
+def test_differentiate_builds_a_recurring_rule_once(monkeypatch):
+    # x*y is the monic part of the terms inside sqrt and sin: one
+    # differentiate call meets it twice and builds its rule once
+    e = ex.add(ex.func("sqrt", ex.mul(x, y)), ex.func("sin", ex.mul(x, y)))
+    built = []
+
+    def product_rule(fs, name, memo, merges):
+        built.append((name, fs))
+        return real_rule(fs, name, memo, merges)
+
+    real_rule = ex._product_rule
+    monkeypatch.setattr(ex, "_product_rule", product_rule)
+    got = ex.differentiate(e, "x")
+    monkeypatch.undo()
+    assert built == [("x", (x, y))]
+    assert got is oracle.differentiate(e, "x")
+
+
+# -- no sum inside a sum or a product -----------------------------------------
+
+def assert_no_nested_sum(e):
+    # the kernels rely on this: _collect takes a sum's terms, and _merge a
+    # product's factors, as non-sums
+    seen, stack = set(), [e]
+    while stack:
+        n = stack.pop()
+        if n not in seen:
+            seen.add(n)
+            parts = n.terms if type(n) is ex.Add else (
+                n.factors if type(n) is ex.Mul else ())
+            assert ex.Add not in map(type, parts), ex.to_text(n)
+            stack.extend(ex._children(n))
+
+
+@pytest.mark.parametrize("seed", [61, 62])
+def test_no_sum_is_a_term_of_a_sum_or_a_factor_of_a_product(seed):
+    r = randgen.rng(seed)
+    pool = [e for e, _ in randgen.smooth_corpus(seed)]
+    pool += [randgen.wild_expr(r, ["x", "y", "z"]) for _ in range(60)]
+    built = []
+    for _ in range(200):
+        a, b = r.choice(pool), r.choice(pool)
+        built += [ex.add(a, b), ex.mul(a, b), ex.func("sqrt", a),
+                  ex.pow_(ex.add(a, b), r.choice([-1, 2, Fraction(3, 2)]))]
+        try:
+            built.append(ex.differentiate(ex.mul(a, b), r.choice("xyz")))
+        except DomainFunction:
+            pass
+    for e in pool + built:
+        assert_no_nested_sum(e)
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_no_sum_is_nested_in_the_corpus_forms(name):
+    lag = parse_problem(os.path.join(PROBLEMS, name + ".toml")).lagrangian
+    forms = cartan_forms(lag)
+    exprs = list(forms.theta.coeffs.values()) + list(forms.omega.coeffs.values())
+    for e in exprs + list(lg.derive_el(lag).components.values()):
+        assert_no_nested_sum(e)
 
 
 @pytest.mark.parametrize("name", ["polyakov_string", "nambu_string"])
