@@ -3,7 +3,10 @@
 Every coefficient in the geometric layers is an ``Expr``.  The normal form is
 deliberately small and predictable:
 
-* exact rational arithmetic (arbitrary-precision integers and ``Fraction``),
+* exact rational arithmetic on arbitrary-precision integers: a node holds
+  each rational as a reduced (numerator, denominator) pair of ints with a
+  positive denominator, and ``Rat.value`` and ``Pow.exponent`` return the
+  equal ``Fraction`` only where the API reads them,
 * sums flattened, like terms merged, terms sorted by a total structural order,
 * products flattened, distributed over sums (an explicit expand pass that
   raises ExpressionTooLarge beyond MAX_EXPANSION products), same-base
@@ -32,8 +35,10 @@ constructor.
 
 Sums and products of canonical terms meet in one term accumulator, a dict
 from a term's factor tuple to its coefficient as a reduced (numerator,
-denominator) pair of ints; nodes and ``Fraction`` coefficients are built
-only for the surviving terms, sorted once.  ``add`` collects its terms
+denominator) pair of ints, the pair a ``Rat`` node holds; nodes are built
+only for the surviving terms, sorted once.  No ``Fraction`` is built in the
+kernels: coefficients multiply through ``_qmul`` and same-base exponents
+add through ``_qadd``.  ``add`` collects its terms
 there; ``mul``'s expand pass (``_mono_mul``) and the product rule of
 ``differentiate`` (``_product_rule``) put each product there through one
 merge kernel, ``_merge``, which merges same-base powers of a ``Var`` or
@@ -182,24 +187,51 @@ def _intern(cls, k, *fields):
 _KEY = attrgetter("_skey")
 
 
-def _rational_text(v):
+def _pair(value, den=1):
+    """The reduced pair (n, d), d > 0, of value / den; as ``Fraction(value,
+    den)`` takes them (ints, Fractions, text), and raising as it raises."""
+    if type(value) is int and type(den) is int and den:
+        g = math.gcd(value, den)
+        if den < 0:
+            g = -g
+        return value // g, den // g
+    if den == 1 and type(value) is Fraction:
+        return value.numerator, value.denominator
+    v = Fraction(value) if den == 1 else Fraction(value, den)
+    return v.numerator, v.denominator
+
+
+def _qtext(n, d):
+    """The text of the rational n/d, exactly ``str(Fraction(n, d))``."""
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
+def _rational_text(n, d):
     """The text of a new node's rational, which must fit MAX_RAT_BITS."""
-    if max(v.numerator.bit_length(), v.denominator.bit_length()) > MAX_RAT_BITS:
+    if max(n.bit_length(), d.bit_length()) > MAX_RAT_BITS:
         raise ExpressionTooLarge(f"a rational would pass {MAX_RAT_BITS} bits")
-    return str(v)
+    return _qtext(n, d)
 
 
 class Rat(Expr):
-    __slots__ = ("value",)
+    """A rational number, held as a reduced pair: ``num``, and ``den`` > 0."""
 
-    def __new__(cls, value):
-        if type(value) is not Fraction:
-            value = Fraction(value)
-        # keyed by the integers: Fraction.__hash__ is Python code
-        return _intern(cls, (0, value.numerator, value.denominator), value)
+    __slots__ = ("num", "den")
+
+    def __new__(cls, value, den=1):
+        return _rat(*_pair(value, den))
+
+    @property
+    def value(self):
+        return Fraction(self.num, self.den)
 
     def _make_key(self):
-        return (0, _rational_text(self.value), ())
+        return (0, _rational_text(self.num, self.den), ())
+
+
+def _rat(n, d=1):
+    """The Rat of the pair (n, d), which must be reduced with d > 0."""
+    return _intern(Rat, (0, n, d), n, d)
 
 
 class Var(Expr):
@@ -225,16 +257,24 @@ class Func(Expr):
 
 
 class Pow(Expr):
-    __slots__ = ("base", "exponent")
+    """``base`` to the rational exponent ``num``/``den``, a reduced pair."""
 
-    def __new__(cls, base, exponent):
-        if type(exponent) is not Fraction:
-            exponent = Fraction(exponent)
-        return _intern(cls, (3, base, exponent.numerator,
-                             exponent.denominator), base, exponent)
+    __slots__ = ("base", "num", "den")
+
+    def __new__(cls, base, exponent, den=1):
+        return _pow(base, *_pair(exponent, den))
+
+    @property
+    def exponent(self):
+        return Fraction(self.num, self.den)
 
     def _make_key(self):
-        return (3, _rational_text(self.exponent), (self.base._skey,))
+        return (3, _rational_text(self.num, self.den), (self.base._skey,))
+
+
+def _pow(base, n, d):
+    """The Pow node of `base` and the pair (n, d), reduced with d > 0."""
+    return _intern(Pow, (3, base, n, d), base, n, d)
 
 
 class Mul(Expr):
@@ -259,16 +299,13 @@ class Add(Expr):
         return (5, "", tuple(t._skey for t in self.terms))
 
 
-# the constructors share this instead of building a Fraction(1) per factor
-_F1 = Fraction(1)
-
-ZERO = Rat(0)
-ONE = Rat(1)
-MINUS_ONE = Rat(-1)
+ZERO = _rat(0)
+ONE = _rat(1)
+MINUS_ONE = _rat(-1)
 
 
 def rat(p, q=1):
-    return Rat(Fraction(p, q))
+    return Rat(p, q)
 
 
 def var(name):
@@ -287,27 +324,34 @@ def _split_coeff(e):
     if isinstance(e, Mul):
         fs = e.factors
         if isinstance(fs[0], Rat):
-            v = fs[0].value
-            return v.numerator, v.denominator, fs[1:]
+            return fs[0].num, fs[0].den, fs[1:]
         return 1, 1, fs
     if isinstance(e, Rat):
-        return e.value.numerator, e.value.denominator, ()
+        return e.num, e.den, ()
     return 1, 1, (e,)
 
 
 def _qmul(n, d, m, e):
-    """The reduced pair of (n/d) * (m/e), both reduced and non-zero."""
+    """The reduced pair of (n/d) * (m/e), both reduced; when either is 0,
+    only the numerator 0 is meaningful."""
     g, h = math.gcd(n, e), math.gcd(m, d)
     return (n // g) * (m // h), (d // h) * (e // g)
+
+
+def _qadd(n, d, m, e):
+    """The reduced pair of n/d + m/e, both reduced; a sum of 0 is 0/1."""
+    p, q = n * e + m * d, d * e
+    g = math.gcd(p, q)
+    return p // g, q // g
 
 
 def _term(n, d, fs):
     """The canonical term (n/d) * fs; inverse of _split_coeff."""
     if not fs:
-        return Rat(Fraction(n, d))
+        return _rat(n, d)
     if n == 1 and d == 1:
         return fs[0] if len(fs) == 1 else Mul(fs)
-    return Mul((Rat(Fraction(n, d)),) + fs)
+    return Mul((_rat(n, d),) + fs)
 
 
 def _merge(by_base, fs, merges):
@@ -325,8 +369,9 @@ def _merge(by_base, fs, merges):
         elif type(b) is Var or type(b) is Func:
             m = merges.get((g, f))
             if m is None:
-                m = merges[g, f] = pow_(b, (f.exponent if f is not b else _F1)
-                                        + (g.exponent if g is not b else _F1))
+                fn, fd = (f.num, f.den) if f is not b else (1, 1)
+                gn, gd = (g.num, g.den) if g is not b else (1, 1)
+                m = merges[g, f] = pow_(b, *_qadd(fn, fd, gn, gd))
             by_base[b] = m
         else:
             return False
@@ -396,29 +441,29 @@ def add(*terms):
 def mul(*factors):
     """Canonical product: flatten, distribute over sums, merge powers."""
     flat = []
-    coeff = _F1
+    cn = cd = 1   # the rational coefficient, a reduced pair
     stack = list(factors)
     while stack:
         f = stack.pop()
         if isinstance(f, Mul):
             stack.extend(f.factors)
         elif isinstance(f, Rat):
-            coeff = f.value if coeff is _F1 else coeff * f.value
+            cn, cd = _qmul(cn, cd, f.num, f.den)
         else:
             flat.append(f)
-    if coeff == 0:
+    if cn == 0:
         return ZERO
 
     if len(flat) == 1 and isinstance(flat[0], Add):
         # a rational times a sum: rescale the terms, which stay as they are
-        return _sum(_collect({}, flat[0], None if coeff == 1 else (
-            coeff.numerator, coeff.denominator)))
+        return _sum(_collect({}, flat[0],
+                             None if cn == 1 and cd == 1 else (cn, cd)))
     sums = [f for f in flat if isinstance(f, Add)]
     if sums:
         # expand pass: a product the monomial kernel declines is a full mul
         _check_expansion(math.prod(len(s.terms) for s in sums))
         merges = {}
-        prods = [(coeff.numerator, coeff.denominator, (), ())]   # (n, d, factors, pieces)
+        prods = [(cn, cd, (), ())]   # (n, d, factors, pieces)
         rest = [(f,) for f in flat if not isinstance(f, Add)]
         for group in rest + [s.terms for s in sums]:
             split = [(t, *_split_coeff(t)) for t in group]
@@ -428,48 +473,46 @@ def mul(*factors):
         acc = {}
         for n, d, fs, ts in prods:
             if fs is None:
-                _collect(acc, mul(Rat(coeff), *ts))
+                _collect(acc, mul(_rat(cn, cd), *ts))
             else:
                 _put(acc, n, d, fs)
         return _sum(acc)
 
     # merge same-base powers
-    by_base = {}   # base node -> (exponent, the factor while unmerged)
+    by_base = {}   # base node -> (exponent pair, the factor while unmerged)
     for f in flat:
-        b, e = (f.base, f.exponent) if isinstance(f, Pow) else (f, _F1)
+        b, n, d = (f.base, f.num, f.den) if isinstance(f, Pow) else (f, 1, 1)
         got = by_base.get(b)
-        by_base[b] = (e, f) if got is None else (got[0] + e, None)
+        by_base[b] = (n, d, f) if got is None else (*_qadd(got[0], got[1], n, d), None)
     if len(by_base) == len(flat):   # distinct bases: already canonical
         out = flat
     else:
         out = []
-        for b, (e, orig) in by_base.items():
+        for b, (n, d, orig) in by_base.items():
             if orig is not None:  # untouched canonical factor
                 out.append(orig)
                 continue
-            n, d, fs = _split_coeff(pow_(b, e))   # ONE when e == 0
-            coeff *= Fraction(n, d)
+            pn, pd, fs = _split_coeff(pow_(b, n, d))   # ONE when n == 0
+            cn, cd = _qmul(cn, cd, pn, pd)
             out.extend(fs)
-        if coeff == 0:
+        if cn == 0:
             return ZERO
         if Add in map(type, out):   # a merged power folded to a sum: expand it
-            return mul(Rat(coeff), *out)
+            return mul(_rat(cn, cd), *out)
         # pow_ folding can reintroduce merged bases; settle by one more pass
         seen = {}
         for f in out:
-            b, e = (f.base, f.exponent) if isinstance(f, Pow) else (f, _F1)
-            seen[b] = seen[b] + e if b in seen else e
+            b, n, d = (f.base, f.num, f.den) if isinstance(f, Pow) else (f, 1, 1)
+            seen[b] = _qadd(*seen[b], n, d) if b in seen else (n, d)
         if len(seen) != len(out):
-            return mul(Rat(coeff), *[pow_(b, e) for b, e in seen.items()])
+            return mul(_rat(cn, cd), *[pow_(b, n, d) for b, (n, d) in seen.items()])
 
     out.sort(key=_KEY)
     if not out:
-        return Rat(coeff)
-    if coeff == 1 and len(out) == 1:
-        return out[0]
-    if coeff == 1:
-        return Mul(out)
-    return Mul([Rat(coeff)] + out)
+        return _rat(cn, cd)
+    if cn == 1 and cd == 1:
+        return out[0] if len(out) == 1 else Mul(out)
+    return Mul([_rat(cn, cd)] + out)
 
 
 def _check_expansion(products):
@@ -479,100 +522,100 @@ def _check_expansion(products):
             f"(limit {MAX_EXPANSION})")
 
 
-def _nth_root_exact(fr, n):
-    """Exact n-th root of a nonnegative Fraction, or None."""
-    def iroot(m):
-        # integer Newton iteration down from a power of two above the root
-        if m in (0, 1):
-            return m
-        r = 1 << -(-m.bit_length() // n)
-        while True:
-            s = ((n - 1) * r + m // r ** (n - 1)) // n
-            if s >= r:
-                return r if r ** n == m else None
-            r = s
-
-    p = iroot(fr.numerator)
-    q = iroot(fr.denominator)
-    if p is None or q is None:
-        return None
-    return Fraction(p, q)
+def _iroot(m, n):
+    """The exact n-th root of the integer m >= 0, or None."""
+    if m in (0, 1):
+        return m
+    # integer Newton iteration down from a power of two above the root
+    r = 1 << -(-m.bit_length() // n)
+    while True:
+        s = ((n - 1) * r + m // r ** (n - 1)) // n
+        if s >= r:
+            return r if r ** n == m else None
+        r = s
 
 
-def pow_(base, exponent):
-    """Canonical power with rational exponent."""
-    e = exponent if type(exponent) is Fraction else Fraction(exponent)
-    if e == 0:
+def pow_(base, exponent, den=None):
+    """Canonical power with rational exponent: an int, ``Fraction`` or text,
+    or with `den` given, the pair (exponent, den), reduced with den > 0."""
+    if den is None:
+        exponent, den = _pair(exponent)
+    n, d = exponent, den
+    if n == 0:
         return ONE
-    if e == 1:
+    if n == 1 and d == 1:
         return base
 
     if isinstance(base, Rat):
-        v = base.value
-        if e.denominator == 1:
-            if v == 0 and e < 0:
+        vn, vd = base.num, base.den
+        if d == 1:
+            if vn == 0 and n < 0:
                 raise NumericDomain("0 raised to a negative power")
-            bits = max(abs(v.numerator), v.denominator).bit_length()
-            if (bits - 1) * abs(e.numerator) >= MAX_RAT_BITS:   # a lower bound
-                raise ExpressionTooLarge(f"{v}^{e} would pass {MAX_RAT_BITS} bits")
-            return Rat(v ** e.numerator) if e > 0 else Rat(Fraction(1) / v ** (-e.numerator))
-        if v >= 0:
-            root = _nth_root_exact(v, e.denominator)
-            if root is not None:
-                return pow_(Rat(root), Fraction(e.numerator))
-        return Pow(base, e)
+            bits = max(abs(vn), vd).bit_length()
+            if (bits - 1) * abs(n) >= MAX_RAT_BITS:   # a lower bound
+                raise ExpressionTooLarge(
+                    f"{_qtext(vn, vd)}^{n} would pass {MAX_RAT_BITS} bits")
+            if n > 0:
+                return _rat(vn ** n, vd ** n)
+            p, q = vd ** -n, vn ** -n
+            return _rat(p, q) if q > 0 else _rat(-p, -q)
+        if vn >= 0:
+            p, q = _iroot(vn, d), _iroot(vd, d)
+            if p is not None and q is not None:
+                return pow_(_rat(p, q), n, 1)
+        return _pow(base, n, d)
 
     if isinstance(base, Pow):
-        inner, ei = base.base, base.exponent
-        if ei.denominator == 1 and ei.numerator % 2 == 0 and e.denominator != 1:
+        inner, bn, bd = base.base, base.num, base.den
+        if bd == 1 and bn % 2 == 0 and d != 1:
             # (u^even)^(p/q) == (|u|^even)^(p/q); keep the abs explicit
-            return pow_(Func("abs", inner), ei * e)
-        return pow_(inner, ei * e)
+            return pow_(Func("abs", inner), *_qmul(bn, bd, n, d))
+        return pow_(inner, *_qmul(bn, bd, n, d))
 
     if isinstance(base, Mul):
-        if e.denominator == 1:
-            return mul(*(pow_(f, e) for f in base.factors))
-        return Pow(base, e)
+        if d == 1:
+            return mul(*(pow_(f, n, 1) for f in base.factors))
+        return _pow(base, n, d)
 
     if isinstance(base, Add):
-        if e.denominator == 1 and e > 0:
+        if d == 1 and n > 0:
             # one expansion per factor; a binomial's power gains only one
             # term per factor, so the bound counts the products of them all
             result, built = base, 0
-            for _ in range(e.numerator - 1):
+            for _ in range(n - 1):
                 built += len(base.terms) * (
                     len(result.terms) if isinstance(result, Add) else 1)
                 _check_expansion(built)
                 result = mul(result, base)
             return result
-        return Pow(base, e)
+        return _pow(base, n, d)
 
-    return Pow(base, e)
+    return _pow(base, n, d)
 
 
+# function -> {argument pair: value pair} where the value is rational
 _EXACT_AT = {
-    "sin": {Fraction(0): Fraction(0)},
-    "cos": {Fraction(0): Fraction(1)},
-    "exp": {Fraction(0): Fraction(1)},
-    "log": {Fraction(1): Fraction(0)},
+    "sin": {(0, 1): (0, 1)},
+    "cos": {(0, 1): (1, 1)},
+    "exp": {(0, 1): (1, 1)},
+    "log": {(1, 1): (0, 1)},
 }
 
 
 def func(fname, arg):
     """Canonical function application; sqrt lowers to exponent 1/2."""
     if fname == "sqrt":
-        return pow_(arg, Fraction(1, 2))
+        return pow_(arg, 1, 2)
     if fname not in FUNCTIONS:
         raise ParseError(f"unknown function {fname!r}")
     if isinstance(arg, Rat):
-        table = _EXACT_AT.get(fname)
-        if table is not None and arg.value in table:
-            return Rat(table[arg.value])
+        exact = _EXACT_AT.get(fname, {}).get((arg.num, arg.den))
+        if exact is not None:
+            return _rat(*exact)
         if fname == "abs":
-            return Rat(abs(arg.value))
+            return _rat(abs(arg.num), arg.den)
         if fname == "sign":
-            v = arg.value
-            return Rat(0 if v == 0 else (1 if v > 0 else -1))
+            return ZERO if arg.num == 0 else (ONE if arg.num > 0 else MINUS_ONE)
     if fname == "abs" and isinstance(arg, Func) and arg.fname == "abs":
         return arg
     return Func(fname, arg)
@@ -583,7 +626,7 @@ def sub(a, b):
 
 
 def div(a, b):
-    return mul(a, pow_(b, Fraction(-1)))
+    return mul(a, pow_(b, -1, 1))
 
 
 def normalize(e):
@@ -598,7 +641,7 @@ def normalize(e):
     if isinstance(e, Mul):
         return mul(*(normalize(f) for f in e.factors))
     if isinstance(e, Pow):
-        return pow_(normalize(e.base), e.exponent)
+        return pow_(normalize(e.base), e.num, e.den)
     if isinstance(e, Func):
         return func(e.fname, normalize(e.arg))
     raise TypeError(f"not an Expr: {e!r}")
@@ -660,7 +703,7 @@ def _diff_into(acc, e, x, memo, merges, c=None):
         for un, ud, p in products:
             _put(acc, *_qmul(cn, cd, un, ud), p)
         for others, u in declined:
-            _collect(acc, mul(Rat(Fraction(tn, td)), *others, u), c)
+            _collect(acc, mul(_rat(tn, td), *others, u), c)
 
 
 def _product_rule(fs, x, memo, merges):
@@ -702,17 +745,17 @@ def sum_of_partials(parts, memos, merges=None):
 
 def _diff_atom(e, x, memo):
     """Derivative of a Pow or Func node that depends on `x`."""
-    if isinstance(e, Pow):
-        b, n = e.base, e.exponent
+    if isinstance(e, Pow):   # n/d - 1 is (n - d)/d, reduced as n/d is
+        b, n, d = e.base, e.num, e.den
         if isinstance(b, Func) and b.fname == "abs":
             du = _diff(b.arg, x, memo)
             if du.is_zero():
                 return ZERO
-            return mul(Rat(n), pow_(b, n - 1), func("sign", b.arg), du)
+            return mul(_rat(n, d), pow_(b, n - d, d), func("sign", b.arg), du)
         db = _diff(b, x, memo)
         if db.is_zero():
             return ZERO
-        return mul(Rat(n), pow_(b, n - 1), db)
+        return mul(_rat(n, d), pow_(b, n - d, d), db)
     if isinstance(e, Func):
         if e.fname == "sign":
             return ZERO
@@ -726,7 +769,7 @@ def _diff_atom(e, x, memo):
         if e.fname == "exp":
             return mul(e, du)
         if e.fname == "log":
-            return mul(pow_(e.arg, Fraction(-1)), du)
+            return mul(pow_(e.arg, -1, 1), du)
         if e.fname == "abs":
             raise DomainFunction(
                 "abs has no symbolic derivative rule (only even roots of abs do)")
@@ -753,7 +796,7 @@ def _subst(e, b, memo):
     r = memo.get(e)
     if r is None:
         if isinstance(e, Pow):
-            r = pow_(_subst(e.base, b, memo), e.exponent)
+            r = pow_(_subst(e.base, b, memo), e.num, e.den)
         elif isinstance(e, Func):
             r = func(e.fname, _subst(e.arg, b, memo))
         else:
@@ -779,7 +822,7 @@ def _eval(e, p, memo):
     if v is not None:
         return v
     if isinstance(e, Rat):
-        v = float(e.value)
+        v = e.num / e.den   # float(Fraction)'s division, OverflowError included
     elif isinstance(e, Var):
         try:
             v = float(p[e.name])
@@ -793,13 +836,12 @@ def _eval(e, p, memo):
             v *= _eval(f, p, memo)
     elif isinstance(e, Pow):
         b = _eval(e.base, p, memo)
-        n = e.exponent
-        if n.denominator != 1 and b < 0.0:
+        n, d = e.num, e.den
+        if d != 1 and b < 0.0:
             raise NumericDomain(f"even root of negative value {b}")
         if b == 0.0 and n < 0:
             raise NumericDomain("division by zero")
-        v = b ** (n.numerator if n.denominator == 1
-                  else n.numerator / n.denominator)
+        v = b ** (n if d == 1 else n / d)
     elif isinstance(e, Func):
         u = _eval(e.arg, p, memo)
         if e.fname == "log" and u <= 0.0:
@@ -845,7 +887,7 @@ def emit_numeric(e, names, lines, consts):
             continue
         if isinstance(node, Rat):
             try:
-                names[node] = f"({float(node.value)!r})"
+                names[node] = f"({node.num / node.den!r})"
             except OverflowError:
                 names[node] = f"v{len(lines)}"
                 consts[f"_c{len(lines)}"] = node.value
@@ -862,14 +904,14 @@ def emit_numeric(e, names, lines, consts):
         elif isinstance(node, Mul):
             rhs = " * ".join(["1.0"] + [names[f] for f in node.factors])
         elif isinstance(node, Pow):
-            b, n = names[node.base], node.exponent
-            if n.denominator == 1:
-                rhs = f"{b} ** ({n.numerator})"
+            b, n, d = names[node.base], node.num, node.den
+            if d == 1:
+                rhs = f"{b} ** ({n})"
             else:
                 # Python raises for 0.0 to a negative power and on overflow,
                 # but returns a complex for a negative base: escape first
                 lines.append(f"if {b} < 0.0: raise _Escape")
-                rhs = f"{b} ** {n.numerator / n.denominator!r}"
+                rhs = f"{b} ** {n / d!r}"
         elif node.fname == "abs":
             rhs = f"abs({names[node.arg]})"
         elif node.fname == "sign":
@@ -891,11 +933,10 @@ def _paren(s):
 
 
 def _print_pow(e):
-    num, den = e.exponent.numerator, e.exponent.denominator
+    num, den = e.num, e.den
     base = to_text(e.base)
     if isinstance(e.base, (Add, Mul)) or (isinstance(e.base, Rat)
-                                          and (e.base.value < 0
-                                               or e.base.value.denominator != 1)):
+                                          and (e.base.num < 0 or e.base.den != 1)):
         base = _paren(base)
     if den == 1:
         return f"{base}^{num}"
@@ -915,17 +956,26 @@ def _print_pow(e):
 def _print_factor(e):
     if isinstance(e, (Add,)):
         return _paren(to_text(e))
-    if isinstance(e, Rat) and (e.value < 0):
+    if isinstance(e, Rat) and e.num < 0:
         return _paren(to_text(e))
     if isinstance(e, Mul):
         return _paren(to_text(e))
     return to_text(e)
 
 
+def _term_text(n, d, fs):
+    """The text of the canonical term (n/d) * fs, n > 0, built from the
+    pair and the factor tuple without interning the term."""
+    if not fs:
+        return _qtext(n, d)
+    text = "*".join(_print_factor(f) for f in fs)
+    return text if n == 1 and d == 1 else f"{_qtext(n, d)}*{text}"
+
+
 def to_text(e):
     """Canonical text; re-parses to a structurally equal expression."""
     if isinstance(e, Rat):
-        return str(e.value)
+        return _qtext(e.num, e.den)
     if isinstance(e, Var):
         return e.name
     if isinstance(e, Func):
@@ -934,17 +984,13 @@ def to_text(e):
         return _print_pow(e)
     if isinstance(e, Mul):
         n, d, fs = _split_coeff(e)
-        if n < 0:
-            return "-" + to_text(_term(-n, d, fs))
-        return "*".join(_print_factor(f) for f in e.factors)
+        return ("-" if n < 0 else "") + _term_text(abs(n), d, fs)
     if isinstance(e, Add):
         parts = []
         for i, t in enumerate(e.terms):
             n, d, fs = _split_coeff(t)
-            if n < 0:
-                parts.append(("-" if i == 0 else " - ") + to_text(_term(-n, d, fs)))
-            else:
-                parts.append(("" if i == 0 else " + ") + to_text(t))
+            sign = ("-" if i == 0 else " - ") if n < 0 else ("" if i == 0 else " + ")
+            parts.append(sign + _term_text(abs(n), d, fs))
         return "".join(parts)
     raise TypeError(f"not an Expr: {e!r}")
 
@@ -1102,7 +1148,7 @@ def _parse_base(toks, val):
     tok = toks.next()
     kind, text = tok[0], tok[1]
     if kind == "num":
-        return Rat(Fraction(text))
+        return Rat(text)
     if kind == "(":
         e = _parse_expr(toks, val)
         toks.expect(")")

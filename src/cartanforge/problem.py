@@ -25,6 +25,7 @@ from .errors import (
     MissingArgument,
     ParseError,
     UnknownCoordinate,
+    UnknownVariable,
 )
 from .forms import FiberedMap, VectorField, total_space
 from .lagrangian import Lagrangian
@@ -188,7 +189,8 @@ def parse_guard(chart, text):
             try:
                 thr = float(right.strip())
             except ValueError:
-                raise ParseError(f"guard threshold {right.strip()!r} is not a number")
+                raise ParseError(f"numeric.require: guard threshold "
+                                 f"{right.strip()!r} is not a number")
             return Guard(_parse_at(chart, "numeric.require", left.strip()), op, thr)
     raise ParseError(f"guard {text!r} needs '>' or '<'")
 
@@ -293,11 +295,12 @@ def _tables(tree, group):
 
 
 def _parse_at(chart, where, text):
-    """chart.parse(text); a ParseError names `where`, the table and key."""
+    """chart.parse(text); an error in the text names `where`, the table and
+    key, and keeps its class."""
     try:
         return chart.parse(text)
-    except ParseError as err:
-        raise ParseError(f"{where}: {err}") from None
+    except (ParseError, UnknownCoordinate, UnknownVariable) as err:
+        raise type(err)(f"{where}: {err}") from None
 
 
 def _expr_rows(chart, rows, what, shape):

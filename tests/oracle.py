@@ -190,9 +190,10 @@ def pow_(base, exponent):
             return (ex.Rat(v ** e.numerator) if e > 0
                     else ex.Rat(Fraction(1) / v ** (-e.numerator)))
         if v >= 0:
-            root = ex._nth_root_exact(v, e.denominator)
-            if root is not None:
-                return pow_(ex.Rat(root), Fraction(e.numerator))
+            p = ex._iroot(v.numerator, e.denominator)
+            q = ex._iroot(v.denominator, e.denominator)
+            if p is not None and q is not None:
+                return pow_(ex.Rat(Fraction(p, q)), Fraction(e.numerator))
         return ex.Pow(base, e)
     if isinstance(base, ex.Pow):
         inner, ei = base.base, base.exponent

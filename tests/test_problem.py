@@ -74,6 +74,21 @@ def test_unknown_coordinate_rejected():
         pb.build_problem(pb.parse_toml_subset(bad))
 
 
+@pytest.mark.parametrize("extra, lagrangian, error, text", [
+    ("", "d(z,t)", UnknownCoordinate,
+     "lagrangian.L: 'z' is not a fiber coordinate"),
+    ('[section.line]\ncomponents = ["z"]\n', "1/2*d(q,t)^2", UnknownCoordinate,
+     "section.line.components: 'z' is not a coordinate of this chart"),
+    ('[numeric]\nrequire = ["q > x1"]\n', "1/2*d(q,t)^2", ParseError,
+     "numeric.require: guard threshold 'x1' is not a number"),
+])
+def test_expression_errors_name_their_table_and_key(extra, lagrangian, error, text):
+    bad = MINIMAL.replace("1/2*d(q,t)^2", lagrangian) + extra
+    with pytest.raises(error) as err:
+        pb.build_problem(pb.parse_toml_subset(bad))
+    assert str(err.value) == text
+
+
 def test_missing_lagrangian():
     with pytest.raises(ParseError):
         pb.build_problem(pb.parse_toml_subset("[bundle]\nbase = [\"t\"]\nfiber = [\"q\"]\n"))
