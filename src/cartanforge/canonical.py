@@ -153,9 +153,6 @@ class VerticalEndomorphism(Record):
     chart: object
     covectors: tuple
 
-    def component(self, y):
-        return self.covectors[self.chart.fiber_names.index(y)]
-
     def __sub__(self, other):
         if self.chart != other.chart:
             raise ChartMismatch("endomorphisms on different charts")

@@ -54,7 +54,8 @@ kept as an opaque factor that numeric evaluation resolves.  ``sign`` itself
 differentiates to 0 whatever its argument, which is not differentiated (its
 jump at 0 is ignored; numeric checks sample away from it with guards).
 
-``differentiate`` and ``substitute`` each keep a memo from ``Pow`` and
+``differentiate`` and ``substitute`` (whose walk with no bindings is
+``normalize``) each keep a memo from ``Pow`` and
 ``Func`` nodes to their result for one call, so an atom repeated across
 terms (the powers of ``abs(G)`` and ``sign(G)`` in the Nambu string's
 Poincare-Cartan form) is worked out once; an exception is never stored.
@@ -495,17 +496,11 @@ def mul(*factors):
             pn, pd, fs = _split_coeff(pow_(b, n, d))   # ONE when n == 0
             cn, cd = _qmul(cn, cd, pn, pd)
             out.extend(fs)
-        if cn == 0:
-            return ZERO
-        if Add in map(type, out):   # a merged power folded to a sum: expand it
+        # pow_ can fold a merged power to a sum, or to factors whose bases
+        # merge again (sqrt(x*y)^2 -> x*y beside x): one more mul settles it
+        if (Add in map(type, out)
+                or len({f.base if type(f) is Pow else f for f in out}) != len(out)):
             return mul(_rat(cn, cd), *out)
-        # pow_ folding can reintroduce merged bases; settle by one more pass
-        seen = {}
-        for f in out:
-            b, n, d = (f.base, f.num, f.den) if isinstance(f, Pow) else (f, 1, 1)
-            seen[b] = _qadd(*seen[b], n, d) if b in seen else (n, d)
-        if len(seen) != len(out):
-            return mul(_rat(cn, cd), *[pow_(b, n, d) for b, (n, d) in seen.items()])
 
     out.sort(key=_KEY)
     if not out:
@@ -630,21 +625,12 @@ def div(a, b):
 
 
 def normalize(e):
-    """Rebuild bottom-up through the canonicalizing constructors.
+    """Rebuild bottom-up through the canonicalizing constructors: the
+    substitution walk with no bindings.
 
     Idempotent: normal forms pass through unchanged.
     """
-    if isinstance(e, (Rat, Var)):
-        return e
-    if isinstance(e, Add):
-        return add(*(normalize(t) for t in e.terms))
-    if isinstance(e, Mul):
-        return mul(*(normalize(f) for f in e.factors))
-    if isinstance(e, Pow):
-        return pow_(normalize(e.base), e.num, e.den)
-    if isinstance(e, Func):
-        return func(e.fname, normalize(e.arg))
-    raise TypeError(f"not an Expr: {e!r}")
+    return _subst(e, {}, {})
 
 
 def free_vars(e):
@@ -718,16 +704,14 @@ def _product_rule(fs, x, memo, merges):
             continue
         others = fs[:i] + fs[i + 1:]
         base = {}
-        if not _merge(base, others, merges):
-            base = None
+        _merge(base, others, merges)   # distinct bases: nothing to decline
         for u in df.terms if type(df) is Add else (df,):
             un, ud, ufs = _split_coeff(u)
-            if base is not None:
-                by_base = dict(base)
-                if _merge(by_base, ufs, merges):
-                    products.append((un, ud, _monic(by_base)))
-                    continue
-            declined.append((others, u))
+            by_base = dict(base)
+            if _merge(by_base, ufs, merges):
+                products.append((un, ud, _monic(by_base)))
+            else:
+                declined.append((others, u))
     return products, declined
 
 
@@ -777,9 +761,8 @@ def _diff_atom(e, x, memo):
 
 
 def substitute(e, bindings):
-    """Simultaneous substitution of variables by expressions, normalized."""
-    if not bindings:
-        return normalize(e)
+    """Simultaneous substitution of variables by expressions, rebuilt
+    through the canonicalizing constructors (with no bindings, ``normalize``)."""
     return _subst(e, bindings, {})
 
 
@@ -928,16 +911,12 @@ def emit_numeric(e, names, lines, consts):
 # text form
 # ---------------------------------------------------------------------------
 
-def _paren(s):
-    return f"({s})"
-
-
 def _print_pow(e):
     num, den = e.num, e.den
     base = to_text(e.base)
     if isinstance(e.base, (Add, Mul)) or (isinstance(e.base, Rat)
                                           and (e.base.num < 0 or e.base.den != 1)):
-        base = _paren(base)
+        base = f"({base})"
     if den == 1:
         return f"{base}^{num}"
     # base^num re-parses to a power of base only for a Var or Func base or a
@@ -953,22 +932,12 @@ def _print_pow(e):
     return f"{inner}^{num}" if outer else inner
 
 
-def _print_factor(e):
-    if isinstance(e, (Add,)):
-        return _paren(to_text(e))
-    if isinstance(e, Rat) and e.num < 0:
-        return _paren(to_text(e))
-    if isinstance(e, Mul):
-        return _paren(to_text(e))
-    return to_text(e)
-
-
 def _term_text(n, d, fs):
     """The text of the canonical term (n/d) * fs, n > 0, built from the
     pair and the factor tuple without interning the term."""
     if not fs:
         return _qtext(n, d)
-    text = "*".join(_print_factor(f) for f in fs)
+    text = "*".join(map(to_text, fs))
     return text if n == 1 and d == 1 else f"{_qtext(n, d)}*{text}"
 
 

@@ -205,9 +205,6 @@ class VectorField(Record):
             out[n] = ex.add(out.get(n, ex.ZERO), c)
         return VectorField(self.space, out)
 
-    def scale(self, e):
-        return VectorField(self.space, {n: ex.mul(e, c) for n, c in self.comps.items()})
-
     def describe(self):
         if not self.comps:
             return "0"
@@ -267,9 +264,6 @@ class VectorValuedForm(Record):
 
     def is_zero(self):
         return all(f.is_zero() for f in self.comps)
-
-    def component(self, i):
-        return self.comps[i]
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,6 @@ and raises the rule's first error, in the tree walk's words.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from . import expr as ex
 from .canonical import (
@@ -387,7 +386,7 @@ def _seeded_gamma_tables(problem, rng, count):
     ch = problem.chart
 
     def coeff():
-        return ex.Rat(Fraction(rng.randint(-2, 2), rng.choice((1, 2))))
+        return ex.rat(rng.randint(-2, 2), rng.choice((1, 2)))
     return [{(y, x): ex.add(coeff(), *(ex.mul(coeff(), ex.var(n))
                                        for n in ch.e_coords()))
              for y in ch.fiber_names for x in ch.base_names}

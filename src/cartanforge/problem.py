@@ -9,7 +9,10 @@ Blocks: [bundle], [lagrangian], [connection.NAME], [vectorfield.NAME],
 [section.NAME], [jetfield.NAME], [diffeo.NAME], [numeric].  Expressions are
 strings in the engine's grammar and may reference jet coordinates d(y,x).
 Tables of expressions are nested arrays in fiber-major order: connection
-`gamma[A][mu]`, jet field `F[A][rho]` and `G[A][rho][mu]`.
+`gamma[A][mu]`, jet field `F[A][rho]` and `G[A][rho][mu]`; the base and
+fiber components of vector fields, sections and diffeos are flat arrays.
+One reader, `_expr_table`, checks each table's shape and returns it keyed
+by coordinate name, or by a tuple of names for a nested table.
 """
 
 from __future__ import annotations
@@ -303,112 +306,87 @@ def _parse_at(chart, where, text):
         raise type(err)(f"{where}: {err}") from None
 
 
-def _expr_rows(chart, rows, what, shape):
-    """Parse a nested array of expression strings, checking its shape."""
-    if not isinstance(rows, list):
-        raise ParseError(
-            f"{what}: expected an array, found {type(rows).__name__}")
-    if len(rows) != shape[0]:
-        raise ParseError(f"{what}: expected {shape[0]} rows, found {len(rows)}")
-    out = []
-    for row in rows:
-        if len(shape) == 1:
-            if not isinstance(row, str):
-                raise ParseError(f"{what}: expected expression strings")
-            out.append(_parse_at(chart, what, row))
-        else:
-            out.append(_expr_rows(chart, row, what, shape[1:]))
+def _expr_table(chart, body, table, key, axes, default=None):
+    """{name, or tuple of names: Expr} from `body[key]`, a nested array of
+    expression strings with one level per name tuple in `axes` (fiber
+    names first); `default` stands in for an absent key, and without one
+    the key is required."""
+    rows = body.get(key, default)
+    if rows is None:
+        raise MissingArgument(f"[{table}] needs {key}")
+    where = f"{table}.{key}"
+    out = {}
+
+    def read(rows, index):
+        names = axes[len(index)]
+        if not isinstance(rows, list):
+            raise ParseError(
+                f"{where}: expected an array, found {type(rows).__name__}")
+        if len(rows) != len(names):
+            raise ParseError(f"{where}: expected {len(names)} rows, found {len(rows)}")
+        for name, row in zip(names, rows):
+            if len(index) + 1 < len(axes):
+                read(row, index + (name,))
+            elif not isinstance(row, str):
+                raise ParseError(f"{where}: expected expression strings")
+            else:
+                out[index + (name,) if index else name] = _parse_at(chart, where, row)
+    read(rows, ())
     return out
 
 
 def _build_connection(chart, body, name):
-    rows = body.get("gamma")
-    if rows is None:
-        raise MissingArgument(f"[connection.{name}] needs a gamma table")
-    table = _expr_rows(chart, rows, f"connection.{name}.gamma",
-                       (chart.n_fields, chart.n_plus_1))
-    gamma = {}
-    for yi, y in enumerate(chart.fiber_names):
-        for xi, x in enumerate(chart.base_names):
-            gamma[(y, x)] = table[yi][xi]
-    return Connection(chart, gamma)
+    return Connection(chart, _expr_table(chart, body, f"connection.{name}", "gamma",
+                                         (chart.fiber_names, chart.base_names)))
 
 
 def _build_vectorfield(chart, body, name):
-    base = body.get("base", ["0"] * chart.n_plus_1)
-    fiber = body.get("fiber", ["0"] * chart.n_fields)
-    alphas = _expr_rows(chart, base, f"vectorfield.{name}.base", (chart.n_plus_1,))
-    betas = _expr_rows(chart, fiber, f"vectorfield.{name}.fiber", (chart.n_fields,))
-    comps = {}
+    table = f"vectorfield.{name}"
+    comps = {**_expr_table(chart, body, table, "base", (chart.base_names,),
+                           ["0"] * chart.n_plus_1),
+             **_expr_table(chart, body, table, "fiber", (chart.fiber_names,),
+                           ["0"] * chart.n_fields)}
     allowed = set(chart.e_coords())
-    for x, a in zip(chart.base_names, alphas):
-        comps[x] = a
-    for y, b in zip(chart.fiber_names, betas):
-        comps[y] = b
     for c in comps.values():
         if ex.free_vars(c) - allowed:
             raise UnknownCoordinate(
                 f"vectorfield {name} components must live on the total space")
-    vf = VectorField(total_space(chart), comps)
-    table = f"vectorfield.{name}"
     check = _value(body, table, "check", str, "symbolic")
     if check not in ("symbolic", "numeric"):
         raise ParseError(f'{table}.check: expected "symbolic" or "numeric", '
                          f"found {check!r}")
-    return VectorFieldDecl(vf, _value(body, table, "symmetry", bool), check)
+    return VectorFieldDecl(VectorField(total_space(chart), comps),
+                           _value(body, table, "symmetry", bool), check)
 
 
 def _build_section(chart, body, name):
-    comps = body.get("components")
-    if comps is None:
-        raise MissingArgument(f"[section.{name}] needs components")
-    parsed = _expr_rows(chart, comps, f"section.{name}.components", (chart.n_fields,))
-    return SectionDecl(SectionE(chart, tuple(parsed)),
-                       _value(body, f"section.{name}", "solution", bool))
+    table = f"section.{name}"
+    comps = _expr_table(chart, body, table, "components", (chart.fiber_names,))
+    return SectionDecl(SectionE(chart, tuple(comps.values())),
+                       _value(body, table, "solution", bool))
 
 
 def _build_jetfield(chart, body, name):
-    frows = body.get("F")
-    if frows is None:
-        raise MissingArgument(f"[jetfield.{name}] needs an F table")
-    ftab = _expr_rows(chart, frows, f"jetfield.{name}.F",
-                      (chart.n_fields, chart.n_plus_1))
-    F = {(y, x): ftab[yi][xi]
-         for yi, y in enumerate(chart.fiber_names)
-         for xi, x in enumerate(chart.base_names)}
-    G = {}
-    if "G" in body:
-        gtab = _expr_rows(chart, body["G"], f"jetfield.{name}.G",
-                          (chart.n_fields, chart.n_plus_1, chart.n_plus_1))
-        for yi, y in enumerate(chart.fiber_names):
-            for ri, xr in enumerate(chart.base_names):
-                for mi, xm in enumerate(chart.base_names):
-                    G[(y, xr, xm)] = gtab[yi][ri][mi]
     table = f"jetfield.{name}"
+    axes = (chart.fiber_names, chart.base_names)
+    F = _expr_table(chart, body, table, "F", axes)
+    G = (_expr_table(chart, body, table, "G", axes + (chart.base_names,))
+         if "G" in body else {})
     return JetFieldDecl(JetField2(chart, F, G),
                         _value(body, table, "el_solution", bool),
                         tuple(_strings(body, table, "integral_sections")))
 
 
 def _build_diffeo(chart, body, name):
-    base = body.get("base", list(chart.base_names))
-    fiber = body.get("fiber")
-    if fiber is None:
-        raise MissingArgument(f"[diffeo.{name}] needs fiber components")
-    base_exprs = _expr_rows(chart, base, f"diffeo.{name}.base",
-                            (chart.n_plus_1,))
-    fiber_exprs = _expr_rows(chart, fiber, f"diffeo.{name}.fiber",
-                             (chart.n_fields,))
-    inverse = None
-    if "base_inverse" in body:
-        inv = _expr_rows(chart, body["base_inverse"], f"diffeo.{name}.base_inverse",
-                         (chart.n_plus_1,))
-        inverse = dict(zip(chart.base_names, inv))
-    fmap = FiberedMap(chart,
-                      dict(zip(chart.base_names, base_exprs)),
-                      dict(zip(chart.fiber_names, fiber_exprs)),
-                      base_inverse=inverse)
-    return DiffeoDecl(fmap, _value(body, f"diffeo.{name}", "symmetry", bool))
+    table = f"diffeo.{name}"
+    base = (chart.base_names,)
+    fmap = FiberedMap(
+        chart,
+        _expr_table(chart, body, table, "base", base, list(chart.base_names)),
+        _expr_table(chart, body, table, "fiber", (chart.fiber_names,)),
+        base_inverse=(_expr_table(chart, body, table, "base_inverse", base)
+                      if "base_inverse" in body else None))
+    return DiffeoDecl(fmap, _value(body, table, "symmetry", bool))
 
 
 def build_problem(tree):

@@ -81,6 +81,8 @@ def test_unknown_coordinate_rejected():
      "section.line.components: 'z' is not a coordinate of this chart"),
     ('[numeric]\nrequire = ["q > x1"]\n', "1/2*d(q,t)^2", ParseError,
      "numeric.require: guard threshold 'x1' is not a number"),
+    ('[vectorfield.v]\nfiber = ["d(q,t)"]\n', "1/2*d(q,t)^2", UnknownCoordinate,
+     "vectorfield v components must live on the total space"),
 ])
 def test_expression_errors_name_their_table_and_key(extra, lagrangian, error, text):
     bad = MINIMAL.replace("1/2*d(q,t)^2", lagrangian) + extra
@@ -98,6 +100,41 @@ def test_connection_shape_checked():
     text = MINIMAL + "\n[connection.flat]\ngamma = [[\"0\", \"0\"]]\n"
     with pytest.raises(ParseError):
         pb.build_problem(pb.parse_toml_subset(text))
+
+
+# (block, key, nesting depth) of every expression table, and the keys each
+# block requires, with valid values, on MINIMAL's chart (one base, one fiber)
+TABLES = [("connection", "gamma", 2), ("vectorfield", "base", 1),
+          ("vectorfield", "fiber", 1), ("section", "components", 1),
+          ("jetfield", "F", 2), ("jetfield", "G", 3), ("diffeo", "base", 1),
+          ("diffeo", "fiber", 1), ("diffeo", "base_inverse", 1)]
+REQUIRED = {"connection": {"gamma": '[["0"]]'}, "vectorfield": {},
+            "section": {"components": '["q"]'}, "jetfield": {"F": '[["d(q,t)"]]'},
+            "diffeo": {"fiber": '["q"]'}}
+
+
+def _table_case(block, key, value):
+    """MINIMAL and a [block.x] table whose `key` is `value` (None: absent)."""
+    lines = {**REQUIRED[block], key: value}
+    return MINIMAL + f"\n[{block}.x]\n" + "".join(
+        f"{k} = {v}\n" for k, v in lines.items() if v is not None)
+
+
+@pytest.mark.parametrize("block, key, depth, case", [
+    (block, key, depth, case) for block, key, depth in TABLES
+    for case in ("scalar", "rows", "leaf", "missing")
+    if case != "missing" or key in REQUIRED[block]])
+def test_expression_table_errors(block, key, depth, case):
+    value, error, text = {
+        "scalar": ('"0"', ParseError, "expected an array, found str"),
+        "rows": ('["0", "0"]', ParseError, "expected 1 rows, found 2"),
+        "leaf": ("[" * depth + "1" + "]" * depth, ParseError,
+                 "expected expression strings"),
+        "missing": (None, MissingArgument, None)}[case]
+    with pytest.raises(error) as err:
+        pb.build_problem(pb.parse_toml_subset(_table_case(block, key, value)))
+    assert str(err.value) == (f"{block}.x.{key}: {text}" if text
+                              else f"[{block}.x] needs {key}")
 
 
 def test_jetfield_missing_F():

@@ -19,6 +19,7 @@ from cartanforge import expr as ex
 from cartanforge import forms as fm
 from cartanforge import lagrangian as lg
 from cartanforge.errors import NumericDomain
+from cartanforge.harness import run_identity_catalog
 from cartanforge.problem import parse_problem
 
 import randgen
@@ -104,8 +105,11 @@ def test_public_constructors_normalise_ints_fractions_and_text():
 
 def test_nambu_constructions_build_no_fraction(monkeypatch):
     # the kernels carry every rational as an int pair, so the paper's
-    # constructions build no Fraction (4,110 when nodes held Fractions)
-    lag = nambu()
+    # constructions build no Fraction (4,110 when nodes held Fractions), and
+    # neither does the identity catalog on the parsed problem (108 when its
+    # seeded gamma tables built each coefficient from a Fraction)
+    problem = parse_problem(os.path.join(PROBLEMS, "nambu_string.toml"))
+    lag = problem.lagrangian
     built = []
     real_new = Fraction.__new__
 
@@ -118,8 +122,9 @@ def test_nambu_constructions_build_no_fraction(monkeypatch):
     fm.exterior_d(forms.omega)
     lg.derive_el(lag)
     lg.jetfield_el(lag)
+    results = run_identity_catalog(problem)
     monkeypatch.undo()
-    assert forms.omega.coeffs
+    assert forms.omega.coeffs and results
     assert len(built) == 0
 
 
