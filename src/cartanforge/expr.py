@@ -45,8 +45,11 @@ merge kernel, ``_merge``, which merges same-base powers of a ``Var`` or
 ``Func`` and leaves any other collision to a full ``mul``.  Each merge (a
 pair of factors -> the merged factor) is memoized for one ``mul`` or
 ``sum_of_partials`` call, or for a whole ``exterior_d`` call, which passes
-one memo to every ``sum_of_partials`` it makes.  A sum of many parts is one
-``add(*parts)`` call, not a fold (README, "Symbolic kernels").
+one memo to every ``sum_of_partials`` it makes, or for a ``Lagrangian``'s
+lifetime, whose tables and d Theta share one.  A sum of many parts is one
+``add(*parts)`` call, not a fold, and the parser builds the opening run of
+rationals and atoms of each product in one ``mul`` (README, "Symbolic
+kernels").
 
 Differentiation of ``abs`` has no symbolic rule and raises, except through
 even roots: d sqrt(abs(u)) = u' * sign(u) / (2*sqrt(abs(u))), with ``sign``
@@ -64,8 +67,10 @@ it meets, under the factor tuple: built once as coefficient pairs and
 factor tuples, and scaled into the accumulator of every term with that
 monic part.  ``sum_of_partials`` takes one memo per variable from its
 caller, so ``exterior_d`` shares them, rules included, across its whole
-call.  A memo kept for the process raised the Nambu ``verify``'s peak RSS
-22 -> 47 MB.
+call, and a ``Lagrangian`` passes its own to its two tables of partials
+and to the ``exterior_d`` of Theta, so they live as long as it does.  No
+other memo outlives its call: a memo kept for the process raised the
+Nambu ``verify``'s peak RSS 22 -> 47 MB.
 
 Numeric evaluation has two forms.  ``evaluate_numeric``, a walk over the
 DAG, gives single values and the text of every error (a domain failure is a
@@ -978,6 +983,8 @@ def to_text(e):
 # variables with exactly that spelling; a chart may canonicalize them later.
 
 _JET_ARITY = {"d": 2, "a": 2, "dd": 3, "b": 3}
+# only ASCII digits: str.isdigit() also takes '²' or '①', which int() refuses
+_DIGITS = frozenset("0123456789")
 
 
 class _Tokens:
@@ -1001,22 +1008,22 @@ class _Tokens:
             if ch.isspace():
                 i += 1
                 continue
-            if ch.isdigit():
+            if ch in _DIGITS:
                 j = i + 1
-                while j < n and t[j].isdigit():
+                while j < n and t[j] in _DIGITS:
                     j += 1
                 if j < n and t[j] == ".":
                     j += 1
-                    while j < n and t[j].isdigit():
+                    while j < n and t[j] in _DIGITS:
                         j += 1
                 m = j   # the mantissa's end
                 if j < n and t[j] in "eE":
                     k = j + 1
                     if k < n and t[k] in "+-":
                         k += 1
-                    if k < n and t[k].isdigit():
+                    if k < n and t[k] in _DIGITS:
                         j = k + 1
-                        while j < n and t[j].isdigit():
+                        while j < n and t[j] in _DIGITS:
                             j += 1
                 # Fraction(text) converts every digit and builds 10^|exp| first
                 if m - i > 4_300 or j - m > 6:
@@ -1027,7 +1034,7 @@ class _Tokens:
                 continue
             if ch.isalpha() or ch == "_":
                 j = i + 1
-                while j < n and (t[j].isalnum() or t[j] == "_"):
+                while j < n and (t[j].isalpha() or t[j] in _DIGITS or t[j] == "_"):
                     j += 1
                 self.toks.append(("ident", t[i:j], i))
                 i = j
@@ -1082,20 +1089,51 @@ def _parse_expr(toks, val):
     op = toks.next()[0] if toks.peek()[0] == "-" else "+"
     terms = []
     while True:
-        t = _parse_term(toks, val)
-        terms.append(t if op == "+" else mul(MINUS_ONE, t))
+        terms.append(_parse_term(toks, val, 1 if op == "+" else -1))
         if toks.peek()[0] not in ("+", "-"):
             return add(*terms)
         op = toks.next()[0]
 
 
-def _parse_term(toks, val):
-    e = _parse_factor(toks, val)
-    while toks.peek()[0] in ("*", "/"):
-        op = toks.next()[0]
+def _parse_term(toks, val, sign):
+    """`sign` (1 or -1) times the factors joined by '*' and '/', multiplied
+    as the left-to-right fold ``mul(e, f)`` (``div``) gives them: ``mul`` is
+    not associative on powers of a rational or a product.  The opening run
+    of rationals and atoms (a Var, a Func or a Pow of either) is one ``mul``,
+    with the sign in its coefficient; their merges never fold further, so it
+    equals the fold.  Each rational is interned as it joins the coefficient,
+    so an oversized one raises where the fold raised it."""
+    n, d, atoms = 1, 1, []   # the opening run: coefficient pair and atoms
+    e = None                 # the fold, from the first factor after the run
+    op = None
+    while True:
         f = _parse_factor(toks, val)
-        e = mul(e, f) if op == "*" else div(e, f)
-    return e
+        if op == "/":
+            f = pow_(f, -1, 1)
+        t = type(f)
+        if e is not None:
+            e = mul(e, f)
+        elif t is Rat:
+            n, d = _qmul(n, d, f.num, f.den)
+            _rat(n, d)   # an oversized coefficient raises here, as in the fold
+        elif t is Var or t is Func or t is Pow and type(f.base) in (Var, Func):
+            atoms.append(f)
+        else:
+            e = f if op is None else mul(_run(n, d, atoms), f)
+        if toks.peek()[0] not in ("*", "/"):
+            if e is None:
+                return _run(sign * n, d, atoms)
+            return e if sign == 1 else mul(MINUS_ONE, e)
+        op = toks.next()[0]
+
+
+def _run(n, d, atoms):
+    """``mul(_rat(n, d), *atoms)``, with no call for a lone factor."""
+    if not atoms:
+        return _rat(n, d)
+    if len(atoms) == 1 and n == 1 and d == 1:
+        return atoms[0]
+    return mul(_rat(n, d), *atoms)
 
 
 def _parse_factor(toks, val):
@@ -1117,7 +1155,7 @@ def _parse_base(toks, val):
     tok = toks.next()
     kind, text = tok[0], tok[1]
     if kind == "num":
-        return Rat(text)
+        return _rat(int(text)) if text.isdigit() else Rat(text)
     if kind == "(":
         e = _parse_expr(toks, val)
         toks.expect(")")

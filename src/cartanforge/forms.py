@@ -160,19 +160,24 @@ def wedge(a, b):
     return Form(a.space, a.degree + b.degree, {k: ex.add(*ts) for k, ts in out.items()})
 
 
-def exterior_d(a):
-    """d of a form.  Contributions are grouped by output key, and each
-    output coefficient is built in one accumulator, one key at a time.  One
-    derivative memo per coordinate, which also keeps the product rule of
-    each monic part, and one merge memo serve the whole call."""
+def exterior_d(a, factor=1, memos=None, merges=None):
+    """`factor` * d of a form, `factor` an integer.  Contributions are
+    grouped by output key, and each output coefficient is built in one
+    accumulator, one key at a time, the factor taken into each part's sign.
+    One derivative memo per coordinate, which also keeps the product rule of
+    each monic part, and one merge memo serve the whole call: the caller's
+    `memos` (coordinate -> ``_diff`` memo, one for every coordinate of the
+    space) and `merges` when it passes them, as `Lagrangian` does for d
+    Theta, else fresh ones that die with the call."""
     sp = a.space
     parts = {}   # output key -> [(sign, coefficient, coordinate)]
     for key, c in a.coeffs.items():
         for i, name in enumerate(sp.coords):
             if i not in key and name in ex.free_vars(c):
                 sign, merged = _merge_keys((i,), key)
-                parts.setdefault(merged, []).append((sign, c, name))
-    memos, merges = {name: {} for name in sp.coords}, {}
+                parts.setdefault(merged, []).append((factor * sign, c, name))
+    if memos is None:
+        memos, merges = {name: {} for name in sp.coords}, {}
     return Form(sp, a.degree + 1, {k: ex.sum_of_partials(ps, memos, merges)
                                    for k, ps in parts.items()})
 

@@ -10,13 +10,19 @@ local expressions, and Omega is taken as -d Theta:
 
 `Lagrangian.partials` maps every jet coordinate z to dL/dz, built whole on
 first use and kept on the instance (not a field: equality and hashing see
-only `chart` and `L`); `second_partials` and `cartan_forms` keep theirs
-there too.  The momenta, both Euler-Lagrange routes, `energy_density`,
-`legendre_difference`, `noether.total_variation` and the catalog's
-finite-difference check all read it.  The routes the catalog compares the
-constructions against take their own d(L omega) and never read it:
-`vartheta_intrinsic`, `energy_intrinsic` and hypothesis (b) of
-`noether.jetfield_noether_check`.
+only `chart` and `L`); `second_partials`, `drift` and `cartan_forms` keep
+theirs there too.  The momenta, both Euler-Lagrange routes,
+`energy_density`, `legendre_difference`, `noether.total_variation` and the
+catalog's finite-difference check all read `partials`.  The routes the
+catalog compares the constructions against take their own d(L omega) and
+never read it: `vartheta_intrinsic`, `energy_intrinsic` and hypothesis (b)
+of `noether.jetfield_noether_check`.
+
+The two tables and Omega = -d Theta take their derivatives through one
+``_diff`` memo per jet coordinate and one merge memo, also kept on the
+instance: the product rule of each monic part of L and of the momenta
+(Theta's coefficients) is built once, and lives as long as the Lagrangian.
+The catalog's d Omega keeps its memos for its own call only.
 
 The constructors only build: `cartan_forms` and `energy_density` follow
 these display formulas.  The independent intrinsic routes, contractions
@@ -29,7 +35,8 @@ The Euler-Lagrange equations come by two routes, along sections
 (`derive_el`) and for second-order jet fields (`jetfield_el`).  As L is
 first order, both are affine in the second-order slot s of D_mu:
 EL_A = a_A - H^{mu nu}_{AB} s^B_{nu mu} with H = d2L/dv^A_mu dv^B_nu, read
-with the drift a_A from the one table `Lagrangian.second_partials`.  The
+with the drift a_A (`Lagrangian.drift`, built once for both routes and
+`ELJetProblem.solve`) from the one table `Lagrangian.second_partials`.  The
 routes differ only in what fills s: the symmetric second-jet symbols
 dd(y,x,x') or the jet field's unknowns G(y,x_rho,x_mu).
 """
@@ -58,18 +65,44 @@ class Lagrangian(Record):
                 f"Lagrangian references non-jet names {sorted(extra)}")
 
     @cached_property
+    def _memos(self):
+        """One ``_diff`` memo per jet coordinate and one merge memo, shared by
+        `partials`, `second_partials` and the exterior derivative of Theta:
+        the product rule of each monic part is built once per coordinate, and
+        lives as long as this Lagrangian."""
+        return {z: {} for z in self.chart.jet_coords()}, {}
+
+    @cached_property
     def partials(self):
         """dL/dz for every jet coordinate z, taken once on first use; a
         partial with no symbolic rule (`abs`) raises on that first use."""
-        return {z: ex.differentiate(self.L, z) for z in self.chart.jet_coords()}
+        return {z: ex.sum_of_partials(((1, self.L, z),), *self._memos)
+                for z in self.chart.jet_coords()}
 
     @cached_property
     def second_partials(self):
         """(v, z) -> d(dL/dv)/dz for every velocity v and jet coordinate z
         where it is not zero; for z a velocity this is the Hessian H."""
-        table = {(v, z): ex.differentiate(self.partials[v], z)
+        table = {(v, z): ex.sum_of_partials(((1, self.partials[v], z),), *self._memos)
                  for v in self.chart.v_names() for z in self.chart.jet_coords()}
         return {k: d for k, d in table.items() if not d.is_zero()}
+
+    @cached_property
+    def drift(self):
+        """y^A -> a_A = dL/dy^A - H[v, x_mu] - v^B_mu H[v, y^B], v = v^A_mu:
+        EL_A with the second-order slot of D_mu left out (`_el_equations`)."""
+        ch, h = self.chart, self.second_partials
+        out = {}
+        for y in ch.fiber_names:
+            terms = [self.partials[y]]
+            for x in ch.base_names:
+                v = v_name(y, x)
+                slots = [(ex.ONE, x)] + [(ex.var(v_name(b, x)), b)
+                                         for b in ch.fiber_names]
+                terms += [ex.mul(ex.MINUS_ONE, c, h[(v, z)])
+                          for c, z in slots if (v, z) in h]
+            out[y] = ex.add(*terms)
+        return out
 
     def momentum(self, y, x):
         """p^A_mu = dL/dv^A_mu."""
@@ -92,8 +125,9 @@ def cartan_forms(lag):
     formula: with m base coordinates and y^A at jet index m + A,
     theta^A ^ i(d/dx^mu) omega has (-1)^(mu+m-1) on the key (0..m-1 without
     mu, m + A) and -v^A_mu on omega's.  The catalog compares vartheta with
-    `vartheta_intrinsic`.  Kept on the Lagrangian, like `partials`, so they
-    live as long as it does."""
+    `vartheta_intrinsic`.  Omega = -d Theta takes its sign inside
+    `exterior_d`'s accumulators and the Lagrangian's derivative memos.  Kept
+    on the Lagrangian, like `partials`, so they live as long as it does."""
     cf = lag.__dict__.get("cartan_forms")
     if cf is not None:
         return cf
@@ -112,7 +146,7 @@ def cartan_forms(lag):
             on_om.append(ex.mul(ex.MINUS_ONE, ex.var(v_name(y, x)), p))
     vt = Form(js, m, {**table, om: ex.add(*on_om)})
     big_theta = Form(js, m, {**table, om: ex.add(lag.L, *on_om)})
-    big_omega = exterior_d(big_theta).scale(ex.MINUS_ONE)
+    big_omega = exterior_d(big_theta, -1, *lag._memos)
     cf = lag.__dict__["cartan_forms"] = CartanForms(vt, big_theta, big_omega)
     return cf
 
@@ -144,24 +178,22 @@ class ELSystem(Record):
         return {y: ex.substitute(c, sub) for y, c in self.components.items()}
 
 
-def _el_equations(lag, second=None):
+def _el_equations(lag, second):
     """EL_A = dL/dy^A - D_mu(dL/dv^A_mu) from `Lagrangian.second_partials`:
     D_mu p^A_mu = H[v, x_mu] + v^B_mu H[v, y^B] + second(B,nu,mu) H[v, v^B_nu]
-    with v = v^A_mu.  With no `second` the last sum drops: the drift a_A."""
+    with v = v^A_mu, so EL_A is the drift a_A less the last sum."""
     ch = lag.chart
     h = lag.second_partials
     out = {}
-    for y in ch.fiber_names:
-        terms = [lag.partials[y]]
+    for y, a in lag.drift.items():
+        terms = []
         for x in ch.base_names:
             v = v_name(y, x)
-            slots = [(ex.ONE, x)] + [(ex.var(v_name(b, x)), b) for b in ch.fiber_names]
-            if second:
-                slots += [(ex.var(second(b, nu, x)), v_name(b, nu))
-                          for b in ch.fiber_names for nu in ch.base_names]
-            terms += [ex.mul(ex.MINUS_ONE, c, h[(v, z)])
-                      for c, z in slots if (v, z) in h]
-        out[y] = ex.add(*terms)
+            slots = [(second(b, nu, x), v_name(b, nu))
+                     for b in ch.fiber_names for nu in ch.base_names]
+            terms += [ex.mul(ex.MINUS_ONE, ex.var(s), h[(v, z)])
+                      for s, z in slots if (v, z) in h]
+        out[y] = ex.add(a, *terms)
     return out
 
 
@@ -268,13 +300,11 @@ class ELJetProblem(Record):
     def solve(self):
         lag = self.lagrangian
         h = lag.second_partials
-        drift = _el_equations(lag)
         rows = []
         for y in sorted(self.equations):
-            coeffs = [ex.mul(ex.MINUS_ONE,
-                             h.get((v_name(y, xm), v_name(b, xr)), ex.ZERO))
-                      for b, xr, xm in _g_slots(lag.chart)]
-            rows.append((coeffs, ex.mul(ex.MINUS_ONE, drift[y])))
+            keys = [(v_name(y, xm), v_name(b, xr)) for b, xr, xm in _g_slots(lag.chart)]
+            coeffs = [ex.mul(ex.MINUS_ONE, h[k]) if k in h else ex.ZERO for k in keys]
+            rows.append((coeffs, ex.mul(ex.MINUS_ONE, lag.drift[y])))
 
         nuns = len(self.unknowns)
         pivot_cols = []

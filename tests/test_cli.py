@@ -381,6 +381,20 @@ def test_oversized_rational_exits_2(tmp_path, capsys, L, message):
     assert err == message + "\n"
 
 
+@pytest.mark.parametrize("L, col", [("d(q,t)^2*²", 10), ("d(q,t)^²", 8)])
+def test_non_decimal_digit_exits_2(tmp_path, capsys, L, col):
+    # str.isdigit() takes '²': it must end in a ParseError, not int()'s
+    # ValueError and a traceback
+    with open(prob("free_particle.toml"), encoding="utf-8") as f:
+        text = f.read()
+    path = tmp_path / "free_particle.toml"
+    path.write_text(text.replace('L = "1/2*d(q,t)^2"', f'L = "{L}"'),
+                    encoding="utf-8")
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: lagrangian.L: unexpected character '²' (line 1, col {col})\n"
+
+
 
 def test_closed_stdout_is_not_a_traceback():
     # the reader takes one line and closes the pipe, as `| head -1` does;

@@ -5,6 +5,7 @@ import gc
 import math
 import os
 import pickle
+import re
 import weakref
 
 import pytest
@@ -209,6 +210,81 @@ def test_parser_multiplies_left_to_right():
     assert ex.to_text(folded) == "2*sqrt(2)"
     assert ex.to_text(ex.mul(s, s, s)) == "sqrt(2)^3"
     assert ex.parse("sqrt(2)*sqrt(2)*sqrt(2)") is folded
+
+
+def parser_factors(seed):
+    # every atom (a Var, a Func, or a Pow of either) of the randgen smooth
+    # and wild corpora, some of their powers, roots of rationals (whose
+    # exponents add up to rationals and back to roots), sums and rationals
+    r = randgen.rng(seed)
+    atoms, stack = set(), [f(r, ["x", "y"], 3) for f in
+                           (randgen.smooth_expr, randgen.wild_expr) for _ in range(8)]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, (ex.Var, ex.Func)) or (
+                isinstance(e, ex.Pow) and isinstance(e.base, (ex.Var, ex.Func))):
+            atoms.add(e)
+        stack.extend(getattr(e, "terms", ()) + getattr(e, "factors", ()))
+        stack.extend(c for c in (getattr(e, "base", None), getattr(e, "arg", None)) if c)
+    atoms = sorted(atoms, key=ex.to_text)
+    return [
+        atoms,
+        [ex.pow_(a, k) for a in atoms[:6] for k in (-2, -1, 2, 3)],
+        [ex.pow_(ex.rat(b), n, d) for b, n, d in
+         ((2, 1, 2), (2, 1, 4), (2, -1, 2), (2, 3, 4), (ex.Fraction(3, 2), 1, 2))],
+        [ex.add(x, ex.rat(1)), ex.pow_(ex.add(x, y), 1, 2),
+         ex.mul(ex.rat(2), x, ex.pow_(ex.rat(2), 1, 2)), ex.mul(x, y)],
+        [ex.rat(q) for q in (2, -3, ex.Fraction(1, 2), ex.Fraction(-5, 4), 0)],
+    ]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_parser_runs_equal_the_fold(seed):
+    # a product in one mul, where that is the fold: atoms and rationals only
+    # merge by adding exponents; roots of rationals and sums fold left to right
+    kinds = parser_factors(seed)
+    r = randgen.rng(100 + seed)
+    for _ in range(400):
+        chosen = [r.choice(r.choice(kinds)) for _ in range(r.randint(1, 6))]
+        ops = [r.choice("**/") for _ in chosen[1:]]
+        text = "(" + ex.to_text(chosen[0]) + ")" + "".join(
+            f" {op} ({ex.to_text(f)})" for op, f in zip(ops, chosen[1:]))
+        factors = [ex.parse("(" + ex.to_text(f) + ")") for f in chosen]
+
+        def fold():
+            return functools.reduce(
+                lambda e, of: ex.mul(e, of[1]) if of[0] == "*" else ex.div(e, of[1]),
+                zip(ops, factors[1:]), factors[0])
+
+        try:
+            want = fold()
+        except (NumericDomain, ExpressionTooLarge) as exc:   # division by 0
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                ex.parse(text)
+            continue
+        assert ex.parse(text) is want, text
+        assert ex.parse("-" + text) is ex.mul(ex.MINUS_ONE, want), text
+
+
+@pytest.mark.parametrize("text", ["2^10000*2^10000*2^-10000*x",
+                                  "2^10000*x*2^10000*2^-10000",
+                                  "2^10000*2^10000*)"])
+def test_parser_rejects_an_oversized_coefficient_where_the_fold_did(text):
+    # the fold builds 2^20000 before the third factor (or the stray ')')
+    with pytest.raises(ExpressionTooLarge, match="a rational would pass"):
+        ex.parse(text)
+
+
+def test_parser_folds_every_factor_after_the_opening_run():
+    # the fold's coefficients are 2^-10000, 1 and 2^10000: a run after the
+    # root, with 2^10000 * 2^10000 in one coefficient, would raise
+    text = "(2^-10000*sqrt(3))*2^10000*2^10000*x"
+    want = ex.mul(ex.rat(2 ** 10000), ex.pow_(ex.rat(3), 1, 2), x)
+    assert ex.parse(text) is want
+
+
+def test_parser_run_with_a_zero_coefficient():
+    assert ex.parse("0*x/2") is ex.ZERO
 
 
 def test_no_loop_in_the_package_folds_a_sum():

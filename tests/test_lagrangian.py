@@ -1,5 +1,6 @@
 import gc
 import os
+from types import SimpleNamespace
 
 import pytest
 
@@ -9,6 +10,7 @@ from cartanforge import expr as ex
 from cartanforge import forms as fm
 from cartanforge import harness as hz
 from cartanforge import lagrangian as lg
+from cartanforge.errors import ExpressionTooLarge
 from cartanforge.problem import parse_problem
 
 import oracle
@@ -203,7 +205,7 @@ def test_solve_rows_are_the_derivatives_of_the_equations():
     for lag in table_lagrangians():
         prob = lg.jetfield_el(lag)
         h = lag.second_partials
-        drift = lg._el_equations(lag)
+        drift = lag.drift
         zero = {u: ex.ZERO for u in prob.unknowns}
         for y, eq in prob.equations.items():
             assert ex.mul(ex.MINUS_ONE, drift[y]) is ex.mul(
@@ -509,3 +511,104 @@ def test_omega_is_closed():
         assert ok and 0.0 < worst <= 1e-9, (i, worst)
         assert detail == "numeric zero (seed 815, 100 points)"
     assert in_value_only == [32, 41]
+
+
+# -- one derivative memo per Lagrangian -----------------------------------------
+
+def product_parts(e, x, out):
+    # add to `out` the (x, monic part) of every product term whose product
+    # rule differentiating e by x builds, nested ones included
+    if x not in ex.free_vars(e):
+        return
+    if isinstance(e, (ex.Add, ex.Mul)):
+        for t in e.terms if isinstance(e, ex.Add) else (e,):
+            if not isinstance(t, ex.Mul):
+                product_parts(t, x, out)
+            elif x in ex.free_vars(t):
+                fs = t.factors[1:] if isinstance(t.factors[0], ex.Rat) else t.factors
+                if (x, fs) not in out:
+                    out.add((x, fs))
+                    for f in fs:
+                        product_parts(f, x, out)
+    elif isinstance(e, ex.Pow):
+        product_parts(e.base, x, out)
+    elif isinstance(e, ex.Func) and e.fname != "sign":
+        product_parts(e.arg, x, out)
+
+
+def distinct_product_parts(lag):
+    """The (coordinate, monic part) pairs over the partials of L, of its
+    momenta and of Theta's coefficients: one product rule each."""
+    out = set()
+    coords = lag.chart.jet_coords()
+    for z in coords:
+        product_parts(lag.L, z, out)
+        for v in lag.chart.v_names():
+            product_parts(lag.partials[v], z, out)
+    theta = lg.cartan_forms(lag).theta
+    for key, c in theta.coeffs.items():
+        for i, z in enumerate(coords):
+            if i not in key:
+                product_parts(c, z, out)
+    return out
+
+
+def build(chart, L, cartan_first, counter):
+    # a fresh Lagrangian, its constructions in one of the two orders; the
+    # product rules are counted over the tables and cartan_forms only
+    lag = lg.Lagrangian(chart, L)
+    counter.on = True
+    if cartan_first:
+        cf = lg.cartan_forms(lag)
+    _ = lag.second_partials
+    counter.on = False
+    el, jet = lg.derive_el(lag), lg.jetfield_el(lag)
+    try:
+        pivots = jet.solve().pivots
+    except ExpressionTooLarge as exc:   # nambu's elimination passes the limit
+        pivots = str(exc)
+    counter.on = True
+    if not cartan_first:
+        cf = lg.cartan_forms(lag)
+    counter.on = False
+    return lag, cf, el, jet, pivots
+
+
+def test_tables_and_d_theta_share_one_derivative_memo(monkeypatch):
+    rule = ex._product_rule
+
+    def counted(*args):
+        counter.calls += counter.on
+        return rule(*args)
+
+    counter = SimpleNamespace(calls=0, on=False)
+    monkeypatch.setattr(ex, "_product_rule", counted)
+    nambu = parse_problem(os.path.join(CORPUS, "nambu_string.toml")).lagrangian
+    for lag in cartan_lagrangians():
+        counts, built = [], []
+        for cartan_first in (True, False):
+            counter.calls = 0
+            built.append(build(lag.chart, lag.L, cartan_first, counter))
+            counts.append(counter.calls)
+        (a, cfa, ela, jeta, piva), (b, cfb, elb, jetb, pivb) = built
+        parts = distinct_product_parts(a)
+        assert counts == [len(parts)] * 2
+        if lag == nambu:
+            assert len(parts) == 228
+        for got in (a, b):
+            # the old route: a fresh memo for every partial
+            coords = lag.chart.jet_coords()
+            assert all(got.partials[z] is ex.differentiate(lag.L, z) for z in coords)
+            want = {(v, z): ex.differentiate(got.partials[v], z)
+                    for v in lag.chart.v_names() for z in coords}
+            h = got.second_partials
+            assert h.keys() == {k for k, d in want.items() if not d.is_zero()}
+            assert all(h[k] is want[k] for k in h)
+        # nodes are interned, so == on these tables is `is` on every entry
+        assert (a.partials, a.second_partials, a.drift) == (
+            b.partials, b.second_partials, b.drift)
+        # the old route of Omega, .scale(-1), is test_omega_is_minus_d_theta's
+        assert (cfa, ela.components, jeta.equations, piva) == (
+            cfb, elb.components, jetb.equations, pivb)
+        assert ela.components == reference_el(a, lag.chart.w)
+        assert jeta.equations == reference_el(a, lg.g_unknown)

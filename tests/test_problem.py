@@ -83,12 +83,26 @@ def test_unknown_coordinate_rejected():
      "numeric.require: guard threshold 'x1' is not a number"),
     ('[vectorfield.v]\nfiber = ["d(q,t)"]\n', "1/2*d(q,t)^2", UnknownCoordinate,
      "vectorfield v components must live on the total space"),
+    ("", "d(q,t)^2*²", ParseError, "lagrangian.L: unexpected character '²' (line 1, col 10)"),
+    ("", "d(q,t)^²", ParseError, "lagrangian.L: unexpected character '²' (line 1, col 8)"),
 ])
 def test_expression_errors_name_their_table_and_key(extra, lagrangian, error, text):
     bad = MINIMAL.replace("1/2*d(q,t)^2", lagrangian) + extra
     with pytest.raises(error) as err:
         pb.build_problem(pb.parse_toml_subset(bad))
     assert str(err.value) == text
+
+
+@pytest.mark.parametrize("text, message", [
+    ("①*q", "unexpected character '①' (line 1, col 1)"),
+    ("q*0.5e²", "unexpected character '²' (line 1, col 7)"),
+    ("٣*x", "unexpected character '٣' (line 1, col 1)"),
+])
+def test_only_ascii_digits_are_digits(text, message):
+    # str.isdigit() is true of '①', '²' and '٣'; none is a number here
+    with pytest.raises(ParseError) as err:
+        ex.parse(text)
+    assert str(err.value) == message
 
 
 def test_missing_lagrangian():
