@@ -27,13 +27,11 @@ from .forms import (
     VectorValuedForm,
     coordinate_field,
     d_coord,
-    exterior_d,
     interior,
     jet_space,
     pullback,
     pullback_by_section,
     replace_covectors,
-    scalar_form,
     total_space,
     volume_form,
     wedge,
@@ -162,23 +160,24 @@ class VerticalEndomorphism(Record):
     def contract_with_dL(self, lag_expr):
         """i(endo) d(L*omega), assembled through honest interior products.
 
-        Contract the d/dv output slot against dL and the d/dx slot against
-        the volume form, leaving covector ^ (n-form).
+        The d/dv output slot contracts against dL: i(d/dv) dL is dL/dv, so
+        L is differentiated only along the velocities contracted, never
+        along the coordinates whose partials no slot reads.  The d/dx slot
+        contracts against the volume form, leaving covector ^ (n-form).
         """
         ch = self.chart
         js = jet_space(ch)
-        dL = exterior_d(scalar_form(js, lag_expr))
         omega = volume_form(js)
         out = {}
         for y, cov in zip(ch.fiber_names, self.covectors):
             for x in ch.base_names:
-                slot = interior(coordinate_field(js, v_name(y, x)), dL).as_scalar()
+                slot = ex.differentiate(lag_expr, v_name(y, x))
                 if slot.is_zero():
                     continue
                 piece = wedge(cov, interior(coordinate_field(js, x), omega))
                 for k, c in piece.coeffs.items():
-                    out.setdefault(k, []).append(ex.mul(slot, c))
-        return Form(js, ch.n_plus_1, {k: ex.add(*ts) for k, ts in out.items()})
+                    out.setdefault(k, []).append((slot, c))
+        return Form(js, ch.n_plus_1, {k: ex.sum_of_products(ps) for k, ps in out.items()})
 
 
 def vertical_endo_V(chart):
@@ -207,12 +206,12 @@ def prolong_vectorfield(Z: VectorField):
     comps = dict(Z.comps)
     for y in ch.fiber_names:
         for mu in ch.base_names:
-            terms = [total_derivative(ch, Z.component(y), mu)]
+            products = [(total_derivative(ch, Z.component(y), mu),)]
             for rho in ch.base_names:
                 if not d_alpha[(rho, mu)].is_zero():
-                    terms.append(ex.mul(ex.MINUS_ONE, ex.var(v_name(y, rho)),
-                                        d_alpha[(rho, mu)]))
-            comps[v_name(y, mu)] = ex.add(*terms)
+                    products.append((ex.MINUS_ONE, ex.var(v_name(y, rho)),
+                                     d_alpha[(rho, mu)]))
+            comps[v_name(y, mu)] = ex.sum_of_products(products)
     return VectorField(jet_space(ch), comps)
 
 
@@ -245,7 +244,7 @@ def prolong_diffeo(phi_map):
         slope = {nu: total_derivative(ch, phi_map.fiber_components[y], nu)
                  for nu in ch.base_names}
         for mu in ch.base_names:
-            comps[v_name(y, mu)] = ex.add(*(
-                ex.mul(slope[nu], jinv[(nu, mu)]) for nu in ch.base_names
-                if not jinv[(nu, mu)].is_zero()))
+            comps[v_name(y, mu)] = ex.sum_of_products(
+                (slope[nu], jinv[(nu, mu)]) for nu in ch.base_names
+                if not jinv[(nu, mu)].is_zero())
     return CoordMap(js, js, comps)

@@ -179,13 +179,13 @@ def total_derivative(chart, e, x):
     slots = [(v_name(b, x), b) for b in chart.fiber_names]
     slots += [(chart.w(b, nu, x), v_name(b, nu))
               for b in chart.fiber_names for nu in chart.base_names]
-    terms = [ex.differentiate(e, x, declared=declared)]
+    products = [(ex.differentiate(e, x, declared=declared),)]
     for coefficient, name in slots:
         if name in free:
             d = ex.differentiate(e, name, declared=declared)
             if not d.is_zero():
-                terms.append(ex.mul(ex.var(coefficient), d))
-    return ex.add(*terms)
+                products.append((ex.var(coefficient), d))
+    return ex.sum_of_products(products)
 
 
 def prolong_section(phi: SectionE) -> SectionJ1:

@@ -83,8 +83,8 @@ def horizontal_split(conn, X):
         if not f.is_zero():
             hor[x] = f
     for y in ch.fiber_names:
-        lift = ex.add(*(ex.mul(X.component(x), conn.gamma[(y, x)])
-                        for x in ch.base_names))
+        lift = ex.sum_of_products((X.component(x), conn.gamma[(y, x)])
+                                  for x in ch.base_names)
         hor[y] = lift
         ver[y] = ex.sub(X.component(y), lift)
     return VectorField(sp, hor), VectorField(sp, ver)
@@ -117,9 +117,9 @@ def curvature(conn):
     declared = set(ch.e_coords())
 
     def lift(mu, g):
-        """The terms of dg/dx^mu + Gamma^A_mu dg/dy^A."""
-        return [ex.differentiate(g, mu, declared=declared)] + [
-            ex.mul(conn.gamma[(a, mu)], ex.differentiate(g, a, declared=declared))
+        """The products of dg/dx^mu + Gamma^A_mu dg/dy^A."""
+        return [(ex.differentiate(g, mu, declared=declared),)] + [
+            (conn.gamma[(a, mu)], ex.differentiate(g, a, declared=declared))
             for a in ch.fiber_names]
 
     comps = []
@@ -127,9 +127,9 @@ def curvature(conn):
         table = {}
         for i, xm in enumerate(ch.base_names):
             for xe in ch.base_names[i + 1:]:   # Form drops a zero
-                table[(sp.index(xm), sp.index(xe))] = ex.add(
-                    *lift(xm, conn.gamma[(b, xe)]),
-                    *(ex.mul(ex.MINUS_ONE, t) for t in lift(xe, conn.gamma[(b, xm)])))
+                table[(sp.index(xm), sp.index(xe))] = ex.sum_of_products(
+                    lift(xm, conn.gamma[(b, xe)])
+                    + [(ex.MINUS_ONE, *p) for p in lift(xe, conn.gamma[(b, xm)])])
         comps.append(Form(sp, 2, table))
     return Curvature(ch, VectorValuedForm("d/dy", tuple(comps)))
 

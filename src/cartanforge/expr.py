@@ -39,17 +39,21 @@ denominator) pair of ints, the pair a ``Rat`` node holds; nodes are built
 only for the surviving terms, sorted once.  No ``Fraction`` is built in the
 kernels: coefficients multiply through ``_qmul`` and same-base exponents
 add through ``_qadd``.  ``add`` collects its terms
-there; ``mul``'s expand pass (``_mono_mul``) and the product rule of
-``differentiate`` (``_product_rule``) put each product there through one
-merge kernel, ``_merge``, which merges same-base powers of a ``Var`` or
-``Func`` and leaves any other collision to a full ``mul``.  Each merge (a
-pair of factors -> the merged factor) is memoized for one ``mul`` or
-``sum_of_partials`` call, or for a whole ``exterior_d`` call, which passes
-one memo to every ``sum_of_partials`` it makes, or for a ``Lagrangian``'s
-lifetime, whose tables and d Theta share one.  A sum of many parts is one
-``add(*parts)`` call, not a fold, and the parser builds the opening run of
-rationals and atoms of each product in one ``mul`` (README, "Symbolic
-kernels").
+there; the expand pass of a product (``_expand``, through ``_mono_mul``)
+and the product rule of ``differentiate`` (``_product_rule``) put each
+product there through one merge kernel, ``_merge``, which merges same-base
+powers of a ``Var`` or ``Func`` and leaves any other collision to a full
+product.  Each merge (a pair of factors -> the merged factor) is memoized
+for one product of sums or ``sum_of_partials`` call, or for a whole
+``exterior_d`` call, which passes one memo to every ``sum_of_partials`` it
+makes, or for a ``Lagrangian``'s lifetime, whose tables and d Theta share
+one.  A sum of many parts is one ``add(*parts)`` call, not a fold, and a
+sum of products is one ``sum_of_products(products)`` call: ``_mul``
+multiplies each product straight into the sum's accumulator (``mul`` is
+``_mul`` with none), so a product's terms are never built as nodes of
+their own, and a coefficient past MAX_RAT_BITS raises only in a term that
+survives the sum.  The parser builds the opening run of rationals and atoms
+of each product in one ``mul`` (README, "Symbolic kernels").
 
 Differentiation of ``abs`` has no symbolic rule and raises, except through
 even roots: d sqrt(abs(u)) = u' * sign(u) / (2*sqrt(abs(u))), with ``sign``
@@ -446,6 +450,27 @@ def add(*terms):
 
 def mul(*factors):
     """Canonical product: flatten, distribute over sums, merge powers."""
+    return _mul(factors, None)
+
+
+def sum_of_products(products):
+    """The canonical sum of the products of the factor tuples in `products`,
+    ``add(*(mul(*p) for p in products))``: each product is multiplied
+    straight into one term accumulator, so nodes are built only for the
+    terms that survive the sum.  A coefficient past MAX_RAT_BITS therefore
+    raises only when its term survives."""
+    acc = {}
+    for p in products:
+        if len(p) == 1:   # a canonical node is its own product
+            _collect(acc, p[0])
+        else:
+            _mul(p, acc)
+    return _sum(acc)
+
+
+def _mul(factors, acc):
+    """The canonical product of `factors`; with a term accumulator `acc`,
+    its terms are added there instead, and no node of it is built."""
     flat = []
     cn = cd = 1   # the rational coefficient, a reduced pair
     stack = list(factors)
@@ -460,29 +485,15 @@ def mul(*factors):
     if cn == 0:
         return ZERO
 
-    if len(flat) == 1 and isinstance(flat[0], Add):
-        # a rational times a sum: rescale the terms, which stay as they are
-        return _sum(_collect({}, flat[0],
-                             None if cn == 1 and cd == 1 else (cn, cd)))
     sums = [f for f in flat if isinstance(f, Add)]
     if sums:
-        # expand pass: a product the monomial kernel declines is a full mul
-        _check_expansion(math.prod(len(s.terms) for s in sums))
-        merges = {}
-        prods = [(cn, cd, (), ())]   # (n, d, factors, pieces)
-        rest = [(f,) for f in flat if not isinstance(f, Add)]
-        for group in rest + [s.terms for s in sums]:
-            split = [(t, *_split_coeff(t)) for t in group]
-            prods = [(*_qmul(n, d, tn, td),
-                      None if fs is None else _mono_mul(fs, tfs, merges), ts + (t,))
-                     for n, d, fs, ts in prods for t, tn, td, tfs in split]
-        acc = {}
-        for n, d, fs, ts in prods:
-            if fs is None:
-                _collect(acc, mul(_rat(cn, cd), *ts))
-            else:
-                _put(acc, n, d, fs)
-        return _sum(acc)
+        out = {} if acc is None else acc
+        if len(flat) == 1:
+            # a rational times a sum: rescale the terms, which stay as they are
+            _collect(out, flat[0], None if cn == 1 and cd == 1 else (cn, cd))
+        else:
+            _expand(out, cn, cd, flat, sums)
+        return _sum(out) if acc is None else None
 
     # merge same-base powers
     by_base = {}   # base node -> (exponent pair, the factor while unmerged)
@@ -502,17 +513,40 @@ def mul(*factors):
             cn, cd = _qmul(cn, cd, pn, pd)
             out.extend(fs)
         # pow_ can fold a merged power to a sum, or to factors whose bases
-        # merge again (sqrt(x*y)^2 -> x*y beside x): one more mul settles it
+        # merge again (sqrt(x*y)^2 -> x*y beside x): one more product settles it
         if (Add in map(type, out)
                 or len({f.base if type(f) is Pow else f for f in out}) != len(out)):
-            return mul(_rat(cn, cd), *out)
+            return _mul((_rat(cn, cd), *out), acc)
 
     out.sort(key=_KEY)
+    if acc is not None:
+        _put(acc, cn, cd, tuple(out))
+        return None
     if not out:
         return _rat(cn, cd)
     if cn == 1 and cd == 1:
         return out[0] if len(out) == 1 else Mul(out)
     return Mul([_rat(cn, cd)] + out)
+
+
+def _expand(acc, cn, cd, flat, sums):
+    """The expand pass: add (cn/cd) times the product of `flat`, which holds
+    the `sums`, to `acc` term by term; a product the monomial kernel
+    declines is a full product."""
+    _check_expansion(math.prod(len(s.terms) for s in sums))
+    merges = {}
+    prods = [(cn, cd, (), ())]   # (n, d, factors, pieces)
+    rest = [(f,) for f in flat if not isinstance(f, Add)]
+    for group in rest + [s.terms for s in sums]:
+        split = [(t, *_split_coeff(t)) for t in group]
+        prods = [(*_qmul(n, d, tn, td),
+                  None if fs is None else _mono_mul(fs, tfs, merges), ts + (t,))
+                 for n, d, fs, ts in prods for t, tn, td, tfs in split]
+    for n, d, fs, ts in prods:
+        if fs is None:
+            _mul((_rat(cn, cd), *ts), acc)
+        else:
+            _put(acc, n, d, fs)
 
 
 def _check_expansion(products):
@@ -622,7 +656,7 @@ def func(fname, arg):
 
 
 def sub(a, b):
-    return add(a, mul(MINUS_ONE, b))
+    return sum_of_products(((a,), (MINUS_ONE, b)))
 
 
 def div(a, b):
@@ -778,7 +812,9 @@ def _subst(e, b, memo):
     if isinstance(e, Var):
         return b.get(e.name, e)
     if isinstance(e, Add):
-        return add(*(_subst(t, b, memo) for t in e.terms))
+        return sum_of_products(
+            tuple(_subst(f, b, memo) for f in t.factors) if type(t) is Mul
+            else (_subst(t, b, memo),) for t in e.terms)
     if isinstance(e, Mul):
         return mul(*(_subst(f, b, memo) for f in e.factors))
     r = memo.get(e)

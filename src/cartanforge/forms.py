@@ -70,16 +70,22 @@ class Form(Record):
         return not self.coeffs
 
     def __add__(self, other):
+        return self._plus(other, ())
+
+    def __sub__(self, other):
+        return self._plus(other, (ex.MINUS_ONE,))
+
+    def _plus(self, other, sign):
+        """self + sign * other, `sign` a factor tuple: a key both forms hold
+        is one sum of products, so no negated copy of `other` is built.  The
+        keys keep their order: self's first, then other's new ones."""
         _same_space(self, other)
         if self.degree != other.degree:
             raise ValueError("cannot add forms of different degree")
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
-            out[k] = ex.add(out.get(k, ex.ZERO), c)
+            out[k] = ex.sum_of_products(((out.get(k, ex.ZERO),), (*sign, c)))
         return Form(self.space, self.degree, out)
-
-    def __sub__(self, other):
-        return self + other.scale(ex.MINUS_ONE)
 
     def scale(self, e):
         return Form(self.space, self.degree,
@@ -156,8 +162,9 @@ def wedge(a, b):
         for k2, c2 in b.coeffs.items():
             sign, key = _merge_keys(k1, k2)
             if sign:
-                out.setdefault(key, []).append(ex.mul(ex.rat(sign), c1, c2))
-    return Form(a.space, a.degree + b.degree, {k: ex.add(*ts) for k, ts in out.items()})
+                out.setdefault(key, []).append((ex.rat(sign), c1, c2))
+    return Form(a.space, a.degree + b.degree,
+                {k: ex.sum_of_products(ps) for k, ps in out.items()})
 
 
 def exterior_d(a, factor=1, memos=None, merges=None):
@@ -200,8 +207,8 @@ class VectorField(Record):
     def apply(self, e):
         """Directional derivative of a scalar: X(f)."""
         declared = set(self.space.coords)
-        return ex.add(*(ex.mul(c, ex.differentiate(e, name, declared=declared))
-                        for name, c in self.comps.items()))
+        return ex.sum_of_products((c, ex.differentiate(e, name, declared=declared))
+                                  for name, c in self.comps.items())
 
     def __add__(self, other):
         _same_space(self, other)
@@ -233,8 +240,9 @@ def interior(X, a):
             if comp.is_zero():
                 continue
             rest = key[:pos] + key[pos + 1:]
-            out.setdefault(rest, []).append(ex.mul(ex.rat((-1) ** pos), comp, c))
-    return Form(a.space, a.degree - 1, {k: ex.add(*ts) for k, ts in out.items()})
+            out.setdefault(rest, []).append((ex.rat((-1) ** pos), comp, c))
+    return Form(a.space, a.degree - 1,
+                {k: ex.sum_of_products(ps) for k, ps in out.items()})
 
 
 def lie_derivative(X, a):
@@ -342,11 +350,11 @@ def replace_covectors(a, space, covector, coefficient=None):
         else:
             c = coefficient(c) if coefficient else c
             if factor is None:
-                out[()] = [c]
+                out[()] = [(c,)]
                 continue
             for k, f in factor.coeffs.items():
-                out.setdefault(k, []).append(ex.mul(c, f))
-    return Form(space, a.degree, {k: ex.add(*ts) for k, ts in out.items()})
+                out.setdefault(k, []).append((c, f))
+    return Form(space, a.degree, {k: ex.sum_of_products(ps) for k, ps in out.items()})
 
 
 def pullback(cm, a):

@@ -14,9 +14,14 @@ only `chart` and `L`); `second_partials`, `drift` and `cartan_forms` keep
 theirs there too.  The momenta, both Euler-Lagrange routes,
 `energy_density`, `legendre_difference`, `noether.total_variation` and the
 catalog's finite-difference check all read `partials`.  The routes the
-catalog compares the constructions against take their own d(L omega) and
-never read it: `vartheta_intrinsic`, `energy_intrinsic` and hypothesis (b)
-of `noether.jetfield_noether_check`.
+catalog compares the constructions against take their own derivatives and
+never read it: `vartheta_intrinsic` and `energy_intrinsic` contract dL/dv,
+taken along only the velocities they contract
+(`VerticalEndomorphism.contract_with_dL`), and hypothesis (b) of
+`noether.jetfield_noether_check` takes its own d(L omega).  Each
+coefficient these constructions write as a sum of products (the drift and
+both Euler-Lagrange routes, `energy_density`, `legendre_difference`, the
+rows and pivots of `ELJetProblem.solve`) is one `ex.sum_of_products` call.
 
 The two tables and Omega = -d Theta take their derivatives through one
 ``_diff`` memo per jet coordinate and one merge memo, also kept on the
@@ -94,14 +99,14 @@ class Lagrangian(Record):
         ch, h = self.chart, self.second_partials
         out = {}
         for y in ch.fiber_names:
-            terms = [self.partials[y]]
+            products = [(self.partials[y],)]
             for x in ch.base_names:
                 v = v_name(y, x)
                 slots = [(ex.ONE, x)] + [(ex.var(v_name(b, x)), b)
                                          for b in ch.fiber_names]
-                terms += [ex.mul(ex.MINUS_ONE, c, h[(v, z)])
-                          for c, z in slots if (v, z) in h]
-            out[y] = ex.add(*terms)
+                products += [(ex.MINUS_ONE, c, h[(v, z)])
+                             for c, z in slots if (v, z) in h]
+            out[y] = ex.sum_of_products(products)
         return out
 
     def momentum(self, y, x):
@@ -143,9 +148,10 @@ def cartan_forms(lag):
                 continue
             table[om[:mu] + om[mu + 1:] + (m + a,)] = (
                 p if (mu + m) % 2 else ex.mul(ex.MINUS_ONE, p))
-            on_om.append(ex.mul(ex.MINUS_ONE, ex.var(v_name(y, x)), p))
-    vt = Form(js, m, {**table, om: ex.add(*on_om)})
-    big_theta = Form(js, m, {**table, om: ex.add(lag.L, *on_om)})
+            on_om.append((ex.MINUS_ONE, ex.var(v_name(y, x)), p))
+    vt_om = ex.sum_of_products(on_om)
+    vt = Form(js, m, {**table, om: vt_om})
+    big_theta = Form(js, m, {**table, om: ex.add(lag.L, vt_om)})
     big_omega = exterior_d(big_theta, -1, *lag._memos)
     cf = lag.__dict__["cartan_forms"] = CartanForms(vt, big_theta, big_omega)
     return cf
@@ -186,14 +192,14 @@ def _el_equations(lag, second):
     h = lag.second_partials
     out = {}
     for y, a in lag.drift.items():
-        terms = []
+        products = [(a,)]
         for x in ch.base_names:
             v = v_name(y, x)
             slots = [(second(b, nu, x), v_name(b, nu))
                      for b in ch.fiber_names for nu in ch.base_names]
-            terms += [ex.mul(ex.MINUS_ONE, ex.var(s), h[(v, z)])
-                      for s, z in slots if (v, z) in h]
-        out[y] = ex.add(a, *terms)
+            products += [(ex.MINUS_ONE, ex.var(s), h[(v, z)])
+                         for s, z in slots if (v, z) in h]
+        out[y] = ex.sum_of_products(products)
     return out
 
 
@@ -222,9 +228,9 @@ def energy_density(lag, conn):
     ch = lag.chart
     if conn.chart != ch:
         raise ChartMismatch("connection lives on a different chart")
-    e = ex.add(ex.mul(ex.MINUS_ONE, lag.L), *(
-        ex.mul(lag.momentum(y, x), ex.sub(ex.var(v_name(y, x)), conn.gamma[(y, x)]))
-        for y in ch.fiber_names for x in ch.base_names))
+    e = ex.sum_of_products([(ex.MINUS_ONE, lag.L)] + [
+        (lag.momentum(y, x), ex.sub(ex.var(v_name(y, x)), conn.gamma[(y, x)]))
+        for y in ch.fiber_names for x in ch.base_names])
     return EnergyDensity(ch, conn, e)
 
 
@@ -241,15 +247,15 @@ def legendre_difference(lag, gamma_table):
     energy density under nabla -> nabla + gamma for any base connection."""
     ch = lag.chart
     allowed = set(ch.e_coords())
-    terms = []
+    products = []
     for y in ch.fiber_names:
         for x in ch.base_names:
             g = gamma_table.get((y, x), ex.ZERO)
             if ex.free_vars(g) - allowed:
                 raise UnknownCoordinate(
                     f"gamma[{y},{x}] must not depend on jet coordinates")
-            terms.append(ex.mul(ex.MINUS_ONE, ex.mul(g, lag.momentum(y, x))))
-    return volume_form(jet_space(ch)).scale(ex.add(*terms))
+            products.append((ex.MINUS_ONE, g, lag.momentum(y, x)))
+    return volume_form(jet_space(ch)).scale(ex.sum_of_products(products))
 
 
 # ---------------------------------------------------------------------------
@@ -321,9 +327,10 @@ class ELJetProblem(Record):
                 if j == pick or coeffs[col].is_zero():
                     continue
                 factor = ex.div(coeffs[col], pc)
-                newc = [ex.sub(c, ex.mul(factor, pcj))
+                newc = [ex.sum_of_products(((c,), (ex.MINUS_ONE, factor, pcj)))
                         for c, pcj in zip(coeffs, rows[pick][0])]
-                newr = ex.sub(rhs, ex.mul(factor, rows[pick][1]))
+                newr = ex.sum_of_products(
+                    ((rhs,), (ex.MINUS_ONE, factor, rows[pick][1])))
                 rows[j] = (newc, newr)
 
         consistent = not any(
@@ -335,9 +342,9 @@ class ELJetProblem(Record):
         pivots = {}
         for i, col in pivot_cols:
             coeffs, rhs = rows[i]
-            expr = ex.add(rhs, *(
-                ex.mul(ex.MINUS_ONE, ex.mul(coeffs[c], ex.var(self.unknowns[c])))
-                for c in range(nuns) if c != col and not coeffs[c].is_zero()))
+            expr = ex.sum_of_products([(rhs,)] + [
+                (ex.MINUS_ONE, coeffs[c], ex.var(self.unknowns[c]))
+                for c in range(nuns) if c != col and not coeffs[c].is_zero()])
             pivots[self.unknowns[col]] = ex.div(expr, coeffs[col])
         return LinearSolveReport(len(pivot_cols), consistent, pivots, free)
 

@@ -49,9 +49,10 @@ def total_variation(lag, Z):
         raise NotOnEChart("symmetry generators live on the total space")
     j1 = prolong_vectorfield(Z)
     declared = set(ch.e_coords())
-    delta = ex.add(*(ex.mul(c, lag.partials[n]) for n, c in j1.comps.items()), *(
-        ex.mul(lag.L, ex.differentiate(Z.component(x), x, declared=declared))
-        for x in ch.base_names))
+    delta = ex.sum_of_products(
+        [(c, lag.partials[n]) for n, c in j1.comps.items()]
+        + [(lag.L, ex.differentiate(Z.component(x), x, declared=declared))
+           for x in ch.base_names])
     return SymmetryReport(delta, delta.is_zero(), j1)
 
 

@@ -39,6 +39,12 @@ from .record import Record, field
 # TOML-subset reader
 # ---------------------------------------------------------------------------
 
+# TOML bare keys are ASCII letters, digits, '_' and '-' ('.' joins them):
+# str.isalnum() also takes '٣' or 'é'
+_BARE = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
+                  "0123456789_-.")
+
+
 class _Reader:
     def __init__(self, text):
         self.text = text
@@ -75,8 +81,7 @@ class _Reader:
 
     def read_bare(self):
         start = self.pos
-        while self.pos < len(self.text) and (self.peek().isalnum()
-                                             or self.peek() in "_-."):
+        while self.peek() in _BARE:   # "" at the end of the text
             self.advance()
         if start == self.pos:
             self.error(f"expected a name, found {self.peek()!r}")
@@ -118,12 +123,14 @@ class _Reader:
         token = "".join(token)
         if token in ("true", "false"):
             return token == "true"
-        try:
-            if any(s in token for s in ".eE") and not token.lstrip("+-").isdigit():
-                return float(token)
-            return int(token)
-        except ValueError:
-            self.error(f"cannot read value {token!r}")
+        if token.isascii():   # int() and float() take any Unicode digit
+            try:
+                if any(s in token for s in ".eE") and not token.lstrip("+-").isdigit():
+                    return float(token)
+                return int(token)
+            except ValueError:
+                pass
+        self.error(f"cannot read value {token!r}")
 
 
 def parse_toml_subset(text):

@@ -396,6 +396,15 @@ def test_non_decimal_digit_exits_2(tmp_path, capsys, L, col):
 
 
 
+def test_non_ascii_digit_in_a_problem_value_exits_2(tmp_path, capsys):
+    # int() reads the Arabic-Indic digit three as 3: it must not parse
+    with open(prob("free_particle.toml"), encoding="utf-8") as f:
+        text = f.read()
+    path = tmp_path / "free_particle.toml"
+    path.write_text(text.replace("samples = 100", "samples = \u0663"), encoding="utf-8")
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: cannot read value '\u0663' (line 51, col 12)\n"
 def test_closed_stdout_is_not_a_traceback():
     # the reader takes one line and closes the pipe, as `| head -1` does;
     # nambu's forms print about 480 kB, far more than a pipe buffers, so

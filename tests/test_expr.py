@@ -287,11 +287,12 @@ def test_parser_run_with_a_zero_coefficient():
     assert ex.parse("0*x/2") is ex.ZERO
 
 
-def test_no_loop_in_the_package_folds_a_sum():
-    # a sum of many parts is one ex.add call, not one step per part:
-    # x = add(x, ...), x = x + ..., x += piece, d[k] = add(d.get(k, ...), ...)
-    pkg = os.path.join(os.path.dirname(__file__), "..", "src", "cartanforge")
-    pairwise = {"Form.__add__", "VectorField.__add__"}   # one add per key
+def fold_sites(source, fname, pairwise=frozenset()):
+    """The "fname:line" of each loop statement in `source` that folds a sum,
+    one step per part: x = add(x, ...), x = x + ..., x += piece,
+    d[k] = add(d.get(k, ...), ...), or a sub or sum_of_products whose
+    product tuples hold x or d.get(k, ...).  Functions and methods named
+    in `pairwise` (Class.method) may combine one sum per key."""
 
     def grows(value, same):
         if isinstance(value, ast.IfExp):
@@ -302,6 +303,11 @@ def test_no_loop_in_the_package_folds_a_sum():
         if isinstance(value, ast.Call):
             f = value.func
             called = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", "")
+            if called == "sum_of_products":
+                seqs = (ast.Tuple, ast.List)
+                return bool(value.args) and isinstance(value.args[0], seqs) and any(
+                    isinstance(p, seqs) and any(map(same, p.elts))
+                    for p in value.args[0].elts)
             return called in ("add", "sub") and any(map(same, value.args))
         return False
 
@@ -324,21 +330,50 @@ def test_no_loop_in_the_package_folds_a_sum():
                 and bool(a.args) and ast.dump(a.args[0]) == k))
         return False
 
-    def scan(node, owner, in_loop, fname, sites):
+    def scan(node, owner, in_loop):
         if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
             owner = f"{owner}.{node.name}" if owner else node.name
         in_loop = in_loop or isinstance(node, (ast.For, ast.While))
         if in_loop and fold(node) and owner not in pairwise:
             sites.add(f"{fname}:{node.lineno}")
         for child in ast.iter_child_nodes(node):
-            scan(child, owner, in_loop, fname, sites)
+            scan(child, owner, in_loop)
 
+    sites = set()
+    scan(ast.parse(source), "", False)
+    return sites
+
+
+def test_no_loop_in_the_package_folds_a_sum():
+    # a sum of many parts is one ex.add or ex.sum_of_products call, not one
+    # step per part
+    pkg = os.path.join(os.path.dirname(__file__), "..", "src", "cartanforge")
+    pairwise = {"Form._plus", "VectorField.__add__"}   # one sum per key
     sites = set()
     for fname in sorted(os.listdir(pkg)):
         if fname.endswith(".py"):
             with open(os.path.join(pkg, fname)) as fh:
-                scan(ast.parse(fh.read()), "", False, fname, sites)
+                sites |= fold_sites(fh.read(), fname, pairwise)
     assert sorted(sites) == []
+
+
+@pytest.mark.parametrize("body, folds", [
+    ("x = ex.sum_of_products(((x,), (c, y)))", True),
+    ("d[k] = ex.sum_of_products(((d.get(k, ex.ZERO),), (c,)))", True),
+    ("x = ex.sub(x, c)", True),
+    ("d[k] = ex.add(d.get(k, ex.ZERO), c)", True),
+    ("x += c", True),
+    ("x = ex.sum_of_products(((c, y),))", False),
+    ("d[k] = ex.sum_of_products(((d.get(j, ex.ZERO),), (c,)))", False),
+    ("n = n + 1", False),
+])
+def test_the_fold_detector_flags_each_fold(body, folds):
+    # the package scan above passes only while the detector still sees folds
+    looped = f"for c in cs:\n    {body}\n"
+    assert fold_sites(looped, "s") == ({"s:2"} if folds else set())
+    assert fold_sites(body + "\n", "s") == set()   # outside a loop
+    method = f"class Form:\n    def _plus(self):\n        for c in cs:\n            {body}\n"
+    assert fold_sites(method, "s", {"Form._plus"}) == set()
 
 
 # -- expansion bound -----------------------------------------------------------

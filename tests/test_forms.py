@@ -33,6 +33,28 @@ def random_form(r, space, degree, terms=3):
     return out
 
 
+def test_sub_is_add_of_the_negated_form():
+    # no negated copy is built, but the table is the one self + (-1) * other
+    # gives: the same coefficients, self's keys first, then other's new keys
+    r = randgen.rng(31)
+    for degree in (0, 1, 2):
+        for _ in range(6):
+            a, b = random_form(r, JS, degree), random_form(r, JS, degree)
+            for p, q in ((a, b), (b, a), (a, a), (a, fm.zero_form(JS, degree))):
+                diff = p - q
+                want = p + q.scale(ex.MINUS_ONE)
+                assert list(diff.coeffs) == list(want.coeffs)
+                assert all(diff.coeffs[k] is c for k, c in want.coeffs.items())
+    assert (a - a).is_zero()
+
+
+def test_sub_rejects_mismatched_space_or_degree():
+    with pytest.raises(ChartMismatch, match="operands live on different spaces"):
+        dz(JS, "u") - dz(TS, "u")
+    with pytest.raises(ValueError, match="cannot add forms of different degree"):
+        dz(JS, "u") - fm.wedge(dz(JS, "u"), dz(JS, "x0"))
+
+
 def test_wedge_basis():
     a = dz(TS, "x0")
     b = dz(TS, "u")

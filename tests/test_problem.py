@@ -51,6 +51,30 @@ def test_toml_syntax_error_position():
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[numeric]\nsamples = \u0663\n", "cannot read value '\u0663' (line 2, col 12)"),
+    ("[numeric]\ntol = \u0661.5\n", "cannot read value '\u0661.5' (line 2, col 10)"),
+    ("[numeric]\nsamples = 1\u0663\n", "cannot read value '1\u0663' (line 2, col 13)"),
+    ("[b\u0663]\n", "expected ']' after table name (line 1, col 3)"),
+    ("[numeric]\ns\u00e9ed = 3\n", "expected '=' after key 's' (line 2, col 2)"),
+    ("[\u00e9]\n", "expected a name, found '\u00e9' (line 1, col 2)"),
+], ids=["digit", "decimal", "trailing-digit", "table", "key-letter", "table-letter"])
+def test_toml_numbers_and_bare_keys_are_ascii(text, message):
+    # int(), float() and str.isalnum() take any Unicode digit or letter:
+    # samples = \u0663 used to read as 3, and [b\u0663] as a table name
+    with pytest.raises(ParseError) as err:
+        pb.parse_toml_subset(text)
+    assert str(err.value) == message
+
+
+def test_toml_ascii_numbers_keep_their_forms():
+    tree = pb.parse_toml_subset(
+        "[numeric]\nsamples = 1_000\ntol = -1.5e-3\nseed = +7\nx = 2E2\n"
+        "[vectorfield.a-b_1]\n")
+    assert tree["numeric"] == {"samples": 1000, "tol": -0.0015, "seed": 7, "x": 200.0}
+    assert tree["vectorfield"] == {"a-b_1": {}}
+
+
 MINIMAL = """
 [bundle]
 base = ["t"]
