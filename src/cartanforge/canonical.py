@@ -18,7 +18,8 @@ property instead.
 from __future__ import annotations
 
 from . import expr as ex
-from .chart import SectionE, SectionJ1, total_derivative, v_name
+from .chart import (SectionE, SectionJ1, prolong_section, total_derivative,
+                    v_name)
 from .errors import ChartMismatch, NotOnEChart
 from .forms import (
     CoordMap,
@@ -72,13 +73,14 @@ def vertical_differential(phi: SectionE, at=None):
     point of the image.
     """
     ch = phi.chart
+    slopes = prolong_section(phi).g
     nb, nf = ch.n_plus_1, ch.n_fields
     size = nb + nf
     m = [[ex.ZERO] * size for _ in range(size)]
     for ai, y in enumerate(ch.fiber_names):
         row = nb + ai
         for mi, x in enumerate(ch.base_names):
-            slope = ex.differentiate(phi.component(y), x, declared=ch.base_names)
+            slope = slopes[v_name(y, x)]
             if at:
                 slope = ex.substitute(slope, at)
             m[row][mi] = ex.mul(ex.MINUS_ONE, slope)

@@ -174,15 +174,14 @@ def total_derivative(chart, e, x):
     """D_mu e = de/dx^mu + v^B_mu de/dy^B + w^B_{nu,mu} de/dv^B_nu, mu = x,
     with the symmetric second-jet symbols dd(b,nu,mu) in the second-order
     slot.  Absent and zero partials are skipped."""
-    declared = set(chart.jet_coords())
     free = ex.free_vars(e)
     slots = [(v_name(b, x), b) for b in chart.fiber_names]
     slots += [(chart.w(b, nu, x), v_name(b, nu))
               for b in chart.fiber_names for nu in chart.base_names]
-    products = [(ex.differentiate(e, x, declared=declared),)]
+    products = [(ex.differentiate(e, x),)]
     for coefficient, name in slots:
         if name in free:
-            d = ex.differentiate(e, name, declared=declared)
+            d = ex.differentiate(e, name)
             if not d.is_zero():
                 products.append((ex.var(coefficient), d))
     return ex.sum_of_products(products)
@@ -194,7 +193,7 @@ def prolong_section(phi: SectionE) -> SectionJ1:
     g = {}
     for y, comp in zip(ch.fiber_names, phi.components):
         for x in ch.base_names:
-            g[v_name(y, x)] = ex.differentiate(comp, x, declared=ch.base_names)
+            g[v_name(y, x)] = ex.differentiate(comp, x)
     return SectionJ1(ch, phi.components, g)
 
 
@@ -207,11 +206,10 @@ def prolong_sectionJ1(psi: SectionJ1) -> dict:
     out = {}
     for y, comp in zip(ch.fiber_names, psi.f):
         for x in ch.base_names:
-            out[a_name(y, x)] = ex.differentiate(comp, x, declared=ch.base_names)
+            out[a_name(y, x)] = ex.differentiate(comp, x)
     for y in ch.fiber_names:
         for xr in ch.base_names:
             gexpr = psi.g[v_name(y, xr)]
             for xm in ch.base_names:
-                out[b_name(y, xr, xm)] = ex.differentiate(
-                    gexpr, xm, declared=ch.base_names)
+                out[b_name(y, xr, xm)] = ex.differentiate(gexpr, xm)
     return out

@@ -13,12 +13,14 @@ test suite checks against an independent bracket computation.
 from __future__ import annotations
 
 from . import expr as ex
-from .chart import SectionE, SectionJ1, v_name
+from .chart import (SectionE, SectionJ1, a_name, b_name, prolong_section,
+                    prolong_sectionJ1, v_name)
 from .errors import ChartMismatch, UnknownCoordinate
 from .forms import (
     Form,
     VectorField,
     VectorValuedForm,
+    bracket,
     interior,
     jet_space,
     total_space,
@@ -114,12 +116,11 @@ def curvature(conn):
     on the basis dx^mu ^ dx^eta with mu < eta."""
     ch = conn.chart
     sp = total_space(ch)
-    declared = set(ch.e_coords())
 
     def lift(mu, g):
         """The products of dg/dx^mu + Gamma^A_mu dg/dy^A."""
-        return [(ex.differentiate(g, mu, declared=declared),)] + [
-            (conn.gamma[(a, mu)], ex.differentiate(g, a, declared=declared))
+        return [(ex.differentiate(g, mu),)] + [
+            (conn.gamma[(a, mu)], ex.differentiate(g, a))
             for a in ch.fiber_names]
 
     comps = []
@@ -146,9 +147,8 @@ def mixed_partial_obstruction(conn, phi: SectionE):
             for xe in ch.base_names[i + 1:]:
                 gm = ex.substitute(conn.gamma[(y, xm)], sub)
                 ge = ex.substitute(conn.gamma[(y, xe)], sub)
-                out[(y, xm, xe)] = ex.sub(
-                    ex.differentiate(gm, xe, declared=ch.base_names),
-                    ex.differentiate(ge, xm, declared=ch.base_names))
+                out[(y, xm, xe)] = ex.sub(ex.differentiate(gm, xe),
+                                         ex.differentiate(ge, xm))
     return out
 
 
@@ -157,14 +157,10 @@ def integral_residual(conn, phi: SectionE):
     ch = conn.chart
     if phi.chart != ch:
         raise ChartMismatch("section lives on a different chart")
-    sub = phi.substitution()
-    out = {}
-    for y in ch.fiber_names:
-        for x in ch.base_names:
-            out[(y, x)] = ex.sub(
-                ex.differentiate(phi.component(y), x, declared=ch.base_names),
-                ex.substitute(conn.gamma[(y, x)], sub))
-    return out
+    sub, slopes = phi.substitution(), prolong_section(phi).g
+    return {(y, x): ex.sub(slopes[v_name(y, x)],
+                           ex.substitute(conn.gamma[(y, x)], sub))
+            for y in ch.fiber_names for x in ch.base_names}
 
 
 # ---------------------------------------------------------------------------
@@ -224,19 +220,15 @@ def integral_residual2(yf: JetField2, psi: SectionJ1):
     ch = yf.chart
     if psi.chart != ch:
         raise ChartMismatch("section lives on a different chart")
-    sub = psi.substitution()
+    sub, jet = psi.substitution(), prolong_sectionJ1(psi)
     f_res, g_res = {}, {}
     for y in ch.fiber_names:
-        comp = psi.f[ch.fiber_names.index(y)]
         for xm in ch.base_names:
-            f_res[(y, xm)] = ex.sub(
-                ex.differentiate(comp, xm, declared=ch.base_names),
-                ex.substitute(yf.F[(y, xm)], sub))
+            f_res[(y, xm)] = ex.sub(jet[a_name(y, xm)],
+                                    ex.substitute(yf.F[(y, xm)], sub))
             for xr in ch.base_names:
                 g_res[(y, xr, xm)] = ex.sub(
-                    ex.differentiate(psi.g[v_name(y, xr)], xm,
-                                     declared=ch.base_names),
-                    ex.substitute(yf.G[(y, xr, xm)], sub))
+                    jet[b_name(y, xr, xm)], ex.substitute(yf.G[(y, xr, xm)], sub))
     return f_res, g_res
 
 
@@ -261,7 +253,6 @@ def jetfield_contract(yf: JetField2, xi: Form):
 
 def jetfield_curvature_residuals(yf: JetField2):
     """Vertical components of [H_mu, H_eta]; all zero iff integrable."""
-    from .forms import bracket
     ch = yf.chart
     frame = yf.horizontal_frame()
     out = {}

@@ -8,7 +8,7 @@ class CartanforgeError(Exception):
 # -- symbolic expressions ----------------------------------------------------
 
 class UnknownVariable(CartanforgeError):
-    """Differentiation with respect to a name not declared in the context."""
+    """A variable name that is empty or not a string."""
 
 
 class DomainFunction(CartanforgeError):

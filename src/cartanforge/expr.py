@@ -680,16 +680,14 @@ def free_vars(e):
 # calculus
 # ---------------------------------------------------------------------------
 
-def differentiate(e, name, declared=None):
+def differentiate(e, name):
     """Exact partial derivative with respect to the variable `name`.
 
-    Other variables are constants.  When `declared` is given, `name` must be
-    in it.  ``abs`` admits no symbolic rule and raises DomainFunction unless
-    its argument does not depend on `name`; rational powers of ``abs`` use
-    the sign-factor rule (see module docstring).
+    Other variables are constants.  ``abs`` admits no symbolic rule and
+    raises DomainFunction unless its argument does not depend on `name`;
+    rational powers of ``abs`` use the sign-factor rule (see module
+    docstring).
     """
-    if declared is not None and name not in declared:
-        raise UnknownVariable(f"{name!r} is not a declared variable")
     return _diff(e, name, {})
 
 

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from . import expr as ex
 from .chart import JetChart
-from .errors import ChartMismatch, DegreeZero, MissingInverse
+from .errors import (ChartMismatch, DegreeZero, MissingInverse,
+                     NotFiberPreserving)
 from .record import Record
 
 BASE, TOTAL, JET = "base", "total", "jet"
@@ -206,8 +207,7 @@ class VectorField(Record):
 
     def apply(self, e):
         """Directional derivative of a scalar: X(f)."""
-        declared = set(self.space.coords)
-        return ex.sum_of_products((c, ex.differentiate(e, name, declared=declared))
+        return ex.sum_of_products((c, ex.differentiate(e, name))
                                   for name, c in self.comps.items())
 
     def __add__(self, other):
@@ -313,11 +313,10 @@ class CoordMap(Record):
 
     def differential(self, name):
         """d(component for target coordinate `name`) as a 1-form on source."""
-        declared = set(self.source.coords)
         comp = self.components[name]
         out = {}
         for i, w in enumerate(self.source.coords):
-            dc = ex.differentiate(comp, w, declared=declared)
+            dc = ex.differentiate(comp, w)
             if not dc.is_zero():
                 out[(i,)] = dc
         return Form(self.source, 1, out)
@@ -397,7 +396,6 @@ class FiberedMap(Record):
     base_inverse: dict = None
 
     def __post_init__(self):
-        from .errors import NotFiberPreserving
         ch = self.chart
         for x in ch.base_names:
             comp = self.base_components.get(x)
@@ -440,9 +438,8 @@ class FiberedMap(Record):
                 raise MissingInverse(
                     f"declared inverse fails on {x!r}: got {ex.to_text(back)}")
         table = {}
-        declared = set(ch.base_names)
         for xn in ch.base_names:
             for xm in ch.base_names:
-                dinv = ex.differentiate(inv[xn], xm, declared=declared)
+                dinv = ex.differentiate(inv[xn], xm)
                 table[(xn, xm)] = ex.substitute(dinv, fwd)
         return table

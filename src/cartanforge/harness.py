@@ -1,11 +1,15 @@
 """Numeric verification layer and the executable identity catalog.
 
+``run_identity_catalog`` makes every entry but a skip one way: a verdict
+function returns (ok, max_dev, witness, detail), and a ``NumericDomain``
+it raises fails that entry alone, with the error's text and no max_dev.
 Zero tests share one function, ``zero_verdict``: a structural zero passes
 at once; anything else is sampled, and passes within tol with the detail
 ``numeric zero (seed S, N points)``.  The catalog's theorems (``cartan-*``,
-``energy-*``, ``legendre-*``, ``curvature-*``, ``diffeo-*``) and the
-``noether-conservation[...]`` residuals sample so, ``symmetry[...]`` only under
-``check = "numeric"``.  Every sampled check (``zero_verdict``,
+``energy-*``, ``legendre-*``, ``curvature-*``, ``diffeo-*``) sample so, and
+``symmetry[...]`` only under ``check = "numeric"``; the
+``noether-conservation[...]`` entries are ``noether.check_conservation``'s
+verdict, as ``noether --along`` is.  Every sampled check (``zero_verdict``,
 ``numeric_check``, the finite-difference check of dL/dz) samples by one rule:
 
 - the stream is a ``random.Random`` seeded from the problem's numeric
@@ -42,6 +46,7 @@ and raises the rule's first error, in the tree walk's words.
 
 from __future__ import annotations
 
+import functools
 import random
 
 from . import expr as ex
@@ -71,7 +76,7 @@ from .lagrangian import (
     legendre_difference,
     vartheta_intrinsic,
 )
-from .noether import conservation_residual, noether_current, total_variation
+from .noether import check_conservation, noether_current, total_variation
 from .problem import NumericSettings
 from .record import Record, field
 
@@ -320,13 +325,15 @@ def _round_point(pt):
 
 
 def finite_differences(lag, rng, box, guards, samples):
-    """The worst relative gap between each tabled dL/dz and a central
-    difference of L, with its witness, in the order of `lag.partials`.  The
-    checks draw from the one stream `rng` in turn, through one kernel: its
+    """One zero-argument run per coordinate, in the order of `lag.partials`:
+    each returns the worst relative gap between the tabled dL/dz and a
+    central difference of L, with its witness.  The runs draw from the one
+    stream `rng` in the order they are called, through one kernel: its
     shared statements compute L at the point; a coordinate's branch then
     computes dL/dz and, at z +- _FD_STEP, only the subtrees of L that
-    contain z.  A coordinate that neither L nor a guard reads is drawn as
-    the call's extra cell."""
+    contain z.  A run that raises leaves the stream where it stopped.  A
+    coordinate that neither L nor a guard reads is drawn as the run's extra
+    cell."""
     L, coords = lag.L, list(lag.partials.items())
     names = set(ex.free_vars(L))
     for g in guards:
@@ -355,9 +362,10 @@ def finite_differences(lag, rng, box, guards, samples):
 
     kernel = _Kernel(cells, guards, (L,), [branch(z, d) for z, d in coords],
                      tuple(extras.values()))
-    return [kernel.run(rng, samples, i,
-                       ((L, None, 0.0), (d, None, 0.0), (L, z, _FD_STEP),
-                        (L, z, -_FD_STEP)), extras.get(z))
+    return [functools.partial(
+                kernel.run, rng, samples, i,
+                ((L, None, 0.0), (d, None, 0.0), (L, z, _FD_STEP),
+                 (L, z, -_FD_STEP)), extras.get(z))
             for i, (z, d) in enumerate(coords)]
 
 
@@ -365,15 +373,36 @@ def finite_differences(lag, rng, box, guards, samples):
 # the identity catalog
 # ---------------------------------------------------------------------------
 
-def _sym(name, ok, detail=""):
-    return CheckResult(name, "pass" if ok else "fail",
-                       0.0 if ok else None, {}, "" if ok else detail)
+def _exact(ok, detail):
+    """The verdict of a structural check: a fail carries `detail`."""
+    return ok, 0.0 if ok else None, {}, "" if ok else detail
 
 
-def _structural(name, residuals):
+def _all_zero(residuals):
     """Pass iff every (key, residual) is zero; a fail names the first key."""
     bad = next((k for k, r in residuals if not r.is_zero()), None)
-    return _sym(name, bad is None, f"non-zero residual {bad}")
+    return _exact(bad is None, f"non-zero residual {bad}")
+
+
+def _within(tol, run):
+    """A finite-difference verdict: the worst gap of `run` is within tol."""
+    worst, witness = run()
+    return worst <= tol, worst, witness, ""
+
+
+def _expected(want, *zero_args):
+    """The numeric symmetry fallback: pass iff the zero test says `want`."""
+    got, worst, witness, _ = zero_verdict(*zero_args)
+    return got == want, worst, witness, "numeric fallback"
+
+
+def _conserved(numeric, *args):
+    """The conservation verdict, by ``noether.check_conservation``: sampled
+    under the numeric check, else the residual's structural zero."""
+    rep = check_conservation(*args)
+    sampled = numeric and not rep.residual.is_zero()
+    return (rep.conserved if sampled else rep.residual.is_zero(), rep.max_dev,
+            rep.witness, "numeric fallback" if sampled else "")
 
 
 def _skip(name, why):
@@ -401,41 +430,39 @@ def run_identity_catalog(problem, seed=None, samples=None, tol=None):
     tol = num.tol if tol is None else tol
     ch = problem.chart
     lag = problem.lagrangian
+    at = (seed, num.box, num.guards, samples, tol)   # a theorem's zero test
     entries = []
 
-    def verdict(x, n, names=()):
-        # a domain error while sampling fails the entry, with its text
+    def check(name, decide, *args):
+        # decide(*args) is (ok, max_dev, witness, detail); a domain error
+        # fails this entry alone, with its text
         try:
-            return zero_verdict(x, seed, num.box, num.guards, n, tol, names)
+            ok, worst, witness, detail = decide(*args)
         except NumericDomain as err:
-            return None, None, {}, str(err)
-
-    def theorem(name, x):
-        # an identity: a structural non-zero is sampled before it fails
-        ok, worst, wit, how = verdict(x, samples)
-        entries.append(CheckResult(name, "pass" if ok else "fail", worst, wit,
-                                   _nan(worst, how)))
+            ok, worst, witness, detail = False, None, {}, str(err)
+        entries.append(CheckResult(name, "pass" if ok else "fail", worst,
+                                   witness, _nan(worst, detail)))
+        return ok
 
     # finite-difference validation of the table of dL/dz that every
     # construction reads
     fds = finite_differences(lag, random.Random(seed), num.box, num.guards,
                              samples)
-    for coord, (worst, witness) in zip(lag.partials, fds):
-        entries.append(CheckResult(f"finite-difference[dL/d{coord}]",
-                                   "pass" if worst <= num.tol_fd else "fail",
-                                   worst, witness, _nan(worst)))
+    for coord, run in zip(lag.partials, fds):
+        check(f"finite-difference[dL/d{coord}]", _within, num.tol_fd, run)
 
     # canonical forms: both construction paths and closedness of the
     # Poincare-Cartan sequence
     cf = cartan_forms(lag)
-    theorem("cartan-intrinsic-vs-display", cf.vartheta - vartheta_intrinsic(lag))
-    theorem("cartan-domega-closed", exterior_d(cf.omega))
+    check("cartan-intrinsic-vs-display", zero_verdict,
+          cf.vartheta - vartheta_intrinsic(lag), *at)
+    check("cartan-domega-closed", zero_verdict, exterior_d(cf.omega), *at)
 
     # contact annihilation for every declared section
     for sname, decl in sorted(problem.sections.items()):
         res = is_holonomic(prolong_section(decl.section)).residuals
-        entries.append(_structural(f"contact-annihilation[{sname}]", zip(
-            (f"theta^{y}" for y in ch.fiber_names), res)))
+        check(f"contact-annihilation[{sname}]", _all_zero, zip(
+            (f"theta^{y}" for y in ch.fiber_names), res))
 
     # energy and Legendre identities need at least one connection
     if problem.connections:
@@ -444,21 +471,21 @@ def run_identity_catalog(problem, seed=None, samples=None, tol=None):
             # the declared connection, then its three seeded shifts
             energies = [energy_density(lag, c) for c in
                         (conn, *(conn.shift(t) for t in gammas))]
-            theorem(f"energy-intrinsic-vs-display[{cname}]", [
+            check(f"energy-intrinsic-vs-display[{cname}]", zero_verdict, [
                 energy_intrinsic(lag, e.connection) - e.density()
-                for e in energies])
-            theorem(f"legendre-linearity[{cname}]", [
+                for e in energies], *at)
+            check(f"legendre-linearity[{cname}]", zero_verdict, [
                 volume_form(jet_space(ch)).scale(ex.sub(e1.E, energies[0].E))
                 - legendre_difference(lag, table)
-                for e1, table in zip(energies[1:], gammas)])
+                for e1, table in zip(energies[1:], gammas)], *at)
 
             frame, R = conn.horizontal_frame(), curvature(conn)
-            theorem(f"curvature-bracket[{cname}]", [
+            check(f"curvature-bracket[{cname}]", zero_verdict, [
                 ex.sub(R.coefficient(y, xm, xn), br.component(y))
                 for i, xm in enumerate(ch.base_names)
                 for j, xn in enumerate(ch.base_names) if i < j
                 for br in (bracket(frame[i], frame[j]),)
-                for y in ch.fiber_names])
+                for y in ch.fiber_names], *at)
     else:
         for name in ("energy-intrinsic-vs-display", "legendre-linearity",
                      "curvature-bracket"):
@@ -472,11 +499,11 @@ def run_identity_catalog(problem, seed=None, samples=None, tol=None):
         res = el.residuals_along(decl.section)
         vanished = all(r.is_zero() for r in res.values())
         if decl.solution:
-            entries.append(_sym(f"el-solution[{sname}]", vanished,
-                                _residual_text(res)))
+            check(f"el-solution[{sname}]", _exact, vanished,
+                  _residual_text(res))
         else:
-            entries.append(_sym(f"el-control[{sname}]", not vanished,
-                                "control section unexpectedly solves the equations"))
+            check(f"el-control[{sname}]", _exact, not vanished,
+                  "control section unexpectedly solves the equations")
 
     # symmetries and conservation
     sym_fields = []
@@ -486,18 +513,14 @@ def run_identity_catalog(problem, seed=None, samples=None, tol=None):
         if decl.symmetry is None:
             continue
         rep = total_variation(lag, decl.vf)
-        name = f"symmetry[{vname_}]"
+        name, want = f"symmetry[{vname_}]", bool(decl.symmetry)
         if decl.check == "numeric" and not rep.is_symmetry:
-            # got is None after a domain error, which fails either way
-            got, worst, wit, how = verdict(rep.variation, num.symmetry_samples)
-            entries.append(CheckResult(
-                name, "pass" if got == bool(decl.symmetry) else "fail", worst,
-                wit, _nan(worst, how if got is None else "numeric fallback")))
+            ok = check(name, _expected, want, rep.variation, seed, num.box,
+                       num.guards, num.symmetry_samples, tol)
         else:
-            got = rep.is_symmetry
-            entries.append(_sym(name, got == bool(decl.symmetry),
-                                f"delta = {ex.to_text(rep.variation)}"))
-        if decl.symmetry and got:
+            ok = check(name, _exact, rep.is_symmetry == want,
+                       f"delta = {ex.to_text(rep.variation)}")
+        if want and ok:
             sym_fields.append((vname_, decl))
     if not any_symmetry_decl:
         entries.append(_skip("symmetry", "no symmetry expectations declared"))
@@ -506,18 +529,9 @@ def run_identity_catalog(problem, seed=None, samples=None, tol=None):
     for vname_, decl in sym_fields:
         cur = noether_current(lag, decl.vf)
         for sname, sdecl in solutions:
-            name = f"noether-conservation[{vname_},{sname}]"
-            # one residual serves both verdicts; conserved is None after a
-            # domain error, which fails either way
-            residual = conservation_residual(cur, sdecl.section)
-            conserved, worst, wit, how = verdict(residual, samples,
-                                                 ch.base_names)
-            sampled = decl.check == "numeric" and not residual.is_zero()
-            ok = conserved if sampled else residual.is_zero()
-            entries.append(CheckResult(
-                name, "pass" if ok else "fail", worst, wit, _nan(worst, (
-                    how if conserved is None
-                    else "numeric fallback" if sampled else ""))))
+            check(f"noether-conservation[{vname_},{sname}]", _conserved,
+                  decl.check == "numeric", cur, sdecl.section, samples, tol,
+                  seed, num.box, num.guards)
 
     # declared jet fields
     prob_el = jetfield_el(lag)
@@ -526,23 +540,24 @@ def run_identity_catalog(problem, seed=None, samples=None, tol=None):
             continue
         rep = prob_el.check(decl.jf)
         ok = rep.solves() == bool(decl.el_solution)
-        entries.append(_sym(f"jetfield-el[{jname}]", ok, "" if ok else (
-            f"sopde={rep.is_sopde} omega_residual={rep.omega_residual.describe()}")))
+        check(f"jetfield-el[{jname}]", _exact, ok, "" if ok else (
+            f"sopde={rep.is_sopde} omega_residual={rep.omega_residual.describe()}"))
         for sname in decl.integral_sections:
             fr, gr = integral_residual2(
                 decl.jf, prolong_section(problem.sections[sname].section))
-            entries.append(_structural(
-                f"jetfield-integral[{jname},{sname}]",
-                ((f"{g}({','.join(k)})", r)
-                 for g, res in (("F", fr), ("G", gr)) for k, r in res.items())))
+            check(f"jetfield-integral[{jname},{sname}]", _all_zero,
+                  ((f"{g}({','.join(k)})", r)
+                   for g, res in (("F", fr), ("G", gr)) for k, r in res.items()))
 
     # declared diffeomorphisms preserve the contact module
     for dname, decl in sorted(problem.diffeos.items()):
         cm = prolong_diffeo(decl.diffeo)
-        theorem(f"diffeo-contact[{dname}]", [
-            contact_reduce(pullback(cm, th)).reduced for th in contact_basis(ch)])
+        check(f"diffeo-contact[{dname}]", zero_verdict, [
+            contact_reduce(pullback(cm, th)).reduced for th in contact_basis(ch)],
+            *at)
         if decl.symmetry:
-            theorem(f"diffeo-symmetry[{dname}]", pullback(cm, cf.theta) - cf.theta)
+            check(f"diffeo-symmetry[{dname}]", zero_verdict,
+                  pullback(cm, cf.theta) - cf.theta, *at)
 
     return SuiteReport(tuple(entries))
 

@@ -52,8 +52,9 @@ from functools import cached_property
 
 from . import expr as ex
 from .canonical import vertical_endo_S, vertical_endo_V
-from .chart import SectionE, v_name
-from .connection import JetField2, jetfield_contract, sopde_project
+from .chart import SectionE, prolong_section, v_name
+from .connection import (JetField2, jetfield_contract,
+                         jetfield_curvature_residuals, sopde_project)
 from .errors import ChartMismatch, UnknownCoordinate
 from .forms import Form, exterior_d, jet_space, volume_form
 from .record import Record
@@ -170,17 +171,12 @@ class ELSystem(Record):
         ch = self.chart
         if phi.chart != ch:
             raise ChartMismatch("section lives on a different chart")
-        sub = dict(phi.substitution())
+        sub = prolong_section(phi).substitution()
         for y in ch.fiber_names:
-            comp = phi.component(y)
-            firsts = {}
-            for x in ch.base_names:
-                firsts[x] = ex.differentiate(comp, x, declared=ch.base_names)
-                sub[v_name(y, x)] = firsts[x]
             for i, x1 in enumerate(ch.base_names):
                 for x2 in ch.base_names[i:]:
-                    sub[ch.w(y, x1, x2)] = ex.differentiate(
-                        firsts[x1], x2, declared=ch.base_names)
+                    sub[ch.w(y, x1, x2)] = ex.differentiate(sub[v_name(y, x1)],
+                                                            x2)
         return {y: ex.substitute(c, sub) for y, c in self.components.items()}
 
 
@@ -350,7 +346,6 @@ class ELJetProblem(Record):
 
     def check(self, yf: JetField2):
         """Full report for a candidate jet field."""
-        from .connection import jetfield_curvature_residuals
         lag = self.lagrangian
         is_sopde = sopde_project(yf)
         omega_l = cartan_forms(lag).omega

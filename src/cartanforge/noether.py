@@ -13,7 +13,8 @@ The conserved current is the n-form i(j1 Z) Theta_L; along a solution
 section its pullback is closed: ``conservation_residual`` is zero.
 ``check_conservation`` decides that with the catalog's one zero test,
 ``harness.zero_verdict``, drawing the base coordinates; the residual's
-``is_zero()`` is the symbolic verdict.
+``is_zero()`` is the symbolic verdict.  It is the one conservation verdict
+of both the catalog and ``noether --along``.
 """
 
 from __future__ import annotations
@@ -48,10 +49,9 @@ def total_variation(lag, Z):
     if Z.space != total_space(ch):
         raise NotOnEChart("symmetry generators live on the total space")
     j1 = prolong_vectorfield(Z)
-    declared = set(ch.e_coords())
     delta = ex.sum_of_products(
         [(c, lag.partials[n]) for n, c in j1.comps.items()]
-        + [(lag.L, ex.differentiate(Z.component(x), x, declared=declared))
+        + [(lag.L, ex.differentiate(Z.component(x), x))
            for x in ch.base_names])
     return SymmetryReport(delta, delta.is_zero(), j1)
 

@@ -196,8 +196,8 @@ def parse_guard(chart, text):
     for op in (">", "<"):
         if op in text:
             left, right = text.split(op, 1)
-            try:
-                thr = float(right.strip())
+            try:   # float() takes any Unicode digit; a threshold is ASCII
+                thr = float(right.strip() if right.isascii() else "")
             except ValueError:
                 raise ParseError(f"numeric.require: guard threshold "
                                  f"{right.strip()!r} is not a number")

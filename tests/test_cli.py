@@ -229,8 +229,19 @@ fiber = ["q"]
 L = "log(q) + 1/2*d(q,t)^2"
 """)
     code, out, err = run(capsys, "verify", str(f))
-    assert code == 2 and out == ""
-    assert "log of non-positive value" in err and "at point {" in err
+    assert code == 1 and err == ""
+    fails = [ln for ln in out.splitlines() if ln.startswith("[FAIL]")]
+    # every finite-difference entry fails at its own point; the rest run
+    assert [ln.split("  ")[0] for ln in fails] == [
+        f"[FAIL] finite-difference[dL/d{z}]" for z in ("t", "q", "d(q,t)")]
+    assert all("(log of non-positive value " in ln and " at point {" in ln
+               for ln in fails)
+    assert len({ln.split(" at point ")[1] for ln in fails}) == 3
+    # the first fails where the whole run used to stop, with the same text
+    assert fails[0].endswith("(log of non-positive value -0.9621974435828677"
+                             " at point {'d(q,t)': 0.644221130374,"
+                             " 'q': -0.962197443583, 't': -0.698399274511})")
+    assert "[PASS] cartan-domega-closed" in out
 
 
 def test_sampled_inf_minus_inf_names_point(tmp_path, capsys):
@@ -248,9 +259,31 @@ L = "q*d(q,t) - q*t"
 box = [["t", 1e200, 1e201], ["q", 1e200, 1e201], ["d(q,t)", 1e200, 1e201]]
 """)
     code, out, err = run(capsys, "verify", str(f))
-    assert code == 2 and out == ""
-    assert err.startswith("error: invalid operation: -inf + inf in fsum"
-                          " at point {")
+    assert code == 1 and err == ""
+    assert out.startswith("[FAIL] finite-difference[dL/dt]  (invalid operation:"
+                          " -inf + inf in fsum at point {")
+
+
+def test_unsatisfiable_guards_fail_each_finite_difference(tmp_path, capsys):
+    f = tmp_path / "guard.toml"
+    f.write_text("""
+[bundle]
+base = ["t"]
+fiber = ["q"]
+
+[lagrangian]
+L = "1/2*d(q,t)^2 + q^2"
+
+[numeric]
+box = [["q", -1.0, 1.0]]
+require = ["q > 5"]
+""")
+    code, out, err = run(capsys, "verify", str(f))
+    assert code == 1 and err == ""
+    fails = [ln for ln in out.splitlines() if ln.startswith("[FAIL]")]
+    assert fails == [
+        f"[FAIL] finite-difference[dL/d{z}]  (could not draw a sample point"
+        " satisfying the guards)" for z in ("t", "q", "d(q,t)")]
 
 
 @pytest.mark.parametrize("table, body, what", [

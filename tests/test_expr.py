@@ -17,7 +17,6 @@ from cartanforge.errors import (
     NumericDomain,
     ParseError,
     UnboundVariable,
-    UnknownVariable,
 )
 
 import randgen
@@ -49,11 +48,6 @@ def test_sqrt_rule():
     d = ex.differentiate(ex.func("sqrt", x), "x")
     # 1/(2*sqrt(x))
     assert d == ex.mul(ex.rat(1, 2), ex.pow_(x, ex.Fraction(-1, 2)))
-
-
-def test_unknown_variable():
-    with pytest.raises(UnknownVariable):
-        ex.differentiate(ex.pow_(x, 2), "z", declared={"x", "y"})
 
 
 def test_abs_has_no_rule():

@@ -105,6 +105,8 @@ def test_unknown_coordinate_rejected():
      "section.line.components: 'z' is not a coordinate of this chart"),
     ('[numeric]\nrequire = ["q > x1"]\n', "1/2*d(q,t)^2", ParseError,
      "numeric.require: guard threshold 'x1' is not a number"),
+    ('[numeric]\nrequire = ["q > \u0660.5"]\n', "1/2*d(q,t)^2", ParseError,
+     "numeric.require: guard threshold '\u0660.5' is not a number"),
     ('[vectorfield.v]\nfiber = ["d(q,t)"]\n', "1/2*d(q,t)^2", UnknownCoordinate,
      "vectorfield v components must live on the total space"),
     ("", "d(q,t)^2*²", ParseError, "lagrangian.L: unexpected character '²' (line 1, col 10)"),

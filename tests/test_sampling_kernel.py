@@ -80,6 +80,12 @@ def fd_reference(lag, rng, box, guards, samples):
                       box, guards, samples) for z, d in lag.partials.items()]
 
 
+def fd_kernel(lag, rng, box, guards, samples):
+    """Every run of `hz.finite_differences`, called in order."""
+    return [run() for run in hz.finite_differences(lag, rng, box, guards,
+                                                   samples)]
+
+
 def outcome(run, seed):
     """(results as hex and witnesses, or the error) and the stream state."""
     rng = random.Random(seed)
@@ -113,7 +119,7 @@ def test_finite_differences_match_the_per_point_path(seed):
     lag = lg.Lagrangian(CHART, randgen.smooth_expr(r, names, depth=3))
     box = {n: (-0.5, 1.5) for n in r.sample(JET, 2)}
     guards = guards_for(r, names)
-    same(lambda rng: hz.finite_differences(lag, rng, box, guards, 30),
+    same(lambda rng: fd_kernel(lag, rng, box, guards, 30),
          lambda rng: fd_reference(lag, rng, box, guards, 30), seed)
 
 
@@ -191,7 +197,7 @@ def test_guards_that_cannot_hold():
     assert got == ("error", "could not draw a sample point satisfying the guards")
     lag = lg.Lagrangian(CHART, ex.pow_(ex.var("q"), 2))
     guards = (Guard(ex.var("q"), "<", -1.5),)
-    same(lambda rng: hz.finite_differences(lag, rng, {}, guards, 5),
+    same(lambda rng: fd_kernel(lag, rng, {}, guards, 5),
          lambda rng: fd_reference(lag, rng, {}, guards, 5))
 
 
@@ -210,7 +216,7 @@ def test_a_domain_error_names_its_point(e):
     assert got[0] == "error" and " at point {'x': " in got[1]
     lag = lg.Lagrangian(CHART, ex.mul(ex.var("q"),
                                       ex.substitute(e, {"x": ex.var("r")})))
-    got = same(lambda rng: hz.finite_differences(lag, rng, {}, (), 20),
+    got = same(lambda rng: fd_kernel(lag, rng, {}, (), 20),
                lambda rng: fd_reference(lag, rng, {}, (), 20))
     assert got[0] == "error" and " at point {" in got[1]
 
@@ -321,7 +327,7 @@ def test_a_gap_narrower_than_the_stencil_raises_at_its_point():
     lag = lg.Lagrangian(mech, ex.func("log", ex.add(
         ex.pow_(q, 2), ex.Rat(Fraction(-1, 10 ** 12)))))
     box = {"q": (-2e-6, 2e-6)}
-    got = same(lambda rng: hz.finite_differences(lag, rng, box, (), 3),
+    got = same(lambda rng: fd_kernel(lag, rng, box, (), 3),
                lambda rng: fd_reference(lag, rng, box, (), 3), seed=215)
     assert got == ("error", "log of non-positive value -7.54002996458792e-13"
                             " at point {'q': -4.95981e-07}")
@@ -343,7 +349,7 @@ def test_inputs_that_leave_their_domain_match_the_per_point_path(seed):
                          r.uniform(-0.5, 0.5)) for _ in range(r.randint(0, 2)))
     lag = lg.Lagrangian(CHART, randgen.wild_expr(r, names, 3))
     if "abs" not in ex.to_text(lag.L):   # abs has no partials table
-        same(lambda rng: hz.finite_differences(lag, rng, box, guards, 20),
+        same(lambda rng: fd_kernel(lag, rng, box, guards, 20),
              lambda rng: fd_reference(lag, rng, box, guards, 20), seed)
     pairs = [(randgen.wild_expr(r, names, 2), randgen.smooth_expr(r, names, 1))
              for _ in range(r.randint(1, 2))]

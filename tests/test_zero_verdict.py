@@ -172,17 +172,36 @@ check = "numeric"
 """
 
 
-@pytest.mark.parametrize("text, name", [
-    (ROOT_SECTION, "noether-conservation[shift,root]"),
-    (ROOT_FIELD, "symmetry[grow]"),
-], ids=["conservation", "symmetry"])
-def test_sampled_domain_error_fails_its_entry(tmp_path, capsys, text, name):
+# on q in [0, 1e-6] the finite difference of dL/dq evaluates L at
+# q - 1e-5 < 0, where sqrt(q) has no value
+ROOT_Q = """
+[bundle]
+base = ["t"]
+fiber = ["q"]
+
+[lagrangian]
+L = "1/2*d(q,t)^2 + sqrt(q)"
+
+[numeric]
+box = [["q", 0.0, 1e-6]]
+"""
+
+
+@pytest.mark.parametrize("text, name, entries", [
+    (ROOT_SECTION, "noether-conservation[shift,root]", 12),
+    (ROOT_FIELD, "symmetry[grow]", 9),
+    (ROOT_Q, "finite-difference[dL/dq]", 9),
+], ids=["conservation", "symmetry", "finite-difference"])
+def test_sampled_domain_error_fails_its_entry(tmp_path, capsys, text, name,
+                                              entries):
     # the conservation residual is sampled even under the strict check, to
-    # report its max_dev; a domain error there, or in the numeric symmetry
-    # fallback, fails that entry and verify lists every other one
+    # report its max_dev; a domain error there, in the numeric symmetry
+    # fallback or in a finite difference fails that entry, and verify lists
+    # every other one
     code, out, err = verify(tmp_path, capsys, text)
     assert code == 1 and err == ""
     lines = out.splitlines()
+    assert len(lines) == entries + 1
     assert lines[0].startswith("[PASS] finite-difference[dL/dt]")
     assert lines[-1] == "FAILURES present"
     line, = [s for s in lines if name in s]
@@ -206,6 +225,22 @@ def test_conservation_samples_only_where_the_guards_hold(tmp_path, capsys):
     out = capsys.readouterr()
     assert code == 0 and out.err == ""
     assert "conserved-numeric = false\n  max_dev: 108.3" in out.out
+    # on this file and every corpus pair the two commands report one max_dev
+    pairs = 0
+    for path in [str(tmp_path / "problem.toml")] + [
+            os.path.join(PROBLEMS, n) for n in sorted(os.listdir(PROBLEMS))]:
+        cli.main(["verify", path, "--format", "json"])
+        for e in json.loads(capsys.readouterr().out)["suite"]:
+            if not e["name"].startswith("noether-conservation["):
+                continue
+            vf, sec = e["name"][len("noether-conservation["):-1].split(",")
+            assert cli.main(["noether", path, "--vectorfield", vf, "--along",
+                             sec, "--format", "json"]) == 0
+            got, = [r for r in json.loads(capsys.readouterr().out)["results"]
+                    if r["name"] == "conserved-numeric"]
+            assert got["metadata"]["max_dev"] == e["max_dev"], (path, e)
+            pairs += 1
+    assert pairs > 1
 
 
 def test_numeric_symmetry_fallback_takes_the_run_seed_and_tol(
