@@ -36,7 +36,7 @@ def _render(payload, fmt):
         import json   # only JSON output uses it
         return json.dumps(payload, sort_keys=True, indent=2)
     lines = []
-    for r in payload.get("results", []):
+    for r in payload["results"]:
         value = r.get("expression", r.get("form", ""))
         lines.append(f"{r['name']} = {value}")
         for k in sorted(r.get("metadata", {})):
@@ -49,12 +49,6 @@ def _result(name, value, metadata=None, kind="expression"):
     if metadata:
         out["metadata"] = metadata
     return out
-
-
-def _need(value, flag, cmd):
-    if value is None:
-        raise MissingArgument(f"{cmd} requires {flag}")
-    return value
 
 
 def _samples(args, default):
@@ -71,90 +65,92 @@ def _tol(args, default):
     return default if args.tol is None else args.tol
 
 
-def _named(mapping, name, what):
-    if name not in mapping:
+# flag -> (the Problem table it names an entry of, what an entry is called)
+_DECLARED = {"connection": ("connections", "connection"),
+             "vectorfield": ("vectorfields", "vector field"),
+             "section": ("sections", "section"),
+             "jetfield": ("jetfields", "jet field"),
+             "along": ("sections", "section")}
+
+
+def _declared(problem, args, flag, command=None):
+    """(name, declaration) that --flag names; (None, None) when the flag is
+    absent (or empty), unless `command` requires it."""
+    name = getattr(args, flag)
+    if name is None and command is not None:
+        raise MissingArgument(f"{command} requires --{flag}")
+    if not name and command is None:
+        return None, None
+    table, what = _DECLARED[flag]
+    decls = getattr(problem, table)
+    if name not in decls:
         raise MissingArgument(f"no {what} named {name!r} is declared")
-    return mapping[name]
+    return name, decls[name]
 
 
 def cmd_derive_el(problem, args):
     sys_ = derive_el(problem.lagrangian)
-    results = [_result(f"EL[{y}]", ex.to_text(c))
-               for y, c in sorted(sys_.components.items())]
-    return {"command": "derive-el", "inputs": {}, "results": results}, 0
+    return {}, [_result(f"EL[{y}]", ex.to_text(c))
+                for y, c in sorted(sys_.components.items())]
 
 
 def cmd_cartan_forms(problem, args):
     cf = cartan_forms(problem.lagrangian)
-    results = [
+    return {}, [
         _result("vartheta", cf.vartheta.describe(), kind="form"),
         _result("Theta", cf.theta.describe(), kind="form"),
         _result("Omega", cf.omega.describe(), kind="form"),
     ]
-    return {"command": "cartan-forms", "inputs": {}, "results": results}, 0
 
 
 def cmd_energy(problem, args):
-    name = _need(args.connection, "--connection", "energy")
-    conn = _named(problem.connections, name, "connection")
+    name, conn = _declared(problem, args, "connection", "energy")
     e = energy_density(problem.lagrangian, conn)
-    results = [_result("E", ex.to_text(e.E),
-                       metadata={"connection": name})]
-    return {"command": "energy", "inputs": {"connection": name},
-            "results": results}, 0
+    return {"connection": name}, [_result("E", ex.to_text(e.E),
+                                          metadata={"connection": name})]
 
 
 def cmd_legendre_diff(problem, args):
-    name = _need(args.connection, "--connection", "legendre-diff")
-    conn = _named(problem.connections, name, "connection")
+    name, conn = _declared(problem, args, "connection", "legendre-diff")
     form = legendre_difference(problem.lagrangian, conn.gamma)
-    results = [_result("legendre-difference", form.describe(), kind="form",
-                       metadata={"gamma": name})]
-    return {"command": "legendre-diff", "inputs": {"gamma": name},
-            "results": results}, 0
+    return {"gamma": name}, [_result("legendre-difference", form.describe(),
+                                     kind="form", metadata={"gamma": name})]
 
 
 def cmd_curvature(problem, args):
-    name = _need(args.connection, "--connection", "curvature")
-    conn = _named(problem.connections, name, "connection")
+    name, conn = _declared(problem, args, "connection", "curvature")
     R = curvature(conn)
-    ch = problem.chart
-    results = []
-    for y, comp in zip(ch.fiber_names, R.form.comps):
-        results.append(_result(f"R[{y}]", comp.describe(), kind="form"))
+    results = [_result(f"R[{y}]", comp.describe(), kind="form")
+               for y, comp in zip(problem.chart.fiber_names, R.form.comps)]
     results.append(_result("flat", str(R.is_zero()).lower(),
                            metadata={"connection": name}))
-    return {"command": "curvature", "inputs": {"connection": name},
-            "results": results}, 0
+    return {"connection": name}, results
 
 
 def cmd_check_section(problem, args):
-    name = _need(args.section, "--section", "check-section")
-    decl = _named(problem.sections, name, "section")
+    name, decl = _declared(problem, args, "section", "check-section")
     phi = decl.section
-    results = []
     res = derive_el(problem.lagrangian).residuals_along(phi)
     solves = all(v.is_zero() for v in res.values())
-    for y, v in sorted(res.items()):
-        results.append(_result(f"EL-residual[{y}]", ex.to_text(v)))
+    results = [_result(f"EL-residual[{y}]", ex.to_text(v))
+               for y, v in sorted(res.items())]
     results.append(_result("solves-field-equations", str(solves).lower()))
     rep = is_holonomic(prolong_section(phi))
     results.append(_result("prolongation-holonomic", str(rep.holonomic).lower()))
-    if args.connection:
-        conn = _named(problem.connections, args.connection, "connection")
+    _, conn = _declared(problem, args, "connection")
+    if conn is not None:
         ires = integral_residual(conn, phi)
         for (y, x), v in sorted(ires.items()):
             results.append(_result(f"integral-residual[{y},{x}]", ex.to_text(v)))
-    return {"command": "check-section", "inputs": {"section": name},
-            "results": results}, 0
+    return {"section": name}, results
 
 
 def cmd_jetfield_el(problem, args):
     prob = jetfield_el(problem.lagrangian)
     results = [_result(f"equation[{y}]", ex.to_text(c) + " = 0")
                for y, c in sorted(prob.equations.items())]
-    if args.jetfield:
-        decl = _named(problem.jetfields, args.jetfield, "jet field")
+    jname, decl = _declared(problem, args, "jetfield")
+    if decl is not None:
         rep = prob.check(decl.jf)
         results.append(_result("sopde", str(rep.is_sopde).lower()))
         results.append(_result("omega-contraction", rep.omega_residual.describe(),
@@ -167,32 +163,27 @@ def cmd_jetfield_el(problem, args):
         for u in sorted(sol.pivots):
             results.append(_result(f"solution[{u}]", ex.to_text(sol.pivots[u])))
         results.append(_result("solve-report", "linear solve", metadata=meta))
-    return {"command": "jetfield-el",
-            "inputs": {"jetfield": args.jetfield or ""}, "results": results}, 0
+    return {"jetfield": jname or ""}, results
 
 
 def cmd_symmetry(problem, args):
-    name = _need(args.vectorfield, "--vectorfield", "symmetry")
-    decl = _named(problem.vectorfields, name, "vector field")
+    name, decl = _declared(problem, args, "vectorfield", "symmetry")
     rep = total_variation(problem.lagrangian, decl.vf)
-    results = [
+    return {"vectorfield": name}, [
         _result("total-variation", ex.to_text(rep.variation)),
         _result("is-symmetry", str(rep.is_symmetry).lower()),
         _result("prolongation", rep.prolonged.describe(), kind="form"),
     ]
-    return {"command": "symmetry", "inputs": {"vectorfield": name},
-            "results": results}, 0
 
 
 def cmd_noether(problem, args):
-    name = _need(args.vectorfield, "--vectorfield", "noether")
-    decl = _named(problem.vectorfields, name, "vector field")
+    name, decl = _declared(problem, args, "vectorfield", "noether")
     samples = _samples(args, problem.numeric.samples)
     cur = noether_current(problem.lagrangian, decl.vf)
     results = [_result("current", cur.J.describe(), kind="form")]
     inputs = {"vectorfield": name}
-    if args.along:
-        sdecl = _named(problem.sections, args.along, "section")
+    along, sdecl = _declared(problem, args, "along")
+    if sdecl is not None:
         # one residual serves both verdicts
         nrep = check_conservation(cur, sdecl.section, samples=samples,
                                   tol=_tol(args, problem.numeric.tol),
@@ -204,8 +195,8 @@ def cmd_noether(problem, args):
                                str(nrep.residual.is_zero()).lower()))
         results.append(_result("conserved-numeric", str(nrep.conserved).lower(),
                                metadata={"max_dev": nrep.max_dev}))
-        inputs["along"] = args.along
-    return {"command": "noether", "inputs": inputs, "results": results}, 0
+        inputs["along"] = along
+    return inputs, results
 
 
 def cmd_verify(problem, args):
@@ -251,11 +242,13 @@ def build_parser():
 
 
 def run_command(command, problem, args):
-    """Dispatch a parsed problem; returns (rendered output, exit code)."""
-    out, code = COMMANDS[command](problem, args)
-    if isinstance(out, str):
-        return out, code
-    return _render(out, args.format), code
+    """Dispatch a parsed problem; returns (rendered output, exit code).
+    Every command but `verify` gives (inputs, results) for one document."""
+    if command == "verify":
+        return cmd_verify(problem, args)
+    inputs, results = COMMANDS[command](problem, args)
+    return _render({"command": command, "inputs": inputs, "results": results},
+                   args.format), 0
 
 
 def main(argv=None):

@@ -27,6 +27,12 @@ class NumericDomain(CartanforgeError):
     """Numeric evaluation left the real domain (log <= 0, sqrt < 0, 1/0)."""
 
 
+def location(text, pos):
+    """(line, col) of index `pos` in `text`, both counted from 1."""
+    return (text.count("\n", 0, pos) + 1,
+            pos - text.rfind("\n", 0, pos))
+
+
 class ParseError(CartanforgeError):
     def __init__(self, message, line=None, col=None):
         self.line = line

@@ -97,6 +97,7 @@ from .errors import (
     ParseError,
     UnboundVariable,
     UnknownVariable,
+    location,
 )
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "abs", "sign")
@@ -1024,15 +1025,9 @@ _DIGITS = frozenset("0123456789")
 class _Tokens:
     def __init__(self, text):
         self.text = text
-        self.pos = 0
         self.toks = []
         self._scan()
         self.i = 0
-
-    def _loc(self, pos):
-        line = self.text.count("\n", 0, pos) + 1
-        col = pos - (self.text.rfind("\n", 0, pos) + 1) + 1
-        return line, col
 
     def _scan(self):
         t, n = self.text, len(self.text)
@@ -1061,8 +1056,7 @@ class _Tokens:
                             j += 1
                 # Fraction(text) converts every digit and builds 10^|exp| first
                 if m - i > 4_300 or j - m > 6:
-                    raise ParseError(f"number of {j - i} characters is too large",
-                                     *self._loc(i))
+                    self.error(f"number of {j - i} characters is too large", i)
                 self.toks.append(("num", t[i:j], i))
                 i = j
                 continue
@@ -1077,8 +1071,7 @@ class _Tokens:
                 self.toks.append((ch, ch, i))
                 i += 1
                 continue
-            line, col = self._loc(i)
-            raise ParseError(f"unexpected character {ch!r}", line, col)
+            self.error(f"unexpected character {ch!r}", i)
         self.toks.append(("end", "", n))
 
     def peek(self):
@@ -1092,13 +1085,11 @@ class _Tokens:
     def expect(self, kind):
         tok = self.next()
         if tok[0] != kind:
-            line, col = self._loc(tok[2])
-            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", line, col)
+            self.error(f"expected {kind!r}, found {tok[1]!r}", tok[2])
         return tok
 
-    def error(self, msg, tok):
-        line, col = self._loc(tok[2])
-        raise ParseError(msg, line, col)
+    def error(self, msg, pos):
+        raise ParseError(msg, *location(self.text, pos))
 
 
 def parse(text, validate=None):
@@ -1112,10 +1103,10 @@ def parse(text, validate=None):
     try:
         e = _parse_expr(toks, validate)
     except RecursionError:
-        toks.error("expression nested too deeply", toks.peek())
+        toks.error("expression nested too deeply", toks.peek()[2])
     tail = toks.peek()
     if tail[0] != "end":
-        toks.error(f"unexpected trailing input {tail[1]!r}", tail)
+        toks.error(f"unexpected trailing input {tail[1]!r}", tail[2])
     return e
 
 
@@ -1180,7 +1171,7 @@ def _parse_factor(toks, val):
             sign = -1
         tok = toks.expect("num")
         if not tok[1].isdigit():
-            toks.error(f"exponent must be an integer, found {tok[1]!r}", tok)
+            toks.error(f"exponent must be an integer, found {tok[1]!r}", tok[2])
         e = pow_(e, sign * int(tok[1]))
     return e
 
@@ -1212,10 +1203,10 @@ def _parse_base(toks, val):
                 if val is not None:
                     name = val(name) or name
                 return Var(name)
-            toks.error(f"unknown function {text!r}", tok)
+            toks.error(f"unknown function {text!r}", tok[2])
         if text in RESERVED_NAMES:
-            toks.error(f"{text!r} is reserved and cannot stand alone", tok)
+            toks.error(f"{text!r} is reserved and cannot stand alone", tok[2])
         if val is not None:
             text = val(text) or text
         return Var(text)
-    toks.error(f"unexpected token {text!r}", tok)
+    toks.error(f"unexpected token {text!r}", tok[2])

@@ -30,18 +30,20 @@ verdict, as ``noether --along`` is.  Every sampled check (``zero_verdict``,
 
 Each check runs as one generated kernel (``_Kernel``): a single function
 whose statements come from ``expr.emit_numeric``.  It draws every
-coordinate into a local, tests the guards inline, computes each distinct
-subtree once per point and keeps the worst deviation and its witness in
-locals; the witness dict is built once, at the end.  The finite-difference
-checks of a problem share one kernel: L is computed once per point, and
-each coordinate's branch adds dL/dz and the subtrees of L that contain the
-shifted coordinate.  A kernel performs the rule's operations, each a
-(subtree, point) evaluation, on the same values, so values, witnesses and
-stream state are the rule's bit for bit.
-When one raises, the kernel returns the point it was at, whose draws are
-done as the rule's are; ``_raise_at`` evaluates that point's guards and
-expressions in the rule's order with the tree walk ``expr.evaluate_numeric``
-and raises the rule's first error, in the tree walk's words.
+coordinate the check or a guard reads into a local, tests the guards
+inline, computes each distinct subtree once per point and keeps the worst
+deviation and its witness in locals; the witness dict is built once, at the
+end.  The finite-difference checks of a problem share one kernel: L is
+computed once per point, and each coordinate's branch adds dL/dz and the
+subtrees of L that contain the shifted coordinate.  A kernel performs the
+rule's operations, each a (subtree, point) evaluation, on the same values,
+so values, witnesses and stream state are the rule's bit for bit.  It
+records each expression it emits, a finite-difference end with its
+(z, +-h), in the rule's order.  When one raises, the kernel returns the
+point it was at, whose draws are done as the rule's are; ``_raise_at``
+evaluates there the guards and the record with the tree walk
+``expr.evaluate_numeric`` and raises the rule's first error, in the tree
+walk's words.
 """
 
 from __future__ import annotations
@@ -146,23 +148,30 @@ class _Kernel:
     """One generated function that samples a check by the module's rule,
     with every value in a local.
 
-    A call draws the (name, lo, hi) `cells` in order, each into its local,
-    plus at most one of the `extras` at its sorted place; redraws until the
+    A call draws the `names` and every guard's variables as the cells
+    ``intervals`` gives on `box`, each into its local, plus at most one of
+    the `extras` no cell draws, at its sorted place; redraws until the
     `guards` hold; computes the `shared` expressions; then runs one of the
     `branches`: a function that emits its statements through this object
     and returns its deviations' text.  Every expression goes through
     ``expr.emit_numeric``, so each distinct subtree is one local.  Branches
-    whose statements are the same text are emitted once."""
+    whose statements are the same text are emitted once; ``run`` replays
+    a branch's record, the shared and its ``value`` calls, when it raised."""
 
-    def __init__(self, cells, guards, shared, branches, extras=()):
+    def __init__(self, names, box, guards, shared, branches, extras=()):
+        names = set(names).union(*(ex.free_vars(g.expr) for g in guards))
+        cells = intervals(names, box)
         self.cells, self.guards = cells, guards
+        # extra name -> the _kernel arguments that draw it
+        self.extras = {n: (self._gap(n), lo, hi - lo) for n, lo, hi in
+                       intervals(set(extras) - names, box)}
         self.names = {ex.var(n): f"x{i}" for i, (n, _, _) in enumerate(cells)}
-        self.lines, self.bound, self.src = [], {}, []
+        self.lines, self.bound, self.src, self.evals = [], {}, [], []
         self.consts = tuple([v for _, lo, hi in cells for v in (lo, hi - lo)]
                             + [g.threshold for g in guards])
-        gaps = {self._gap(n) for n, _, _ in extras}
+        gaps = {gap for gap, _, _ in self.extras.values()}
         wit = "".join(f"x{i}, " for i in range(len(cells)))
-        wit += "xe, " if extras else ""
+        wit += "xe, " if self.extras else ""
         self.depth = 0
         self.put("def _kernel(_rand, _samples, _branch, _gap, le, we, _k):")
         self.depth = 1
@@ -191,14 +200,16 @@ class _Kernel:
             self.depth = 3
             self.put("else:")
             self.put("    raise _NumericDomain(_NO_POINT)")
+        self.evals = []   # the guards replay through Guard.holds
         for e in shared:
             self.value(e)
-        bodies, self.branch_of = [], []
+        bodies, self.branch_of, self.replays = [], [], []
         for branch in branches:
-            body = self._branch(branch)
+            body, evals = self._branch(branch)
             if body not in bodies:
                 bodies.append(body)
             self.branch_of.append(bodies.index(body))
+            self.replays.append(self.evals + evals)
         for b, body in enumerate(bodies):
             if len(bodies) > 1:
                 self.put(f"{'elif' if b else 'if'} _branch == {b}:")
@@ -222,9 +233,11 @@ class _Kernel:
     def put(self, line):
         self.src.append("    " * self.depth + line)
 
-    def value(self, e, names=None):
-        """Emit the statements computing `e`; the local or literal holding
-        it.  `names` defaults to the subtrees every branch sees."""
+    def value(self, e, names=None, shift=(None, 0.0)):
+        """Emit and record the statements computing `e`; the local or literal
+        holding it.  `names` defaults to the subtrees every branch sees;
+        `shift` is (coordinate, step) when `names` adds `step` to it."""
+        self.evals.append((e, *shift))
         start = len(self.lines)
         out = ex.emit_numeric(e, self.names if names is None else names,
                               self.lines, self.bound)
@@ -233,36 +246,34 @@ class _Kernel:
         return out
 
     def _branch(self, branch):
-        """The statements of one branch, unindented, ending with `dev`."""
-        src, depth, names = self.src, self.depth, self.names
-        self.src, self.depth, self.names = [], 0, dict(names)
+        """The statements of one branch, unindented, ending with `dev`, and
+        the expressions it records."""
+        saved = self.src, self.depth, self.names, self.evals
+        self.src, self.depth, self.names, self.evals = [], 0, dict(self.names), []
         devs = branch(self)
         self.put(f"dev = {devs[0] if devs else '0.0'}")
         for dev in devs[1:]:
             self.put(f"t = {dev}")
             self.put("if t > dev or t != t: dev = t")
-        body = self.src
-        self.src, self.depth, self.names = src, depth, names
-        return body
+        out = self.src, self.evals
+        self.src, self.depth, self.names, self.evals = saved
+        return out
 
-    def run(self, rng, samples, branch, evals, extra=None):
-        """The worst deviation of `branch` over `samples` points of the
-        cells and the `extra` (name, lo, hi) from `extras` if given, and
-        its witness rounded by `_round_point`.  When an operation raised,
-        the kernel returns None and the point it was at; `_raise_at` then
-        replays that point's guards and `evals` to raise the error."""
-        args = (-1, 0.0, 0.0)
-        if extra is not None:
-            args = (self._gap(extra[0]), extra[1], extra[2] - extra[1])
+    def run(self, rng, samples, branch, extra=None):
+        """The worst deviation of `branch` over `samples` points, drawing
+        `extra` too if it is one of the extras, and its witness rounded by
+        `_round_point`.  When an operation raised, the kernel returns None
+        and the point it was at; `_raise_at` replays there the guards and
+        the branch's record to raise the error."""
         worst, wit = self.fn(rng.random, samples, self.branch_of[branch],
-                             *args, self.consts)
+                             *self.extras.get(extra, (-1, 0.0, 0.0)), self.consts)
         if wit is None:
             return worst, {}
         pt = dict(zip((n for n, _, _ in self.cells), wit))
-        if extra is not None:
-            pt[extra[0]] = wit[-1]
+        if extra in self.extras:
+            pt[extra] = wit[-1]
         if worst is None:
-            _raise_at(pt, self.guards, evals)
+            _raise_at(pt, self.guards, self.replays[branch])
         return worst, _round_point(pt)
 
 
@@ -271,14 +282,10 @@ def sample_worst(pairs, rng, names, box, guards, samples):
     points, and its witness ({} if no deviation is positive; a NaN
     deviation is the worst).  Guard variables join `names`; a domain error
     names its point."""
-    names = set(names)
-    for g in guards:
-        names |= ex.free_vars(g.expr)
-    kernel = _Kernel(intervals(names, box), guards, (),
+    kernel = _Kernel(names, box, guards, (),
                      (lambda k: [f"abs({k.value(a)} - {k.value(b)})"
                                  for a, b in pairs],))
-    return kernel.run(rng, samples, 0,
-                      [(e, None, 0.0) for pair in pairs for e in pair])
+    return kernel.run(rng, samples, 0)
 
 
 def zero_verdict(x, seed, box, guards, samples, tol, names=()):
@@ -335,16 +342,10 @@ def finite_differences(lag, rng, box, guards, samples):
     coordinate that neither L nor a guard reads is drawn as the run's extra
     cell."""
     L, coords = lag.L, list(lag.partials.items())
-    names = set(ex.free_vars(L))
-    for g in guards:
-        names |= ex.free_vars(g.expr)
-    cells = intervals(names, box)
-    extras = {z: (z, *box.get(z, (-1.0, 1.0))) for z, _ in coords
-              if z not in names}
 
     def branch(z, partial):
         def emit(k):
-            if z in extras:
+            if z in k.extras:
                 k.names[ex.var(z)] = "xe"
             got = k.value(partial)
             if z in L.fvs():
@@ -352,21 +353,18 @@ def finite_differences(lag, rng, box, guards, samples):
                 k.put(f"zp = {x} + {_FD_STEP!r}")
                 k.put(f"zm = {x} - {_FD_STEP!r}")
             ends, seen = [], k.names
-            for shifted in ("zp", "zm"):
+            for shifted, step in (("zp", _FD_STEP), ("zm", -_FD_STEP)):
                 seen = {e: v for e, v in seen.items() if z not in e.fvs()}
                 seen[ex.var(z)] = shifted
-                ends.append(k.value(L, seen))
+                ends.append(k.value(L, seen, (z, step)))
             k.put(f"want = ({ends[0]} - {ends[1]}) / {2 * _FD_STEP!r}")
             return [f"abs({got} - want) / (1.0 + abs(want))"]
         return emit
 
-    kernel = _Kernel(cells, guards, (L,), [branch(z, d) for z, d in coords],
-                     tuple(extras.values()))
-    return [functools.partial(
-                kernel.run, rng, samples, i,
-                ((L, None, 0.0), (d, None, 0.0), (L, z, _FD_STEP),
-                 (L, z, -_FD_STEP)), extras.get(z))
-            for i, (z, d) in enumerate(coords)]
+    kernel = _Kernel(ex.free_vars(L), box, guards, (L,),
+                     [branch(z, d) for z, d in coords], [z for z, _ in coords])
+    return [functools.partial(kernel.run, rng, samples, i, z)
+            for i, (z, _) in enumerate(coords)]
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ section its pullback is closed: ``conservation_residual`` is zero.
 ``check_conservation`` decides that with the catalog's one zero test,
 ``harness.zero_verdict``, drawing the base coordinates; the residual's
 ``is_zero()`` is the symbolic verdict.  It is the one conservation verdict
-of both the catalog and ``noether --along``.
+of both the catalog and ``noether --along``, and its sampling defaults are
+a problem file's, ``problem.NumericSettings``.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .forms import (
     volume_form,
 )
 from .lagrangian import cartan_forms
+from .problem import NumericSettings
 from .record import Record, field
 
 
@@ -86,11 +88,13 @@ def conservation_residual(current, phi: SectionE):
     return exterior_d(pullback_by_section(prolong_section(phi), current.J))
 
 
-def check_conservation(current, phi: SectionE, samples=100, tol=1e-9, seed=0,
+def check_conservation(current, phi: SectionE, samples=NumericSettings.samples,
+                       tol=NumericSettings.tol, seed=NumericSettings.seed,
                        box=None, guards=()):
     """The conservation residual, its coefficients sampled over the base
     coordinates in `box` (name -> (lo, hi), [-1, 1] where it declares none)
-    at points the `guards` accept."""
+    at points the `guards` accept; `samples`, `tol` and `seed` default to
+    a problem file's, ``problem.NumericSettings``."""
     from .harness import zero_verdict  # harness imports this module
     residual = conservation_residual(current, phi)
     ok, worst, witness, _ = zero_verdict(residual, seed, box or {}, guards,

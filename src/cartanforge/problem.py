@@ -3,7 +3,9 @@
 The file format supports exactly what problem declarations need: `[table]`
 and `[table.name]` headers, `key = value` pairs with string, number, boolean
 and (nested) array values, and `#` comments.  Duplicate tables or keys are
-rejected rather than merged.
+rejected rather than merged.  `_number` reads every number, a guard's
+threshold too (ASCII, and no `inf` or `nan`); a threshold, a box bound and a
+tolerance must be finite.  Positions are ``errors.location``'s, as in `expr`.
 
 Blocks: [bundle], [lagrangian], [connection.NAME], [vectorfield.NAME],
 [section.NAME], [jetfield.NAME], [diffeo.NAME], [numeric].  Expressions are
@@ -29,6 +31,7 @@ from .errors import (
     ParseError,
     UnknownCoordinate,
     UnknownVariable,
+    location,
 )
 from .forms import FiberedMap, VectorField, total_space
 from .lagrangian import Lagrangian
@@ -45,58 +48,64 @@ _BARE = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
                   "0123456789_-.")
 
 
+def _number(token):
+    """The int or float an ASCII token spells (`1_000`, `+7`, `-1.5e-3`,
+    `1e400` is inf), else None; int() and float() take any Unicode digit."""
+    if token.isascii():
+        try:
+            return float(token) if any(s in token for s in ".eE") else int(token)
+        except ValueError:
+            pass
+    return None
+
+
+def _real(number):
+    """`number` as a float; an int too large for one is inf of its sign."""
+    try:
+        return float(number)
+    except OverflowError:
+        return math.inf if number > 0 else -math.inf
+
+
 class _Reader:
     def __init__(self, text):
         self.text = text
         self.pos = 0
-        self.line = 1
-        self.col = 1
 
     def error(self, msg):
-        raise ParseError(msg, self.line, self.col)
+        raise ParseError(msg, *location(self.text, self.pos))
 
     def peek(self):
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def advance(self):
-        c = self.text[self.pos]
-        self.pos += 1
-        if c == "\n":
-            self.line += 1
-            self.col = 1
-        else:
-            self.col += 1
-        return c
+        return self.text[self.pos:self.pos + 1]   # "" at the end of the text
 
     def skip_ws(self, newlines=False):
         while self.pos < len(self.text):
             c = self.peek()
             if c == "#":
-                while self.pos < len(self.text) and self.peek() != "\n":
-                    self.advance()
+                while self.peek() not in ("\n", ""):
+                    self.pos += 1
             elif c in " \t\r" or (newlines and c == "\n"):
-                self.advance()
+                self.pos += 1
             else:
                 break
 
     def read_bare(self):
         start = self.pos
-        while self.peek() in _BARE:   # "" at the end of the text
-            self.advance()
+        while self.peek() in _BARE:
+            self.pos += 1
         if start == self.pos:
             self.error(f"expected a name, found {self.peek()!r}")
         return self.text[start:self.pos]
 
     def read_string(self):
-        self.advance()  # opening quote
-        out = []
-        while True:
-            if self.pos >= len(self.text) or self.peek() == "\n":
-                self.error("unterminated string")
-            c = self.advance()
-            if c == '"':
-                return "".join(out)
-            out.append(c)
+        start = self.pos + 1   # past the opening quote
+        self.pos = start
+        while self.peek() not in ('"', "\n", ""):
+            self.pos += 1
+        if self.peek() != '"':
+            self.error("unterminated string")
+        self.pos += 1
+        return self.text[start:self.pos - 1]
 
     def read_value(self):
         self.skip_ws()
@@ -104,33 +113,29 @@ class _Reader:
         if c == '"':
             return self.read_string()
         if c == "[":
-            self.advance()
+            self.pos += 1
             arr = []
             while True:
                 self.skip_ws(newlines=True)
                 if self.peek() == "]":
-                    self.advance()
+                    self.pos += 1
                     return arr
                 arr.append(self.read_value())
                 self.skip_ws(newlines=True)
                 if self.peek() == ",":
-                    self.advance()
+                    self.pos += 1
                 elif self.peek() != "]":
                     self.error("expected ',' or ']' in array")
-        token = []
+        start = self.pos
         while self.pos < len(self.text) and self.peek() not in " \t\r\n#,]":
-            token.append(self.advance())
-        token = "".join(token)
+            self.pos += 1
+        token = self.text[start:self.pos]
         if token in ("true", "false"):
             return token == "true"
-        if token.isascii():   # int() and float() take any Unicode digit
-            try:
-                if any(s in token for s in ".eE") and not token.lstrip("+-").isdigit():
-                    return float(token)
-                return int(token)
-            except ValueError:
-                pass
-        self.error(f"cannot read value {token!r}")
+        value = _number(token)
+        if value is None:
+            self.error(f"cannot read value {token!r}")
+        return value
 
 
 def parse_toml_subset(text):
@@ -143,13 +148,13 @@ def parse_toml_subset(text):
         if rd.pos >= len(rd.text):
             return root
         if rd.peek() == "[":
-            rd.advance()
+            rd.pos += 1
             rd.skip_ws()
             name = rd.read_bare()
             rd.skip_ws()
             if rd.peek() != "]":
                 rd.error("expected ']' after table name")
-            rd.advance()
+            rd.pos += 1
             parts = tuple(name.split("."))
             node = root
             for i, part in enumerate(parts):
@@ -170,7 +175,7 @@ def parse_toml_subset(text):
         rd.skip_ws()
         if rd.peek() != "=":
             rd.error(f"expected '=' after key {key!r}")
-        rd.advance()
+        rd.pos += 1
         value = rd.read_value()
         if key in current:
             where = ".".join(current_path) or "top level"
@@ -193,15 +198,16 @@ class Guard(Record):
 
 
 def parse_guard(chart, text):
+    """`expr > t` or `expr < t`, t a finite number by the reader's rule."""
     for op in (">", "<"):
         if op in text:
             left, right = text.split(op, 1)
-            try:   # float() takes any Unicode digit; a threshold is ASCII
-                thr = float(right.strip() if right.isascii() else "")
-            except ValueError:
-                raise ParseError(f"numeric.require: guard threshold "
-                                 f"{right.strip()!r} is not a number")
-            return Guard(_parse_at(chart, "numeric.require", left.strip()), op, thr)
+            thr = _number(right.strip())
+            if thr is None or not math.isfinite(_real(thr)):
+                raise ParseError(f"numeric.require: guard threshold {right.strip()!r} "
+                                 f"is not {'a number' if thr is None else 'finite'}")
+            return Guard(_parse_at(chart, "numeric.require", left.strip()), op,
+                         _real(thr))
     raise ParseError(f"guard {text!r} needs '>' or '<'")
 
 
@@ -282,7 +288,7 @@ def _sample_count(num, key, default):
 
 def _tolerance(num, key, default):
     """numeric.<key>, finite and at least 0: a negative one fails every check."""
-    t = float(_value(num, "numeric", key, float, default))
+    t = _real(_value(num, "numeric", key, float, default))
     if not 0 <= t < math.inf:
         raise ParseError(f"numeric.{key}: expected finite and at least 0, found {t}")
     return t
@@ -435,7 +441,7 @@ def build_problem(tree):
                 or not all(_is_a(b, float) for b in entry[1:])):
             raise ParseError('numeric.box: expected ["name", lo, hi] entries, '
                              f"found {entry!r}")
-        name, lo, hi = chart.canonical_name(entry[0]), float(entry[1]), float(entry[2])
+        name, lo, hi = chart.canonical_name(entry[0]), _real(entry[1]), _real(entry[2])
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ParseError(f"numeric.box: expected finite bounds, found {entry!r}")
         if lo > hi:

@@ -7,8 +7,12 @@ Each golden file holds the exact stdout of
 for each problem in PROBLEMS and each command listed for it, so a rewrite
 cannot change an answer unnoticed.  `symmetry`, `noether` and
 `check-section` run once per declared vector field, (vector field,
-section) pair and section, in name order; their golden file is the
-concatenation of those runs, each preceded by a line `$ <options>`.
+section) pair and section, in name order; `energy`, `legendre-diff` and
+`curvature` once per connection, `check-section-connection`
+(`check-section --section s --connection c`) once per (section,
+connection) pair, and `jetfield-el-jetfield` (`jetfield-el --jetfield j`)
+once per jet field.  Such a golden file is the concatenation of those
+runs, each preceded by a line `$ <options>`.
 nambu_string's `jetfield-el` without `--jetfield` has none: its elimination
 stops on the expression size bound (exit 2), which tests/test_cli.py pins
 instead.  Its `verify` guards the largest expression the corpus builds, the
@@ -51,14 +55,22 @@ from cartanforge.problem import parse_problem  # noqa: E402
 
 COMMANDS = ["verify", "derive-el", "cartan-forms", "jetfield-el",
             "symmetry", "noether", "check-section"]
-# commands that are another command run with fixed options
-ALIASES = {"verify-1000": ("verify", ["--samples", "1000"])}
+# the commands that read a declared connection, once per connection
+CONNECTED = ["energy", "legendre-diff", "curvature", "check-section-connection"]
+# commands that are another command run with other options
+ALIASES = {"verify-1000": ("verify", ["--samples", "1000"]),
+           "check-section-connection": ("check-section", []),
+           "jetfield-el-jetfield": ("jetfield-el", [])}
 SAMPLED = ["free_particle", "harmonic_oscillator", "wave_1p1", "maxwell"]
+# the problems that declare a jet field
+JETFIELDS = ["free_particle", "harmonic_oscillator", "wave_1p1"]
 PROBLEMS = {
-    **{problem: COMMANDS + ["verify-1000"] for problem in SAMPLED},
-    "polyakov_string": COMMANDS,
+    **{problem: COMMANDS + ["verify-1000"] + CONNECTED for problem in SAMPLED},
+    "polyakov_string": COMMANDS + CONNECTED,
     "nambu_string": ["verify", "derive-el", "cartan-forms"],
 }
+for problem in JETFIELDS:
+    PROBLEMS[problem].append("jetfield-el-jetfield")
 # (problem, command) pairs whose golden file is the digest of the output
 DIGESTED = {("nambu_string", "derive-el"), ("nambu_string", "cartan-forms"),
             *((problem, "verify-1000") for problem in SAMPLED)}
@@ -75,16 +87,26 @@ def golden_name(problem, command):
 
 def invocations(path, command):
     """The option lists one (problem, command) pair runs with."""
-    if command not in ("symmetry", "noether", "check-section"):
+    if command in ("verify", "verify-1000", "derive-el", "cartan-forms",
+                   "jetfield-el"):
         return [[]]
     problem = parse_problem(path)
     fields = sorted(problem.vectorfields)
     sections = sorted(problem.sections)
+    connections = sorted(problem.connections)
     if command == "symmetry":
         return [["--vectorfield", v] for v in fields]
     if command == "check-section":
         return [["--section", s] for s in sections]
-    return [["--vectorfield", v, "--along", s] for v in fields for s in sections]
+    if command == "check-section-connection":
+        return [["--section", s, "--connection", c]
+                for s in sections for c in connections]
+    if command == "jetfield-el-jetfield":
+        return [["--jetfield", j] for j in sorted(problem.jetfields)]
+    if command == "noether":
+        return [["--vectorfield", v, "--along", s]
+                for v in fields for s in sections]
+    return [["--connection", c] for c in connections]
 
 
 def outputs():

@@ -495,10 +495,13 @@ L = {L}
     ({"L": "5"}, "lagrangian.L: expected a string, found int"),
     ({"base": "5"}, "bundle.base: expected an array, found int"),
     ({"base": '"tx"'}, "bundle.base: expected an array, found str"),
+    # an integer too large for a float is inf, not an OverflowError
+    ({"tail": "[numeric]\ntol = 1" + "0" * 400},
+     "numeric.tol: expected finite and at least 0, found inf"),
 ], ids=["seed", "samples", "samples-zero", "symmetry-samples-negative",
         "tol-negative", "tol-fd-negative", "tol-fd-infinite", "box",
         "require", "numeric", "connection", "check", "solution", "L",
-        "base-int", "base-str"])
+        "base-int", "base-str", "tol-401-digits"])
 def test_value_of_wrong_type_exits_2(tmp_path, capsys, edit, message):
     fields = {"head": "", "base": '["t"]', "L": '"1/2*d(q,t)^2"', "tail": ""}
     f = tmp_path / "typed.toml"
@@ -548,7 +551,10 @@ def write_box(tmp_path, box):
      "'q' is given twice, found ['q', -1, 2]"),
     ('[["dd(q,t,x)", 0, 1], ["dd(q,x,t)", 0, 1]]',
      "'dd(q,t,x)' is given twice, found ['dd(q,x,t)', 0, 1]"),
-], ids=["infinite-hi", "infinite-lo", "reversed", "twice", "twice-spelled-apart"])
+    (f'[["q", -1{"0" * 400}, 0]]',
+     f"expected finite bounds, found ['q', -1{'0' * 400}, 0]"),
+], ids=["infinite-hi", "infinite-lo", "reversed", "twice", "twice-spelled-apart",
+        "lo-401-digits"])
 def test_malformed_box_entry_exits_2(tmp_path, capsys, box, message):
     # an infinite bound made every finite-difference check fail with a NaN
     # deviation; a reversed interval or a repeated name passed silently

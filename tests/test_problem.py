@@ -1,5 +1,6 @@
 import pytest
 
+from cartanforge import cli
 from cartanforge import expr as ex
 from cartanforge import problem as pb
 from cartanforge.errors import (
@@ -107,16 +108,38 @@ def test_unknown_coordinate_rejected():
      "numeric.require: guard threshold 'x1' is not a number"),
     ('[numeric]\nrequire = ["q > \u0660.5"]\n', "1/2*d(q,t)^2", ParseError,
      "numeric.require: guard threshold '\u0660.5' is not a number"),
+    # the threshold reads by the reader's number rule: `inf`, `nan` and
+    # `-infinity` are no numbers there (`tol = inf` cannot be read either),
+    # and `1e400` spells inf; a threshold must be finite
+    ('[numeric]\nrequire = ["q > nan"]\n', "1/2*d(q,t)^2", ParseError,
+     "numeric.require: guard threshold 'nan' is not a number"),
+    ('[numeric]\nrequire = ["q < inf"]\n', "1/2*d(q,t)^2", ParseError,
+     "numeric.require: guard threshold 'inf' is not a number"),
+    ('[numeric]\nrequire = ["q > -infinity"]\n', "1/2*d(q,t)^2", ParseError,
+     "numeric.require: guard threshold '-infinity' is not a number"),
+    ('[numeric]\nrequire = ["q > 1e400"]\n', "1/2*d(q,t)^2", ParseError,
+     "numeric.require: guard threshold '1e400' is not finite"),
+    ('[numeric]\nrequire = ["q < -1e400"]\n', "1/2*d(q,t)^2", ParseError,
+     "numeric.require: guard threshold '-1e400' is not finite"),
+    pytest.param('[numeric]\nrequire = ["q > 1' + "0" * 400 + '"]\n',
+                 "1/2*d(q,t)^2", ParseError,
+                 f"numeric.require: guard threshold '1{'0' * 400}' is not finite",
+                 id="401-digit-threshold"),
     ('[vectorfield.v]\nfiber = ["d(q,t)"]\n', "1/2*d(q,t)^2", UnknownCoordinate,
      "vectorfield v components must live on the total space"),
     ("", "d(q,t)^2*²", ParseError, "lagrangian.L: unexpected character '²' (line 1, col 10)"),
     ("", "d(q,t)^²", ParseError, "lagrangian.L: unexpected character '²' (line 1, col 8)"),
 ])
-def test_expression_errors_name_their_table_and_key(extra, lagrangian, error, text):
+def test_expression_errors_name_their_table_and_key(extra, lagrangian, error, text,
+                                                     tmp_path, capsys):
     bad = MINIMAL.replace("1/2*d(q,t)^2", lagrangian) + extra
     with pytest.raises(error) as err:
         pb.build_problem(pb.parse_toml_subset(bad))
     assert str(err.value) == text
+    path = tmp_path / "bad.toml"
+    path.write_text(bad, encoding="utf-8")
+    assert cli.main(["derive-el", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {text}\n"
 
 
 @pytest.mark.parametrize("text, message", [
@@ -199,6 +222,13 @@ def test_guards_parse():
     g = p.numeric.guards[0]
     assert g.op == ">" and g.threshold == 0.1
     assert g.holds({"q": 0.5}) and not g.holds({"q": 0.0})
+    # every form float() took before keeps its value, stored as a float;
+    # space around the threshold is any the expression scanner skips
+    for threshold, value in (("5", 5.0), ("-0.5", -0.5), ("1_0e-1", 1.0),
+                             ("1e-3", 1e-3), ("-5\u00a0", -5.0)):
+        text = MINIMAL + f'\n[numeric]\nrequire = ["q < {threshold}"]\n'
+        g = pb.build_problem(pb.parse_toml_subset(text)).numeric.guards[0]
+        assert type(g.threshold) is float and g.threshold == value
 
 
 def test_box_names_validated():
